@@ -58,9 +58,6 @@ class DifferenceTensor:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
 
 @dataclass
 class Decomposition:

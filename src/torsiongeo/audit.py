@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .geometry import ChartGeometry, VectorFieldSpec, inner
-from .integrate import GeodesicState, IntegratorSettings, Trace, integrate_any, merge_traces
+from .integrate import GeodesicState, IntegratorSettings, Trace, integrate_two_sided
 
 #: Per-step slack when asserting that a series is non-increasing; absorbs
 #: roundoff without masking genuine violations.
@@ -79,12 +79,16 @@ class InvariantReport:
 def make_report(name: str, times: np.ndarray, values: np.ndarray,
                 threshold: float | None = None, use_std: bool = False,
                 monotone: bool | None = None) -> InvariantReport:
-    """Report drift of ``values`` against its initial sample."""
+    """Report drift of ``values`` against its first finite sample.
+
+    With no finite sample, ``max_dev`` and ``std`` are NaN and a report
+    with a threshold fails.
+    """
     finite = values[np.isfinite(values.real if np.iscomplexobj(values) else values)]
-    ref = finite[0]
-    max_dev = float(np.max(np.abs(finite - ref))) if len(finite) else math.nan
-    centered = finite - np.mean(finite)
-    std = float(np.sqrt(np.mean(np.abs(centered) ** 2))) if len(finite) else math.nan
+    max_dev = std = math.nan
+    if len(finite):
+        max_dev = float(np.max(np.abs(finite - finite[0])))
+        std = float(np.sqrt(np.mean(np.abs(finite - np.mean(finite)) ** 2)))
     passed = None
     if threshold is not None:
         passed = (std if use_std else max_dev) < threshold
@@ -275,8 +279,8 @@ def killing_flow_symmetry(trace: Trace, isometry: Isometry,
     """Max pointwise mismatch between the mapped trace and a re-integration.
 
     The map is applied to the launch state, the geodesic is re-integrated
-    with the trace's own settings, and positions are compared sample by
-    sample.  The isometry must commute with the trace's vector field; this
+    over the trace's span with its method, step and tolerances, and
+    positions are compared sample by sample.  The isometry must commute with the trace's vector field; this
     is spot-checked at 20 sample points and violations raise ValueError.
     """
     chart = _require_chart(trace)
@@ -290,27 +294,15 @@ def killing_flow_symmetry(trace: Trace, isometry: Isometry,
     state = GeodesicState(0.0, u0, v0, float(w[0]), float(w[1]))
 
     settings = trace.settings or IntegratorSettings()
-    t_min, t_max = float(trace.t[0]), float(trace.t[-1])
-    fwd = integrate_any(chart, field, state,
-                        _with_span(settings, 0.0, t_max))
-    if t_min < 0.0:
-        back = integrate_any(chart, field, state,
-                             _with_span(settings, 0.0, t_min))
-        reint = merge_traces(back, fwd)
-    else:
-        reint = fwd
+    reint = integrate_two_sided(chart, field, state, float(trace.t[0]), float(trace.t[-1]),
+                                h=settings.h, method=settings.method,
+                                rtol=settings.rtol, atol=settings.atol)
     if len(reint) != len(trace) or np.max(np.abs(reint.t - trace.t)) > 1e-9:
         raise ValueError("re-integrated trace does not share the sample grid")
 
     mapped = np.array([isometry.point_map(u, v) for u, v in zip(trace.u, trace.v)])
     mismatch = np.hypot(mapped[:, 0] - reint.u, mapped[:, 1] - reint.v)
     return float(np.max(mismatch))
-
-
-def _with_span(settings: IntegratorSettings, t0: float, t1: float) -> IntegratorSettings:
-    return IntegratorSettings(method=settings.method, h=settings.h,
-                              rtol=settings.rtol, atol=settings.atol,
-                              t0=t0, t1=t1, max_steps=settings.max_steps)
 
 
 def _check_commutes(trace: Trace, isometry: Isometry, field: VectorFieldSpec,

@@ -69,10 +69,6 @@ class ChartGeometry:
     sample_box: tuple[float, float, float, float] | None = None
     fd_scale: float = FD_SCALE
 
-    @property
-    def derivative_mode(self) -> str:
-        return "analytic" if self.christoffel_analytic is not None else "finite-difference"
-
     def contains(self, u: float, v: float) -> bool:
         u0, u1, v0, v1 = self.bounds
         return u0 < u < u1 and v0 < v < v1

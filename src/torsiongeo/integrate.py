@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class GeodesicState:
 class IntegratorSettings:
     """Stepper configuration.
 
-    ``t1 < t0`` requests backward integration.  For ``rk4`` the step ``h``
+    ``t1 < t0`` requests backward integration, run as the time reversal of
+    a forward one (see :func:`integrate`).  For ``rk4`` the step ``h``
     is fixed; for ``rk45`` it is the initial step of the embedded
     Fehlberg pair, controlled by ``rtol``/``atol`` with safety factor 0.9
     and step-scale clamps [0.2, 5.0].
@@ -125,10 +126,6 @@ class Trace:
     def state(self, i: int) -> GeodesicState:
         return GeodesicState(float(self.t[i]), float(self.u[i]), float(self.v[i]),
                              float(self.du[i]), float(self.dv[i]))
-
-    def states(self) -> Iterator[GeodesicState]:
-        for i in range(len(self.t)):
-            yield self.state(i)
 
     def index_at(self, t: float) -> int:
         return int(np.argmin(np.abs(self.t - t)))
@@ -243,6 +240,37 @@ def _rkf45_step(rhs, contains, y, h):
     return y4, err
 
 
+def _run(march, chart: ChartGeometry, field: VectorFieldSpec,
+         initial: GeodesicState, settings: IntegratorSettings,
+         scenario_id: str | None) -> Trace:
+    """Launch checks, time reversal and diagnostics shared by the steppers.
+
+    The flow is even in the velocity, so a backward run over [t1, t0] is
+    the reflection (t, x') -> (-t, -x') of a forward run from -t0 with the
+    launch velocity negated.  Both steppers commute with that reflection
+    bitwise, so ``march`` only ever steps forward.
+    """
+    chart.require_inside(initial.u, initial.v)
+    g11, g12, g22 = chart.metric(initial.u, initial.v)
+    du, dv = initial.du, initial.dv
+    E2 = g11 * du * du + 2.0 * g12 * du * dv + g22 * dv * dv
+    if not E2 > 0.0:
+        raise ValueError("initial velocity must be nonzero")
+    E = math.sqrt(E2)
+
+    sign = 1.0 if settings.t1 >= settings.t0 else -1.0
+    t, u, v, du, dv, stop = march(_make_rhs(chart, field, E2), chart.contains,
+                                  sign * settings.t0, sign * settings.t1,
+                                  (initial.u, initial.v, sign * du, sign * dv), settings)
+    if sign < 0:
+        t, u, v, du, dv = -t[::-1], u[::-1], v[::-1], -du[::-1], -dv[::-1]
+
+    speed, kappa, g_v = _diagnostics(chart.metric, field.components, u, v, du, dv, E)
+    return Trace(t=t, u=u, v=v, du=du, dv=dv, speed=speed, kappa=kappa,
+                 g_v=g_v, E=E, chart=chart, field=field, settings=settings,
+                 stop_reason=stop, scenario_id=scenario_id)
+
+
 def integrate(chart: ChartGeometry, field: VectorFieldSpec,
               initial: GeodesicState, settings: IntegratorSettings,
               scenario_id: str | None = None) -> Trace:
@@ -254,29 +282,22 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
     event, whichever comes first, and records which in ``stop_reason``.
     A step that would evaluate outside the open domain box triggers the
     boundary stop: the offending step is discarded and the exit time is
-    refined by bisection to ``BOUNDARY_TIME_TOL``.
+    refined by bisection to ``BOUNDARY_TIME_TOL``.  A backward span
+    (``t1 < t0``) is integrated forward from the negated launch velocity
+    and reflected back.
     """
-    chart.require_inside(initial.u, initial.v)
-    g11, g12, g22 = chart.metric(initial.u, initial.v)
-    du, dv = initial.du, initial.dv
-    E2 = g11 * du * du + 2.0 * g12 * du * dv + g22 * dv * dv
-    if not E2 > 0.0:
-        raise ValueError("initial velocity must be nonzero")
-    E = math.sqrt(E2)
+    return _run(_rk4_march, chart, field, initial, settings, scenario_id)
 
-    rhs = _make_rhs(chart, field, E2)
-    contains = chart.contains
-    metric = chart.metric
-    comp = field.components
 
-    ts = [settings.t0]
-    us = [initial.u]
-    vs = [initial.v]
+def _rk4_march(rhs, contains, t0, t1, y, settings):
+    u, v, du, dv = y
+    ts = [t0]
+    us = [u]
+    vs = [v]
     dus = [du]
     dvs = [dv]
 
-    direction = 1.0 if settings.t1 >= settings.t0 else -1.0
-    span = abs(settings.t1 - settings.t0)
+    span = t1 - t0
     # Times come from k * h, not from accumulation, so the stored grid is
     # exactly uniform apart from an optional short final step.
     n_full = int(math.floor(span / settings.h + 1e-9))
@@ -284,7 +305,6 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
     if rem <= 1e-9 * settings.h:
         rem = 0.0
     total = n_full + (1 if rem > 0.0 else 0)
-    u, v = initial.u, initial.v
     stop = STOP_TIME
     k = 0
 
@@ -292,8 +312,7 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
         if k >= settings.max_steps:
             stop = STOP_MAX_STEPS
             break
-        h_mag = settings.h if k < n_full else rem
-        h = direction * h_mag
+        h = settings.h if k < n_full else rem
         try:
             u, v, du, dv = _rk4_step(rhs, contains, u, v, du, dv, h)
         except _BoundaryHit:
@@ -309,24 +328,13 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
             break
         k += 1
         t_rel = k * settings.h if k <= n_full else span
-        ts.append(settings.t0 + direction * min(t_rel, span))
+        ts.append(t0 + min(t_rel, span))
         us.append(u)
         vs.append(v)
         dus.append(du)
         dvs.append(dv)
 
-    t = np.array(ts)
-    ua = np.array(us)
-    va = np.array(vs)
-    dua = np.array(dus)
-    dva = np.array(dvs)
-    if direction < 0:
-        t, ua, va, dua, dva = t[::-1], ua[::-1], va[::-1], dua[::-1], dva[::-1]
-
-    speed, kappa, g_v = _diagnostics(metric, comp, ua, va, dua, dva, E)
-    return Trace(t=t, u=ua, v=va, du=dua, dv=dva, speed=speed, kappa=kappa,
-                 g_v=g_v, E=E, chart=chart, field=field, settings=settings,
-                 stop_reason=stop, scenario_id=scenario_id)
+    return np.array(ts), np.array(us), np.array(vs), np.array(dus), np.array(dvs), stop
 
 
 def _bisect_exit(rhs, contains, u, v, du, dv, h):
@@ -335,13 +343,12 @@ def _bisect_exit(rhs, contains, u, v, du, dv, h):
     Returns (h_taken, state) or None when even a vanishing step exits.
     """
     lo = 0.0
-    hi = abs(h)
-    sign = 1.0 if h >= 0 else -1.0
+    hi = h
     best = None
     while hi - lo > BOUNDARY_TIME_TOL:
         mid = 0.5 * (lo + hi)
         try:
-            state = _rk4_step(rhs, contains, u, v, du, dv, sign * mid)
+            state = _rk4_step(rhs, contains, u, v, du, dv, mid)
         except _BoundaryHit:
             hi = mid
         else:
@@ -349,7 +356,7 @@ def _bisect_exit(rhs, contains, u, v, du, dv, h):
             best = state
     if best is None or lo == 0.0:
         return None
-    return sign * lo, best
+    return lo, best
 
 
 def _diagnostics(metric, comp, u, v, du, dv, E):
@@ -374,23 +381,15 @@ def integrate_adaptive(chart: ChartGeometry, field: VectorFieldSpec,
                        initial: GeodesicState, settings: IntegratorSettings,
                        scenario_id: str | None = None) -> Trace:
     """Embedded Fehlberg 4(5) integration with per-step error control."""
-    chart.require_inside(initial.u, initial.v)
-    g11, g12, g22 = chart.metric(initial.u, initial.v)
-    du, dv = initial.du, initial.dv
-    E2 = g11 * du * du + 2.0 * g12 * du * dv + g22 * dv * dv
-    if not E2 > 0.0:
-        raise ValueError("initial velocity must be nonzero")
-    E = math.sqrt(E2)
+    return _run(_rkf45_march, chart, field, initial, settings, scenario_id)
 
-    rhs = _make_rhs(chart, field, E2)
-    contains = chart.contains
 
-    direction = 1.0 if settings.t1 >= settings.t0 else -1.0
-    span = abs(settings.t1 - settings.t0)
+def _rkf45_march(rhs, contains, t0, t1, y, settings):
+    span = t1 - t0
     t_rel = 0.0
-    y = [initial.u, initial.v, du, dv]
-    rows = [(settings.t0, *y)]
-    h_mag = min(settings.h, span) if span > 0 else settings.h
+    y = list(y)
+    rows = [(t0, *y)]
+    h = min(settings.h, span) if span > 0 else settings.h
     stop = STOP_TIME
     steps = 0
     tiny = 1e-15 * max(1.0, span)
@@ -399,18 +398,17 @@ def integrate_adaptive(chart: ChartGeometry, field: VectorFieldSpec,
         if steps >= settings.max_steps:
             stop = STOP_MAX_STEPS
             break
-        if h_mag < 1e-14:
+        if h < 1e-14:
             raise RuntimeError("adaptive step size underflow")
-        h_mag = min(h_mag, span - t_rel)
-        h = direction * h_mag
+        h = min(h, span - t_rel)
         try:
             y_new, err = _rkf45_step(rhs, contains, y, h)
         except _BoundaryHit:
             partial = _bisect_exit(rhs, contains, y[0], y[1], y[2], y[3], h)
             if partial is not None:
                 h_part, state = partial
-                t_rel += abs(h_part)
-                rows.append((settings.t0 + direction * t_rel, *state))
+                t_rel += h_part
+                rows.append((t0 + t_rel, *state))
             stop = STOP_BOUNDARY
             break
         steps += 1
@@ -419,20 +417,14 @@ def integrate_adaptive(chart: ChartGeometry, field: VectorFieldSpec,
             scale = settings.atol + settings.rtol * max(abs(a), abs(b))
             ratio = max(ratio, abs(e) / scale)
         if ratio <= 1.0:
-            t_rel += h_mag
+            t_rel += h
             y = y_new
-            rows.append((settings.t0 + direction * t_rel, *y))
+            rows.append((t0 + t_rel, *y))
         factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-        h_mag *= factor
+        h *= factor
 
-    arr = np.array(rows)
-    if direction < 0:
-        arr = arr[::-1]
-    t, ua, va, dua, dva = arr.T
-    speed, kappa, g_v = _diagnostics(chart.metric, field.components, ua, va, dua, dva, E)
-    return Trace(t=t, u=ua, v=va, du=dua, dv=dva, speed=speed, kappa=kappa,
-                 g_v=g_v, E=E, chart=chart, field=field, settings=settings,
-                 stop_reason=stop, scenario_id=scenario_id)
+    t, u, v, du, dv = np.array(rows).T
+    return t, u, v, du, dv, stop
 
 
 def integrate_any(chart: ChartGeometry, field: VectorFieldSpec,

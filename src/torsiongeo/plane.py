@@ -331,10 +331,23 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     extreme heights reached; the negative-control evidence that points in
     disjoint strips cannot be joined by a geodesic arc.
 
-    Batched RK4 over all angles at once; E = 1 per trajectory.
+    Batched RK4 over all angles at once; E = 1 per trajectory.  The flow
+    is even in the velocity, so the backward half of each geodesic is the
+    forward run from the exactly negated launch velocity: with
+    ``both_directions`` those launches join the same batch and the two
+    halves' extremes are merged.
     """
     field = field or shear_field()
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    dx = np.cos(angles)
+    dy = np.sin(angles)
+    if both_directions:
+        dx = np.concatenate([dx, -dx])
+        dy = np.concatenate([dy, -dy])
+    x = np.full(len(dx), float(origin[0]))
+    y = np.full(len(dx), float(origin[1]))
+    y_lo = y.copy()
+    y_hi = y.copy()
 
     def rhs(x, y, dx, dy):
         f = field.f(x, y) + 0.0 * x
@@ -342,31 +355,21 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
         gv = f * dx + g * dy
         return dx, dy, -f + gv * dx, -g + gv * dy
 
-    def run(h_signed: float, steps: int, y_lo, y_hi):
-        x = np.full(n_angles, float(origin[0]))
-        y = np.full(n_angles, float(origin[1]))
-        dx = np.cos(angles)
-        dy = np.sin(angles)
-        for _ in range(steps):
-            k1 = rhs(x, y, dx, dy)
-            k2 = rhs(x + 0.5 * h_signed * k1[0], y + 0.5 * h_signed * k1[1],
-                     dx + 0.5 * h_signed * k1[2], dy + 0.5 * h_signed * k1[3])
-            k3 = rhs(x + 0.5 * h_signed * k2[0], y + 0.5 * h_signed * k2[1],
-                     dx + 0.5 * h_signed * k2[2], dy + 0.5 * h_signed * k2[3])
-            k4 = rhs(x + h_signed * k3[0], y + h_signed * k3[1],
-                     dx + h_signed * k3[2], dy + h_signed * k3[3])
-            x = x + h_signed * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-            y = y + h_signed * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-            dx = dx + h_signed * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
-            dy = dy + h_signed * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
-            np.minimum(y_lo, y, out=y_lo)
-            np.maximum(y_hi, y, out=y_hi)
-        return y_lo, y_hi
-
-    steps = int(round(t_max / h))
-    y_lo = np.full(n_angles, float(origin[1]))
-    y_hi = np.full(n_angles, float(origin[1]))
-    run(h, steps, y_lo, y_hi)
+    for _ in range(int(round(t_max / h))):
+        k1 = rhs(x, y, dx, dy)
+        k2 = rhs(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1],
+                 dx + 0.5 * h * k1[2], dy + 0.5 * h * k1[3])
+        k3 = rhs(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1],
+                 dx + 0.5 * h * k2[2], dy + 0.5 * h * k2[3])
+        k4 = rhs(x + h * k3[0], y + h * k3[1],
+                 dx + h * k3[2], dy + h * k3[3])
+        x = x + h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
+        y = y + h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
+        dx = dx + h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
+        dy = dy + h * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
+        np.minimum(y_lo, y, out=y_lo)
+        np.maximum(y_hi, y, out=y_hi)
     if both_directions:
-        run(-h, steps, y_lo, y_hi)
+        y_lo = np.minimum(y_lo[:n_angles], y_lo[n_angles:])
+        y_hi = np.maximum(y_hi[:n_angles], y_hi[n_angles:])
     return SweepResult(angles=angles, y_min=y_lo, y_max=y_hi)

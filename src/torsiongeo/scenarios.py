@@ -19,7 +19,7 @@ from typing import Callable
 
 from .audit import InvariantReport, conformal_constant, killing_curvature_check, make_report
 from .errors import ConfigError
-from .geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, half_plane
+from .geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, fd_step, half_plane
 from .integrate import GeodesicState, Trace, integrate_two_sided
 from .plane import PlaneField, arcsin_invariant, flat_invariant, shear_field, winding_field
 from .surfaces import CATALOG_BUILDERS, CatalogSurface, loxodrome_check
@@ -32,7 +32,6 @@ class Runtime:
     chart: ChartGeometry
     field: VectorFieldSpec
     surface: CatalogSurface | None = None
-    plane_field: PlaneField | None = None
 
 
 def _halfplane_sigma_runtime() -> Runtime:
@@ -47,9 +46,7 @@ def _halfplane_sigma_runtime() -> Runtime:
         sigma=lambda u, v: -math.log(v),
         sigma_grad=lambda u, v: (0.0, -1.0 / v),
     )
-    pf = PlaneField(name="grad-log-height", f=lambda x, y: 0.0,
-                    g=lambda x, y: 1.0 / y)
-    return Runtime(chart=chart, field=fld, plane_field=pf)
+    return Runtime(chart=chart, field=fld)
 
 
 @lru_cache(maxsize=None)
@@ -58,11 +55,9 @@ def build_runtime(key: str) -> Runtime:
     if key == "plane-zero":
         return Runtime(chart=euclidean_plane(), field=VectorFieldSpec.zero())
     if key == "plane-winding":
-        pf = winding_field()
-        return Runtime(chart=euclidean_plane(), field=pf.as_spec(), plane_field=pf)
+        return Runtime(chart=euclidean_plane(), field=winding_field().as_spec())
     if key == "plane-shear":
-        pf = shear_field()
-        return Runtime(chart=euclidean_plane(), field=pf.as_spec(), plane_field=pf)
+        return Runtime(chart=euclidean_plane(), field=shear_field().as_spec())
     if key == "halfplane-sigma":
         return _halfplane_sigma_runtime()
     if key in CATALOG_BUILDERS:
@@ -90,21 +85,25 @@ class Scenario:
     description: str = ""
 
     def launch_state(self) -> GeodesicState:
-        rt = build_runtime(self.runtime)
-        u, v = self.start
-        if (self.velocity is None) == (self.angle is None):
-            raise ConfigError(f"scenario {self.id!r}: give either velocity or angle")
-        if self.velocity is not None:
-            du, dv = self.velocity
-        else:
-            if rt.surface is None:
-                raise ConfigError(f"scenario {self.id!r}: angle launch needs a surface")
-            e1 = rt.surface.frame.e1(u, v)
-            e2 = rt.surface.frame.e2(u, v)
-            ca, sa = math.cos(self.angle), math.sin(self.angle)
-            du = self.E * (ca * e1[0] + sa * e2[0])
-            dv = self.E * (ca * e1[1] + sa * e2[1])
-        return GeodesicState(0.0, u, v, du, dv)
+        return _launch(self, build_runtime(self.runtime).surface)
+
+
+def _launch(scen: Scenario, surface: CatalogSurface | None) -> GeodesicState:
+    """Launch state at t = 0; an angle launch is taken in the surface frame."""
+    u, v = scen.start
+    if (scen.velocity is None) == (scen.angle is None):
+        raise ConfigError(f"scenario {scen.id!r}: give either velocity or angle")
+    if scen.velocity is not None:
+        du, dv = scen.velocity
+    else:
+        if surface is None:
+            raise ConfigError(f"scenario {scen.id!r}: angle launch needs a surface")
+        e1 = surface.frame.e1(u, v)
+        e2 = surface.frame.e2(u, v)
+        ca, sa = math.cos(scen.angle), math.sin(scen.angle)
+        du = scen.E * (ca * e1[0] + sa * e2[0])
+        dv = scen.E * (ca * e1[1] + sa * e2[1])
+    return GeodesicState(0.0, u, v, du, dv)
 
 
 def _unit(x: float, y: float) -> tuple[float, float]:
@@ -324,11 +323,11 @@ def _resolve_field(sel, chart: ChartGeometry, surface: CatalogSurface | None) ->
         p = compile_expr(sel["p"])
 
         def f(x: float, y: float) -> float:
-            h = 1e-6 * max(1.0, abs(y))
+            h = fd_step(y)
             return (p(x, y + h) - p(x, y - h)) / (2.0 * h)
 
         def g(x: float, y: float) -> float:
-            h = 1e-6 * max(1.0, abs(x))
+            h = fd_step(x)
             return -(p(x + h, y) - p(x - h, y)) / (2.0 * h)
 
         return PlaneField(name="config-p", f=f, g=g, potential=p).as_spec()
@@ -372,18 +371,8 @@ def run_config(config: ScenarioConfig) -> tuple[Trace, list[InvariantReport]]:
     scen = config.scenario
     rt = config.runtime
     if scen.runtime == "__inline__":
-        if scen.velocity is not None:
-            state = GeodesicState(0.0, scen.start[0], scen.start[1], *scen.velocity)
-        else:
-            if rt.surface is None:
-                raise ConfigError("angle launch needs a surface chart")
-            e1 = rt.surface.frame.e1(*scen.start)
-            e2 = rt.surface.frame.e2(*scen.start)
-            ca, sa = math.cos(scen.angle), math.sin(scen.angle)
-            state = GeodesicState(0.0, scen.start[0], scen.start[1],
-                                  scen.E * (ca * e1[0] + sa * e2[0]),
-                                  scen.E * (ca * e1[1] + sa * e2[1]))
-        trace = integrate_two_sided(rt.chart, rt.field, state, scen.span[0], scen.span[1],
+        trace = integrate_two_sided(rt.chart, rt.field, _launch(scen, rt.surface),
+                                    scen.span[0], scen.span[1],
                                     h=scen.h, method=config.method, scenario_id=scen.id)
     else:
         trace = run_scenario(scen, method=config.method)

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import quad
 
 from . import algebra
 from .audit import (conformal_constant, curvature_general, interior_slice,
@@ -168,9 +169,13 @@ def criterion_loxodrome_mercator(ctx: SuiteContext) -> CriterionResult:
     residual = float(np.max(np.abs(A @ coef - ys)))
     res.add("max residual of the straight-line fit", residual, 1e-5)
 
+    # adaptive quadrature of 1/r from the equator: the independent oracle
+    # for the closed-form map
+    r = rt.surface.profile.r
     ss = np.linspace(0.1, math.pi - 0.1, 100)
-    closed = np.log(np.tan(ss / 2.0))
-    quad_y = mercator_map(rt.surface, ss)
+    quad_y = np.array([quad(lambda x: 1.0 / r(x), math.pi / 2, float(s),
+                            epsabs=1e-13, epsrel=1e-13, limit=200)[0] for s in ss])
+    closed = mercator_map(rt.surface, ss)
     res.add("quadrature vs log tan(s/2)", float(np.max(np.abs(quad_y - closed))), 1e-10)
     return res
 

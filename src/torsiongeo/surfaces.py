@@ -16,105 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .audit import make_report, series_derivative, InvariantReport
 from .errors import ChartDomainError
 from .geometry import ChartGeometry, OrthoFrame, VectorFieldSpec
 from .integrate import Trace
-
-
-# ---------------------------------------------------------------------------
-# Arc-length reparametrization of profile curves
-# ---------------------------------------------------------------------------
-
-
-class ArcLengthParam:
-    """Invertible map between a curve parameter t and arc length s.
-
-    Cumulative lengths are tabulated on a fine grid with 10-point
-    Gauss-Legendre quadrature per cell (effectively exact for smooth
-    speeds) and inverted by a bracketed Newton iteration to 1e-12.
-    Consecutive inversions warm-start from the previous solution, which
-    the integrator's nearby stage points turn into one or two iterations.
-    """
-
-    _GL = tuple(zip(*(arr.tolist() for arr in np.polynomial.legendre.leggauss(10))))
-
-    def __init__(self, speed: Callable[[float], float], t_min: float, t_max: float,
-                 n_grid: int = 1600, t_anchor: float | None = None):
-        self.speed = speed
-        self.t_min = float(t_min)
-        self.t_max = float(t_max)
-        self.grid = np.linspace(t_min, t_max, n_grid + 1)
-        cells = np.array([self._cell(self.grid[i], self.grid[i + 1])
-                          for i in range(n_grid)])
-        cum = np.concatenate([[0.0], np.cumsum(cells)])
-        if t_anchor is None:
-            t_anchor = t_min
-        self.cum = cum - np.interp(t_anchor, self.grid, cum)
-        self._step = (self.t_max - self.t_min) / n_grid
-        self._last: tuple[float, float] | None = None
-
-    def _cell(self, a: float, b: float) -> float:
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        sp = self.speed
-        total = 0.0
-        for x, w in self._GL:
-            total += w * sp(mid + half * x)
-        return half * total
-
-    @property
-    def s_range(self) -> tuple[float, float]:
-        return (float(self.cum[0]), float(self.cum[-1]))
-
-    def s_of_t(self, t: float) -> float:
-        i = int((t - self.t_min) / self._step)
-        i = min(max(i, 0), len(self.grid) - 2)
-        return float(self.cum[i] + self._cell(float(self.grid[i]), t))
-
-    def _clamp(self, t: float) -> float:
-        return min(max(t, self.t_min), self.t_max)
-
-    def t_of_s(self, s: float) -> float:
-        lo, hi = self.s_range
-        if not (lo - 1e-9 <= s <= hi + 1e-9):
-            raise ChartDomainError(f"arc length {s} outside parametrized range [{lo}, {hi}]")
-        # near machine precision: the residual feeds metric finite
-        # differences, which divide by steps of order 1e-6
-        tol = 5e-15 * max(1.0, abs(s))
-        last = self._last
-        if last is not None:
-            s_prev, t_prev = last
-            if s_prev == s:
-                return t_prev
-            if abs(s - s_prev) < 0.5:
-                t = self._clamp(t_prev + (s - s_prev) / self.speed(t_prev))
-                for _ in range(8):
-                    f = self.s_of_t(t) - s
-                    if abs(f) <= tol:
-                        self._last = (s, t)
-                        return t
-                    t = self._clamp(t - f / self.speed(t))
-        i = int(np.clip(np.searchsorted(self.cum, s) - 1, 0, len(self.cum) - 2))
-        t_lo, t_hi = float(self.grid[i]), float(self.grid[i + 1])
-        t = float(np.interp(s, self.cum[i:i + 2], self.grid[i:i + 2]))
-        for _ in range(60):
-            f = self.s_of_t(t) - s
-            if abs(f) <= tol:
-                break
-            if f > 0:
-                t_hi = t
-            else:
-                t_lo = t
-            t_new = t - f / self.speed(t)
-            if not (t_lo <= t_new <= t_hi):
-                t_new = 0.5 * (t_lo + t_hi)
-            t = t_new
-        self._last = (s, t)
-        return t
 
 
 @dataclass
@@ -133,36 +39,6 @@ class RevolutionProfile:
     natural: bool = True
     d2r: Callable[[float], float] | None = None
 
-    @classmethod
-    def from_curve(cls, r_of_t: Callable[[float], float], h_of_t: Callable[[float], float],
-                   dr_dt: Callable[[float], float], dh_dt: Callable[[float], float],
-                   t_domain: tuple[float, float], n_grid: int = 1600,
-                   t_anchor: float | None = None) -> "RevolutionProfile":
-        """Numerically reparametrize an arbitrary regular profile curve by
-        arc length; the returned profile carries the natural flag."""
-
-        def speed(t: float) -> float:
-            return math.hypot(dr_dt(t), dh_dt(t))
-
-        param = ArcLengthParam(speed, t_domain[0], t_domain[1],
-                               n_grid=n_grid, t_anchor=t_anchor)
-
-        def r(s: float) -> float:
-            return r_of_t(param.t_of_s(s))
-
-        def dr(s: float) -> float:
-            t = param.t_of_s(s)
-            return dr_dt(t) / speed(t)
-
-        def h(s: float) -> float:
-            return h_of_t(param.t_of_s(s))
-
-        def dh(s: float) -> float:
-            t = param.t_of_s(s)
-            return dh_dt(t) / speed(t)
-
-        return cls(r=r, dr=dr, h=h, dh=dh, s_domain=param.s_range, natural=True)
-
     def natural_residual(self, samples: np.ndarray) -> float:
         """Max |r'^2 + h'^2 - 1| over sample arc lengths."""
         return max(abs(self.dr(s) ** 2 + self.dh(s) ** 2 - 1.0) for s in samples)
@@ -171,14 +47,20 @@ class RevolutionProfile:
 @dataclass
 class CatalogSurface:
     """A surface of revolution bundled with its chart, flat-connection
-    vector field, orthonormal frame, and Mercator anchor."""
+    vector field, orthonormal frame, and closed-form Mercator map.
+
+    ``mercator`` is the primitive y(s) of 1/r vanishing at the surface's
+    anchor and ``mercator_inv`` its inverse s(y); both act elementwise on
+    arrays.
+    """
 
     name: str
     profile: RevolutionProfile
     chart: ChartGeometry
     field: VectorFieldSpec
     frame: OrthoFrame
-    mercator_anchor: float
+    mercator: Callable[[np.ndarray], np.ndarray]
+    mercator_inv: Callable[[np.ndarray], np.ndarray]
 
 
 def _revolution_chart(name: str, profile: RevolutionProfile,
@@ -207,11 +89,13 @@ def _revolution_chart(name: str, profile: RevolutionProfile,
     )
 
 
-def _surface(name: str, profile: RevolutionProfile, mercator_anchor: float) -> CatalogSurface:
+def _surface(name: str, profile: RevolutionProfile,
+             mercator: Callable[[np.ndarray], np.ndarray],
+             mercator_inv: Callable[[np.ndarray], np.ndarray]) -> CatalogSurface:
     if not profile.natural:
         raise ValueError(
-            "surface construction needs a natural (arc-length) profile; "
-            "use RevolutionProfile.from_curve to reparametrize"
+            "surface construction needs a natural (arc-length) profile, "
+            "with r'^2 + h'^2 = 1"
         )
     chart = _revolution_chart(name, profile)
     r = profile.r
@@ -230,8 +114,8 @@ def _surface(name: str, profile: RevolutionProfile, mercator_anchor: float) -> C
                           sigma=sigma, sigma_grad=sigma_grad)
     frame = OrthoFrame(e1=lambda u, v: (1.0, 0.0),
                        e2=lambda u, v: (0.0, 1.0 / r(u)))
-    return CatalogSurface(name=name, profile=profile, chart=chart,
-                          field=fld, frame=frame, mercator_anchor=mercator_anchor)
+    return CatalogSurface(name=name, profile=profile, chart=chart, field=fld,
+                          frame=frame, mercator=mercator, mercator_inv=mercator_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +131,25 @@ def make_sphere(eps: float = SPHERE_EPS) -> CatalogSurface:
 
     Profile r = sin s, h = cos s; the pole neighbourhoods are excluded so
     integration stops with a boundary event instead of hitting the chart
-    singularity.  Mercator anchor at the equator.
+    singularity.  Mercator map y = log tan(s/2), anchored at the equator.
     """
     profile = RevolutionProfile(
         r=math.sin, dr=math.cos, h=math.cos, dh=lambda s: -math.sin(s),
         s_domain=(eps, math.pi - eps), d2r=lambda s: -math.sin(s),
     )
-    return _surface("sphere", profile, mercator_anchor=math.pi / 2)
+    return _surface("sphere", profile,
+                    mercator=lambda s: np.log(np.tan(s / 2.0)),
+                    mercator_inv=lambda y: 2.0 * np.arctan(np.exp(y)))
 
 
 def make_pseudosphere(s_min: float = 1e-3, s_max: float = 6.0) -> CatalogSurface:
     """Pseudosphere (tractrix of r = exp(-s)); constant curvature -1.
 
     The defining vector field is the constant -e1, which is parallel for
-    the flat connection.  Mercator anchor at the domain midpoint.
+    the flat connection.  Mercator map y = exp(s) - exp(s_mid), anchored
+    at the domain midpoint s_mid.
     """
+    shift = math.exp(0.5 * (s_min + s_max))
 
     def h(s: float) -> float:
         w = math.sqrt(1.0 - math.exp(-2.0 * s))
@@ -272,23 +160,28 @@ def make_pseudosphere(s_min: float = 1e-3, s_max: float = 6.0) -> CatalogSurface
         h=h, dh=lambda s: math.sqrt(1.0 - math.exp(-2.0 * s)),
         s_domain=(s_min, s_max), d2r=lambda s: math.exp(-s),
     )
-    return _surface("pseudosphere", profile, mercator_anchor=0.5 * (s_min + s_max))
+    return _surface("pseudosphere", profile,
+                    mercator=lambda s: np.exp(s) - shift,
+                    mercator_inv=lambda y: np.log(y + shift))
 
 
-def make_catenoid(s_extent: float = 16.0, n_grid: int = 1600) -> CatalogSurface:
-    """Catenoid, numerically reparametrized by arc length from (cosh t, t).
+def make_catenoid(s_extent: float = 16.0) -> CatalogSurface:
+    """Catenoid, the profile (cosh t, t) in arc length s = sinh t.
 
-    A minimal surface with non-constant curvature; its Gauss map is
-    conformal, so flat-connection geodesics map to sphere loxodromes.
-    Mercator anchor at the waist.
+    In closed form r = sqrt(1 + s^2), h = asinh s and r'' = (1 + s^2)^(-3/2)
+    on s in (-s_extent, s_extent).  A minimal surface with non-constant
+    curvature; its Gauss map is conformal, so flat-connection geodesics map
+    to sphere loxodromes.  Mercator map y = asinh s, anchored at the waist.
     """
-    t_ext = math.asinh(s_extent)
-    profile = RevolutionProfile.from_curve(
-        r_of_t=math.cosh, h_of_t=lambda t: t,
-        dr_dt=math.sinh, dh_dt=lambda t: 1.0,
-        t_domain=(-t_ext, t_ext), n_grid=n_grid, t_anchor=0.0,
+
+    def r(s: float) -> float:
+        return math.sqrt(1.0 + s * s)
+
+    profile = RevolutionProfile(
+        r=r, dr=lambda s: s / r(s), h=math.asinh, dh=lambda s: 1.0 / r(s),
+        s_domain=(-s_extent, s_extent), d2r=lambda s: (1.0 + s * s) ** -1.5,
     )
-    return _surface("catenoid", profile, mercator_anchor=0.0)
+    return _surface("catenoid", profile, mercator=np.arcsinh, mercator_inv=np.sinh)
 
 
 CATALOG_BUILDERS = {
@@ -307,28 +200,29 @@ def mercator_map(surface: CatalogSurface, s) -> float | np.ndarray:
     """y = integral of ds / r from the surface's anchor; x is phi.
 
     Strictly monotone with dy/ds = 1/r; pushes the surface metric
-    diag(1, r^2) to the euclidean metric of the (x, y) plane.
+    diag(1, r^2) to the euclidean metric of the (x, y) plane.  Evaluated in
+    the surface's closed form, elementwise on arrays.
     """
+    s = np.asarray(s, dtype=float)
+    _require_in_profile(surface, s, "s", s)
+    y = surface.mercator(s)
+    return float(y) if np.ndim(y) == 0 else y
+
+
+def mercator_inverse(surface: CatalogSurface, y) -> float | np.ndarray:
+    """The arc length s with mercator_map(s) = y, in closed form."""
+    with np.errstate(all="ignore"):
+        s = surface.mercator_inv(np.asarray(y, dtype=float))
+    _require_in_profile(surface, s, "y", y)
+    return float(s) if np.ndim(s) == 0 else s
+
+
+def _require_in_profile(surface: CatalogSurface, s: np.ndarray, name: str, given) -> None:
     s0, s1 = surface.profile.s_domain
-
-    def single(val: float) -> float:
-        if not (s0 < val < s1):
-            raise ChartDomainError(f"s = {val} outside profile domain ({s0}, {s1})")
-        y, _ = quad(lambda x: 1.0 / surface.profile.r(x), surface.mercator_anchor, val,
-                    epsabs=1e-13, epsrel=1e-13, limit=200)
-        return y
-
-    if np.ndim(s) == 0:
-        return single(float(s))
-    return np.array([single(float(x)) for x in np.asarray(s).ravel()])
-
-
-def mercator_inverse(surface: CatalogSurface, y: float) -> float:
-    """Solve mercator_map(s) = y by bracketed root finding."""
-    s0, s1 = surface.profile.s_domain
-    lo = s0 + 1e-12 * max(1.0, abs(s0))
-    hi = s1 - 1e-12 * max(1.0, abs(s1))
-    return float(brentq(lambda s: mercator_map(surface, s) - y, lo, hi, xtol=1e-13))
+    outside = ~((s0 < s) & (s < s1))
+    if np.any(outside):
+        bad = np.asarray(given, dtype=float)[outside][0]
+        raise ChartDomainError(f"{name} = {bad} lies outside profile domain ({s0}, {s1})")
 
 
 # ---------------------------------------------------------------------------

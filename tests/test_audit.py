@@ -6,7 +6,7 @@ import pytest
 from torsiongeo.audit import (Isometry, conformal_constant, curvature_general,
                               interior_slice, killing_curvature_check,
                               killing_flow_symmetry, kinematic_curvature,
-                              naive_momentum, series_derivative)
+                              make_report, naive_momentum, series_derivative)
 from torsiongeo.geometry import euclidean_plane
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, levi_civita_integrate
 from torsiongeo.plane import constant_field, plane_curvature, shear_field, winding_field
@@ -149,3 +149,12 @@ def test_reports_serialize():
     d = rep.to_dict()
     assert d["verdict"] == "PASS"
     assert set(d) >= {"name", "max_dev", "std", "verdict", "monotone"}
+
+
+def test_make_report_without_finite_samples():
+    for values in (np.full(3, np.nan), np.array([])):
+        times = np.arange(float(len(values)))
+        rep = make_report("x", times, values, threshold=1e-6)
+        assert math.isnan(rep.max_dev) and math.isnan(rep.std)
+        assert rep.passed is False
+        assert make_report("x", times, values).passed is None

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from torsiongeo.errors import ChartDomainError
 from torsiongeo.geometry import VectorFieldSpec, euclidean_plane
-from torsiongeo.integrate import (GeodesicState, IntegratorSettings,
+from torsiongeo.integrate import (GeodesicState, IntegratorSettings, _make_rhs,
                                   geodesic_rhs, integrate, integrate_adaptive,
                                   integrate_two_sided, levi_civita_integrate,
                                   merge_traces)
 from torsiongeo.plane import winding_field
-from torsiongeo.scenarios import CATALOG, run_scenario
+from torsiongeo.scenarios import CATALOG, build_runtime, run_scenario
 from torsiongeo.surfaces import make_sphere
 
 
@@ -68,6 +69,21 @@ def test_rhs_orthogonal_to_velocity(rng):
         lc_u = ddu + (-math.sin(s) * math.cos(s)) * dv * dv
         lc_v = ddv + 2.0 * (math.cos(s) / math.sin(s)) * du * dv
         assert lc_u * du + g22 * lc_v * dv == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("key", ["plane-zero", "plane-winding", "plane-shear",
+                                 "halfplane-sigma", "sphere", "pseudosphere", "catenoid"])
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.floats(0.01, 10.0))
+@hsettings(max_examples=50, deadline=None)
+def test_rhs_is_exactly_even_in_velocity(key, fu, fv, du, dv, E2):
+    # backward runs and the two-sided sweep reflect forward runs from -v;
+    # that is exact only while the acceleration is bitwise even in v
+    rt = build_runtime(key)
+    u0, u1, v0, v1 = rt.chart.sample_box
+    u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
+    rhs = _make_rhs(rt.chart, rt.field, E2)
+    assert rhs(u, v, du, dv) == rhs(u, v, -du, -dv)
 
 
 def test_sphere_meridian_rhs_cancels():

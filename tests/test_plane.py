@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torsiongeo.geometry import euclidean_plane
-from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate
+from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, integrate_two_sided
 from torsiongeo.plane import (arcsin_invariant,
                               constant_field, flat_invariant, plane_curvature,
                               shear_field, shooting_sweep, strip_bounds,
@@ -263,3 +263,16 @@ def test_sweep_matches_direct_integration():
                    IntegratorSettings(t0=0.0, t1=3.0, h=1e-3))
     assert sweep.y_max[j] == pytest.approx(float(np.max(tr.v)), abs=1e-9)
     assert sweep.y_min[j] == pytest.approx(float(np.min(tr.v)), abs=1e-9)
+
+
+def test_two_sided_sweep_matches_two_sided_integration():
+    sweep = shooting_sweep(origin=(1.0, 1.0), n_angles=8, t_max=3.0, h=1e-3)
+    chart = euclidean_plane()
+    field = shear_field().as_spec()
+    for j in (1, 2, 3, 5, 6, 7):
+        ang = sweep.angles[j]
+        tr = integrate_two_sided(chart, field,
+                                 GeodesicState(0.0, 1.0, 1.0, math.cos(ang), math.sin(ang)),
+                                 -3.0, 3.0, h=1e-3)
+        assert sweep.y_max[j] == pytest.approx(float(np.max(tr.v)), abs=1e-9)
+        assert sweep.y_min[j] == pytest.approx(float(np.min(tr.v)), abs=1e-9)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from torsiongeo.errors import ChartDomainError
 from torsiongeo.scenarios import CATALOG, build_runtime, run_scenario
-from torsiongeo.surfaces import (ArcLengthParam, RevolutionProfile, embed,
+from torsiongeo.surfaces import (RevolutionProfile, embed,
                                  gauss_map, gauss_map_trace, gaussian_curvature,
                                  loxodrome_check, make_catenoid, make_pseudosphere,
                                  make_sphere, mercator_inverse, mercator_map,
@@ -44,16 +44,6 @@ def test_catenoid_reparametrization_against_quadrature_oracle():
         assert surf.profile.h(s) == pytest.approx(t_inv, abs=1e-9)
 
 
-def test_arclength_param_round_trip():
-    param = ArcLengthParam(math.cosh, -3.0, 3.0, n_grid=400, t_anchor=0.0)
-    for t in (-2.4, -0.3, 0.0, 1.7):
-        s = param.s_of_t(t)
-        assert s == pytest.approx(math.sinh(t), abs=1e-12)
-        assert param.t_of_s(s) == pytest.approx(t, abs=1e-10)
-    with pytest.raises(ChartDomainError):
-        param.t_of_s(100.0)
-
-
 def test_first_fundamental_form():
     surf = make_catenoid()
     s = 2.0
@@ -85,10 +75,25 @@ def test_mercator_sphere_closed_form():
 
 def test_mercator_pseudosphere_closed_form():
     surf = make_pseudosphere()
-    s0 = surf.mercator_anchor
+    s0 = 0.5 * sum(surf.profile.s_domain)  # the anchor, where y = 0
     for s in (0.5, 1.0, 2.5, 4.0):
         assert mercator_map(surf, s) == pytest.approx(
             math.exp(s) - math.exp(s0), abs=1e-10)
+
+
+@pytest.mark.parametrize("builder", [make_sphere, make_pseudosphere, make_catenoid])
+def test_mercator_closed_form_against_quadrature_oracle(builder):
+    # y(s) - y(mid) is the integral of 1/r over [mid, s]; adaptive
+    # quadrature of the profile's own 1/r is the independent oracle
+    surf = builder()
+    s0, s1 = surf.profile.s_domain
+    mid = 0.5 * (s0 + s1)
+    ss = np.linspace(s0 + 0.02 * (s1 - s0), s1 - 0.02 * (s1 - s0), 60)
+    ys = mercator_map(surf, ss) - mercator_map(surf, mid)
+    for s, y in zip(ss, ys):
+        oracle, _ = quad(lambda x: 1.0 / surf.profile.r(x), mid, s,
+                         epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(y - oracle) <= 1e-11 * max(1.0, abs(oracle))
 
 
 def test_mercator_derivative_and_monotonicity():
@@ -106,6 +111,18 @@ def test_mercator_inverse_round_trip():
     surf = make_sphere()
     for s in (0.4, 1.0, 2.3):
         assert mercator_inverse(surf, mercator_map(surf, s)) == pytest.approx(s, abs=1e-10)
+
+
+@pytest.mark.parametrize("builder", [make_pseudosphere, make_catenoid])
+def test_mercator_inverse_round_trip_on_arrays(builder):
+    surf = builder()
+    s0, s1 = surf.profile.s_domain
+    ss = np.linspace(s0 + 0.02 * (s1 - s0), s1 - 0.02 * (s1 - s0), 50)
+    back = mercator_inverse(surf, mercator_map(surf, ss))
+    assert np.max(np.abs(back - ss)) <= 1e-12 * max(1.0, abs(s0), abs(s1))
+    assert mercator_inverse(surf, 0.0) == pytest.approx(mercator_inverse(surf, [0.0])[0])
+    with pytest.raises(ChartDomainError):
+        mercator_inverse(surf, [0.0, 1e6])
 
 
 @pytest.mark.parametrize("builder", [make_sphere, make_pseudosphere, make_catenoid])
@@ -244,15 +261,6 @@ def test_gaussian_curvature_closed_forms():
             -1.0 / (1.0 + s * s) ** 2, abs=1e-6)
 
 
-def test_from_curve_profile_flags_natural():
-    profile = RevolutionProfile.from_curve(
-        r_of_t=lambda t: 2.0 + math.sin(t), h_of_t=lambda t: t,
-        dr_dt=math.cos, dh_dt=lambda t: 1.0, t_domain=(-1.0, 1.0), n_grid=200)
-    assert profile.natural
-    ss = np.linspace(profile.s_domain[0] + 0.05, profile.s_domain[1] - 0.05, 30)
-    assert profile.natural_residual(ss) < 1e-10
-
-
 def test_surface_rejects_non_natural_profile():
     from torsiongeo.surfaces import _surface
 
@@ -260,4 +268,4 @@ def test_surface_rejects_non_natural_profile():
         r=lambda s: 2.0, dr=lambda s: 0.0, h=lambda s: 2.0 * s,
         dh=lambda s: 2.0, s_domain=(0.0, 1.0), natural=False)
     with pytest.raises(ValueError):
-        _surface("cylinder", profile, mercator_anchor=0.5)
+        _surface("cylinder", profile, lambda s: 0.5 * s, lambda y: 2.0 * y)
