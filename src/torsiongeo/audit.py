@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import ChartGeometry, VectorFieldSpec, inner
 from .integrate import GeodesicState, IntegratorSettings, Trace, integrate_two_sided
@@ -106,26 +105,28 @@ def series_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d y / d t of a sampled series, 4th order on uniform grids."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(t) < 5:
-        return CubicSpline(t, y).derivative()(t)
-    dt = np.diff(t)
-    h = np.median(dt)
-    if np.all(np.abs(dt - h) <= 1e-9 * max(1.0, h)):
-        out = np.empty_like(y)
-        out[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-        # one-sided 4th order at the edges
-        c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-        d = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * h)
-        out[0] = c @ y[:5]
-        out[1] = d @ y[:5]
-        out[-1] = -(c @ y[-5:][::-1])
-        out[-2] = -(d @ y[-5:][::-1])
-        return out
-    # Non-uniform grid: prune near-duplicate knots (boundary bisection tails)
-    # before fitting a spline.
-    keep = np.concatenate([[True], dt > 1e-6 * h])
-    spline = CubicSpline(t[keep], y[keep])
-    return spline.derivative()(t)
+    keep = slice(None)
+    if len(t) >= 5:
+        dt = np.diff(t)
+        h = np.median(dt)
+        if np.all(np.abs(dt - h) <= 1e-9 * max(1.0, h)):
+            out = np.empty_like(y)
+            out[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
+            # one-sided 4th order at the edges
+            c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
+            d = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / (12.0 * h)
+            out[0] = c @ y[:5]
+            out[1] = d @ y[:5]
+            out[-1] = -(c @ y[-5:][::-1])
+            out[-2] = -(d @ y[-5:][::-1])
+            return out
+        # Non-uniform grid: prune near-duplicate knots (boundary bisection
+        # tails) before fitting a spline.
+        keep = np.concatenate([[True], dt > 1e-6 * h])
+    # scipy is imported on first use: it dominates the package import time
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(t[keep], y[keep]).derivative()(t)
 
 
 def interior_slice(n: int, margin: int = 2) -> slice:

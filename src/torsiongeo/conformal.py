@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import (ChartGeometry, VectorFieldSpec, VectorComponents,
                        grad, scalar_partials)
@@ -128,6 +127,8 @@ def reparametrize(trace: Trace, sigma: Scalar | None = None,
             raise ValueError("trace carries no chart")
         derived_chart = conformal_metric(trace.chart, sigma,
                                          getattr(trace.field, "sigma_grad", None))
+
+    from scipy.interpolate import CubicSpline
 
     t = trace.t
     su = CubicSpline(t, trace.u)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .audit import InvariantReport, SegmentStat, make_report
 from .geometry import VectorFieldSpec, fd_step
@@ -256,6 +255,8 @@ def strip_quadrature(y0: float, y: float, c: float, sign: int,
     logarithmically at the levels, so a target within floating-point reach
     of one reports the capped value with the divergence flag set.
     """
+
+    from scipy.integrate import quad
 
     def theta(x: float) -> float:
         return sign * 0.5 * x * x - c

@@ -10,6 +10,7 @@ scenarios that run into chart boundaries stop there with a recorded event.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -175,27 +176,95 @@ _SAFE_NAMES: dict[str, object] = {
                  "pi", "e", "tau")
 }
 _SAFE_NAMES["abs"] = abs
+_CALLABLE_NAMES = frozenset(n for n, obj in _SAFE_NAMES.items() if callable(obj))
+_CONSTANT_NAMES = frozenset(_SAFE_NAMES) - _CALLABLE_NAMES
+_COORDS = {"x": "x", "y": "y", "u": "x", "v": "y"}
+_BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
+_UNARY_OPS = (ast.UAdd, ast.USub)
+
+# the checked body replaces BODY; every other name here is bound only in
+# the function's globals, which no checked expression can name
+_TEMPLATE = """
+def expr(x, y):
+    try:
+        return _float(BODY)
+    except _ERRORS as exc:
+        raise _fail(x, y, exc) from exc
+"""
+
+
+def _quote(src: str) -> str:
+    return repr(src if len(src) <= 60 else src[:57] + "...")
+
+
+def _check_expr(src: str) -> ast.expr:
+    """Parse ``src``, admit only the config expression grammar, return its body.
+
+    The tree holds int and float constants, the coordinates, pi, e and tau,
+    the binary operators + - * / // % **, unary + and -, and calls of the
+    safe functions with positional arguments.  u and v become x and y.
+    """
+    tree = ast.parse(src, mode="eval")
+    stack = [tree.body]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is ast.BinOp and isinstance(node.op, _BINARY_OPS):
+            stack += (node.left, node.right)
+        elif kind is ast.UnaryOp and isinstance(node.op, _UNARY_OPS):
+            stack.append(node.operand)
+        elif kind is ast.Constant:
+            if type(node.value) not in (int, float):
+                raise ConfigError(f"expression {_quote(src)}: "
+                                  f"{type(node.value).__name__} constants are not allowed")
+        elif kind is ast.Name:
+            if node.id in _COORDS:
+                node.id = _COORDS[node.id]
+            elif node.id not in _CONSTANT_NAMES:
+                raise ConfigError(f"expression {_quote(src)} uses forbidden name {node.id!r}")
+        elif kind is ast.Call:
+            if (type(node.func) is not ast.Name or node.func.id not in _CALLABLE_NAMES
+                    or node.keywords):
+                raise ConfigError(f"expression {_quote(src)}: only positional calls of "
+                                  f"{', '.join(sorted(_CALLABLE_NAMES))} are allowed")
+            stack += node.args
+        else:
+            what = type(getattr(node, "op", node)).__name__
+            raise ConfigError(f"expression {_quote(src)}: {what} is not allowed")
+    return tree.body
 
 
 def compile_expr(src: str) -> Callable[[float, float], float]:
     """Compile a config expression of the chart coordinates.
 
     Both (x, y) and (u, v) name the two coordinates.  Only arithmetic and
-    the whitelisted math functions are allowed.
+    the whitelisted math functions are allowed (see ``_check_expr``); any
+    other input raises ``ConfigError``.  The result is one plain function
+    of (x, y) returning a float; an arithmetic, type or domain failure
+    while evaluating it raises ``ConfigError`` naming the expression and
+    the point.
     """
+    if not isinstance(src, str):
+        raise ConfigError(f"expression must be a string, got {src!r}")
     try:
-        code = compile(src, "<scenario-config>", "eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"bad expression {src!r}: {exc}") from exc
-    for name in code.co_names:
-        if name not in _SAFE_NAMES and name not in ("x", "y", "u", "v"):
-            raise ConfigError(f"expression {src!r} uses forbidden name {name!r}")
+        body = _check_expr(src)
+        module = ast.parse(_TEMPLATE)
+        call = module.body[0].body[0].body[0].value
+        call.args[0] = body
+        code = compile(module, "<scenario-config>", "exec")
+    except ConfigError:
+        raise
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
+        raise ConfigError(f"bad expression {_quote(src)}: {type(exc).__name__}: {exc}") from exc
 
-    def fn(u: float, v: float) -> float:
-        return float(eval(code, {"__builtins__": {}},
-                          {**_SAFE_NAMES, "x": u, "y": v, "u": u, "v": v}))
+    def fail(x: float, y: float, exc: Exception) -> ConfigError:
+        return ConfigError(f"expression {_quote(src)} failed at (x, y) = ({x!r}, {y!r}): "
+                           f"{type(exc).__name__}: {exc}")
 
-    return fn
+    namespace = {"__builtins__": {}, **_SAFE_NAMES, "_float": float, "_fail": fail,
+                 "_ERRORS": (ArithmeticError, TypeError, ValueError)}
+    exec(code, namespace)
+    return namespace["expr"]
 
 
 # ---------------------------------------------------------------------------

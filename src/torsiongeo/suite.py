@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import algebra
 from .audit import (conformal_constant, curvature_general, interior_slice,
@@ -171,6 +170,8 @@ def criterion_loxodrome_mercator(ctx: SuiteContext) -> CriterionResult:
 
     # adaptive quadrature of 1/r from the equator: the independent oracle
     # for the closed-form map
+    from scipy.integrate import quad
+
     r = rt.surface.profile.r
     ss = np.linspace(0.1, math.pi - 0.1, 100)
     quad_y = np.array([quad(lambda x: 1.0 / r(x), math.pi / 2, float(s),

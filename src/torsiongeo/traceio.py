@@ -19,12 +19,10 @@ CSV_COLUMNS = ("t", "u", "v", "du", "dv", "speed", "kappa", "gV")
 
 
 def trace_to_csv(trace: Trace) -> str:
-    lines = [",".join(CSV_COLUMNS)]
     cols = (trace.t, trace.u, trace.v, trace.du, trace.dv,
             trace.speed, trace.kappa, trace.g_v)
-    for i in range(len(trace)):
-        lines.append(",".join(f"{col[i]:.17g}" for col in cols))
-    return "\n".join(lines) + "\n"
+    cells = [[f"{x:.17g}" for x in col.tolist()] for col in cols]
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> Path:
@@ -35,13 +33,18 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
 
 def read_trace_csv(path: str | Path) -> Trace:
     """Parse a trace CSV; the result carries no chart or field objects."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
+    lines = Path(path).read_text().strip().splitlines()
+    header = lines[0].split(",") if lines else []
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header!r}")
-    data = np.array([[float(x) for x in line.split(",")] for line in text[1:]])
-    if data.size == 0:
+    rows = lines[1:]
+    if not rows:
         raise ValueError("trace CSV has no samples")
+    # a row-count check alone would accept rows of 9 and 7 fields
+    width = len(CSV_COLUMNS)
+    if any(line.count(",") != width - 1 for line in rows):
+        raise ValueError(f"every trace CSV row must have {width} fields")
+    data = np.fromiter(map(float, ",".join(rows).split(",")), dtype=float).reshape(-1, width)
     t, u, v, du, dv, speed, kappa, g_v = data.T
     E = float(speed[0])
     return Trace(t=t, u=u, v=v, du=du, dv=dv, speed=speed, kappa=kappa,

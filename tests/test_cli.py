@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torsiongeo
 from torsiongeo.cli import main
 from torsiongeo.traceio import read_trace_csv
 
@@ -76,6 +81,36 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["integrate", "--scenario", "no-such", "--out-dir", str(tmp_path)]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("f, position", [
+    ("1/x", [0.0, 0.0]),
+    ("exp(1000*x)", [1.0, 0.0]),
+    ("(-1-x*x)**0.5", [0.0, 0.0]),
+    ("-" * 100000 + "x", [0.0, 0.0]),
+    ("1" + "+1" * 200000, [0.0, 0.0]),
+    ("().__class__", [0.0, 0.0]),
+], ids=["zero-division", "overflow", "complex", "deep-unary", "long-sum", "attribute"])
+def test_expression_failures_exit_2(f, position, tmp_path, capsys):
+    cfg = dict(CONFIG, id="bad-expr", field={"f": f, "g": "0"},
+               initial={"position": position, "velocity": [1.0, 0.0]})
+    path = tmp_path / "bad-expr.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["integrate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(torsiongeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, torsiongeo, torsiongeo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_decompose_subcommand(tmp_path, capsys):

@@ -1,13 +1,15 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsiongeo.errors import ConfigError
 from torsiongeo.geometry import norm
-from torsiongeo.scenarios import (CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime,
-                                  compile_expr, run_config, run_scenario)
+from torsiongeo.scenarios import (_SAFE_NAMES, CATALOG, CATALOG_IDS, ScenarioConfig,
+                                  build_runtime, compile_expr, run_config, run_scenario)
 
 
 def test_catalog_has_twelve_scenarios():
@@ -39,6 +41,99 @@ def test_compile_expr_whitelist():
         compile_expr("__import__('os')")
     with pytest.raises(ConfigError):
         compile_expr("open('x')")
+
+
+@pytest.mark.parametrize("src", [
+    "(lambda: ().__class__.__base__.__subclasses__().__len__())()",
+    "x.real",
+    "x[0]",
+    "lambda: x",
+    "[t for t in (x, y)]",
+    "abs(*(x,))",
+    "hypot(x, y=y)",
+    "pi(x)",
+    "sin(x)(y)",
+    "sin + x",
+    "'1'",
+    "True",
+    "None",
+    "1j",
+    "x if y else 1",
+    "x < y",
+    "z",
+    "",
+    1.0,
+])
+def test_compile_expr_rejects_outside_the_grammar(src):
+    with pytest.raises(ConfigError):
+        compile_expr(src)
+
+
+def test_compile_expr_coordinate_aliases():
+    assert compile_expr("u*v - x")(2.0, 3.0) == 4.0
+    assert compile_expr("hypot(v, 4)")(0.5, 3.0) == 5.0
+
+
+@pytest.mark.parametrize("src, point, error", [
+    ("1/x", (0.0, 1.0), "ZeroDivisionError"),
+    ("exp(1000*x)", (1.0, 0.0), "OverflowError"),
+    ("(-1-x*x)**0.5", (0.0, 0.0), "TypeError"),
+    ("log(y)", (0.0, -1.0), "ValueError"),
+])
+def test_compiled_expr_failures_name_expression_and_point(src, point, error):
+    fn = compile_expr(src)
+    with pytest.raises(ConfigError, match=error) as info:
+        fn(*point)
+    assert repr(src) in str(info.value)
+    assert f"({point[0]!r}, {point[1]!r})" in str(info.value)
+
+
+def _old_eval(src: str, a: float, b: float) -> float:
+    """The evaluation compile_expr replaced: eval with a fresh locals dict."""
+    return float(eval(src, {"__builtins__": {}},
+                      {**_SAFE_NAMES, "x": a, "y": b, "u": a, "v": b}))
+
+
+_UNARY = ("sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh", "tanh",
+          "asinh", "acosh", "atanh", "exp", "log", "log2", "log10", "sqrt", "abs")
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "u", "v", "pi", "e", "tau"]),
+    st.integers(0, 9).map(str),
+    st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+)
+
+# a power's exponent is a small leaf, so no integer tower like 9**9**9 occurs
+_EXPONENTS = st.one_of(
+    st.sampled_from(["x", "y", "u", "v", "pi", "e", "tau"]),
+    st.integers(0, 3).map(str),
+    st.floats(-4.0, 4.0).map(repr),
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", "//", "%"]),
+                  children).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(children, _EXPONENTS).map(lambda t: f"({t[0]})**{t[1]}"),
+        st.tuples(st.sampled_from(["+", "-"]), children).map(lambda t: f"({t[0]}{t[1]})"),
+        st.tuples(st.sampled_from(_UNARY), children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["atan2", "hypot"]), children,
+                  children).map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=st.recursive(_LEAVES, _grow, max_leaves=8),
+       a=st.floats(allow_nan=False), b=st.floats(-10.0, 10.0))
+def test_compiled_expr_matches_eval_bitwise(src, a, b):
+    fn = compile_expr(src)
+    try:
+        want = _old_eval(src, a, b)
+    except Exception:
+        with pytest.raises(ConfigError):
+            fn(a, b)
+        return
+    assert struct.pack("<d", fn(a, b)) == struct.pack("<d", want)
 
 
 def test_config_round_trip(tmp_path):
