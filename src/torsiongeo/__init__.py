@@ -16,9 +16,9 @@ from .geometry import (ChartGeometry, OrthoFrame, VectorFieldSpec, christoffel,
 from .integrate import (GeodesicState, IntegratorSettings, Trace, geodesic_rhs,
                         integrate, integrate_adaptive, integrate_two_sided,
                         levi_civita_integrate)
-from .plane import (PlaneField, StripBounds, arcsin_invariant, flat_invariant,
-                    plane_curvature, shear_field, shooting_sweep, strip_bounds,
-                    strip_quadrature, winding_field)
+from .plane import (StripBounds, arcsin_invariant, flat_invariant, plane_curvature,
+                    shear_field, shooting_sweep, strip_bounds, strip_quadrature,
+                    winding_field)
 from .surfaces import (CatalogSurface, RevolutionProfile, embed, gauss_map,
                        gaussian_curvature, loxodrome_check, make_catenoid,
                        make_pseudosphere, make_sphere, mercator_map)

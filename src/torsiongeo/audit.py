@@ -101,15 +101,24 @@ def make_report(name: str, times: np.ndarray, values: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def uniform_step(t: np.ndarray) -> float | None:
+    """The median step h of a time grid if every step lies within
+    1e-9 max(1, h) of it; None for a non-uniform grid or one without steps."""
+    dt = np.diff(np.asarray(t, dtype=float))
+    if len(dt) == 0:
+        return None
+    h = float(np.median(dt))
+    return h if np.all(np.abs(dt - h) <= 1e-9 * max(1.0, h)) else None
+
+
 def series_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d y / d t of a sampled series, 4th order on uniform grids."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = slice(None)
     if len(t) >= 5:
-        dt = np.diff(t)
-        h = np.median(dt)
-        if np.all(np.abs(dt - h) <= 1e-9 * max(1.0, h)):
+        h = uniform_step(t)
+        if h is not None:
             out = np.empty_like(y)
             out[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
             # one-sided 4th order at the edges
@@ -122,7 +131,8 @@ def series_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
             return out
         # Non-uniform grid: prune near-duplicate knots (boundary bisection
         # tails) before fitting a spline.
-        keep = np.concatenate([[True], dt > 1e-6 * h])
+        dt = np.diff(t)
+        keep = np.concatenate([[True], dt > 1e-6 * np.median(dt)])
     # scipy is imported on first use: it dominates the package import time
     from scipy.interpolate import CubicSpline
 

@@ -144,38 +144,34 @@ def reparametrize(trace: Trace, sigma: Scalar | None = None,
 
     h = float(np.median(np.diff(t)))
 
-    def march(direction: float) -> tuple[list[float], list[float]]:
+    def march(rate, lo: float, hi: float) -> tuple[list[float], list[float]]:
         times = [0.0]
         taus = [0.0]
         tau = 0.0
-        limit = t_hi if direction > 0 else t_lo
         while True:
-            hs = direction * h
             k1 = rate(tau)
             # stop before the spline range is exhausted
-            if not (t_lo <= tau + hs * k1 <= t_hi):
+            if not (lo <= tau + h * k1 <= hi):
                 break
-            k2 = rate(tau + 0.5 * hs * k1)
-            k3 = rate(tau + 0.5 * hs * k2)
-            if not (t_lo <= tau + hs * k3 <= t_hi):
+            k2 = rate(tau + 0.5 * h * k1)
+            k3 = rate(tau + 0.5 * h * k2)
+            if not (lo <= tau + h * k3 <= hi):
                 break
-            k4 = rate(tau + hs * k3)
-            step = hs * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if direction * (tau + step - limit) > 0:
+            k4 = rate(tau + h * k3)
+            step = h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            if tau + step - hi > 0:
                 break
             tau += step
-            times.append(times[-1] + hs)
+            times.append(times[-1] + h)
             taus.append(tau)
         return times, taus
 
-    fw_t, fw_tau = march(1.0)
-    if t_lo < 0.0:
-        bw_t, bw_tau = march(-1.0)
-        new_t = np.array(bw_t[::-1] + fw_t[1:])
-        new_tau = np.array(bw_tau[::-1] + fw_tau[1:])
-    else:
-        new_t = np.array(fw_t)
-        new_tau = np.array(fw_tau)
+    # the backward half is the forward march of the reflected clock tau -> -tau
+    # (RK4 commutes with it bitwise), reversed and without its launch sample
+    fw_t, fw_tau = march(rate, t_lo, t_hi)
+    bw_t, bw_tau = march(lambda s: rate(-s), -t_hi, -t_lo)
+    new_t = np.array([-s for s in bw_t[:0:-1]] + fw_t)
+    new_tau = np.array([-s for s in bw_tau[:0:-1]] + fw_tau)
 
     uu = su(new_tau)
     vv = sv(new_tau)

@@ -41,14 +41,6 @@ class GeodesicState:
     du: float
     dv: float
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.u, self.v)
-
-    @property
-    def velocity(self) -> tuple[float, float]:
-        return (self.du, self.dv)
-
 
 @dataclass
 class IntegratorSettings:
@@ -111,17 +103,6 @@ class Trace:
     @property
     def positions(self) -> np.ndarray:
         return np.column_stack([self.u, self.v])
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return np.column_stack([self.du, self.dv])
-
-    @property
-    def is_uniform(self) -> bool:
-        if len(self.t) < 3:
-            return True
-        dt = np.diff(self.t)
-        return bool(np.all(np.abs(dt - dt[0]) <= 1e-9 * max(1.0, abs(dt[0]))))
 
     def state(self, i: int) -> GeodesicState:
         return GeodesicState(float(self.t[i]), float(self.u[i]), float(self.v[i]),

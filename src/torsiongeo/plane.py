@@ -20,88 +20,49 @@ from typing import Callable
 import numpy as np
 
 from .audit import InvariantReport, SegmentStat, make_report
-from .geometry import VectorFieldSpec, fd_step
-from .integrate import GeodesicState, Trace
+from .geometry import VectorFieldSpec
+from .integrate import GeodesicState, Trace, _rk4_step
 
 #: A branch segment of the arcsin invariant ends when |x'| drops below this.
 BRANCH_SPLIT_TOL = 1e-9
 
 
-@dataclass
-class PlaneField:
-    """A plane vector field f dx + g dy with an optional flat potential.
-
-    ``potential`` declares f = d_y p and g = -d_x p, which makes the
-    induced connection flat (vanishing curvature density).
-    """
-
-    name: str
-    f: Callable[[float, float], float]
-    g: Callable[[float, float], float]
-    potential: Callable[[float, float], float] | None = None
-    killing: bool = False
-
-    def components(self, x: float, y: float) -> tuple[float, float]:
-        return (self.f(x, y), self.g(x, y))
-
-    def as_spec(self) -> VectorFieldSpec:
-        return VectorFieldSpec(name=self.name, components=self.components,
-                               flat_potential=self.potential, killing=self.killing)
-
-    def connection_form(self, x: float, y: float) -> tuple[float, float]:
-        """Coefficients (w_dx, w_dy) of the connection form g dx - f dy."""
-        return (self.g(x, y), -self.f(x, y))
-
-    def curvature_density(self, x: float, y: float) -> float:
-        """-(d_x f + d_y g), the coefficient of the curvature form."""
-        hx = fd_step(x)
-        hy = fd_step(y)
-        dfx = (self.f(x + hx, y) - self.f(x - hx, y)) / (2.0 * hx)
-        dgy = (self.g(x, y + hy) - self.g(x, y - hy)) / (2.0 * hy)
-        return -(dfx + dgy)
-
-
-def winding_field() -> PlaneField:
+def winding_field() -> VectorFieldSpec:
     """V = -y dx + x dy, the rotation generator; flat potential -(x^2+y^2)/2."""
-    return PlaneField(
+    return VectorFieldSpec(
         name="winding",
-        f=lambda x, y: -y,
-        g=lambda x, y: x,
-        potential=lambda x, y: -0.5 * (x * x + y * y),
+        components=lambda x, y: (-y, x),
+        flat_potential=lambda x, y: -0.5 * (x * x + y * y),
         killing=True,
     )
 
 
-def shear_field() -> PlaneField:
+def shear_field() -> VectorFieldSpec:
     """V = y dx; flat potential y^2/2.  Not Killing, but commutes with dx."""
-    return PlaneField(
+    return VectorFieldSpec(
         name="shear",
-        f=lambda x, y: y,
-        g=lambda x, y: 0.0 * x,
-        potential=lambda x, y: 0.5 * y * y,
+        components=lambda x, y: (y, 0.0 * x),
+        flat_potential=lambda x, y: 0.5 * y * y,
         killing=False,
     )
 
 
-def constant_field(a: float, b: float) -> PlaneField:
+def constant_field(a: float, b: float) -> VectorFieldSpec:
     """A constant field a dx + b dy; flat potential a y - b x, Killing."""
-    return PlaneField(
+    return VectorFieldSpec(
         name=f"constant({a:.6g},{b:.6g})",
-        f=lambda x, y: a,
-        g=lambda x, y: b,
-        potential=lambda x, y: a * y - b * x,
+        components=lambda x, y: (a, b),
+        flat_potential=lambda x, y: a * y - b * x,
         killing=True,
     )
 
 
-def plane_curvature(field, state) -> float:
+def plane_curvature(field: VectorFieldSpec, state) -> float:
     """Signed curvature f y' - g x' of a unit-speed plane geodesic."""
     if isinstance(state, GeodesicState):
         x, y, dx, dy = state.u, state.v, state.du, state.dv
     else:
         x, y, dx, dy = state
-    if hasattr(field, "f"):
-        return field.f(x, y) * dy - field.g(x, y) * dx
     fx, fy = field.components(x, y)
     return fx * dy - fy * dx
 
@@ -326,19 +287,19 @@ class SweepResult:
 
 def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720,
                    t_max: float = 50.0, h: float = 2e-3,
-                   field: PlaneField | None = None,
+                   field: VectorFieldSpec | None = None,
                    both_directions: bool = True) -> SweepResult:
     """Integrate unit-speed launches in every direction and record the
     extreme heights reached; the negative-control evidence that points in
     disjoint strips cannot be joined by a geodesic arc.
 
-    Batched RK4 over all angles at once; E = 1 per trajectory.  The flow
-    is even in the velocity, so the backward half of each geodesic is the
-    forward run from the exactly negated launch velocity: with
-    ``both_directions`` those launches join the same batch and the two
-    halves' extremes are merged.
+    The shared RK4 step advances all angles at once as arrays, with E = 1
+    and no boundary.  The flow is even in the velocity, so the backward
+    half of each geodesic is the forward run from the exactly negated
+    launch velocity: with ``both_directions`` those launches join the
+    same batch and the two halves' extremes are merged.
     """
-    field = field or shear_field()
+    comp = (field or shear_field()).components
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     dx = np.cos(angles)
     dy = np.sin(angles)
@@ -351,23 +312,18 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     y_hi = y.copy()
 
     def rhs(x, y, dx, dy):
-        f = field.f(x, y) + 0.0 * x
-        g = field.g(x, y) + 0.0 * x
+        f, g = comp(x, y)
+        # adding 0.0 * x broadcasts constant components to the batch
+        f = f + 0.0 * x
+        g = g + 0.0 * x
         gv = f * dx + g * dy
-        return dx, dy, -f + gv * dx, -g + gv * dy
+        return -f + gv * dx, -g + gv * dy
+
+    def everywhere(x, y):
+        return True
 
     for _ in range(int(round(t_max / h))):
-        k1 = rhs(x, y, dx, dy)
-        k2 = rhs(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1],
-                 dx + 0.5 * h * k1[2], dy + 0.5 * h * k1[3])
-        k3 = rhs(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1],
-                 dx + 0.5 * h * k2[2], dy + 0.5 * h * k2[3])
-        k4 = rhs(x + h * k3[0], y + h * k3[1],
-                 dx + h * k3[2], dy + h * k3[3])
-        x = x + h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-        y = y + h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-        dx = dx + h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
-        dy = dy + h * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
+        x, y, dx, dy = _rk4_step(rhs, everywhere, x, y, dx, dy, h)
         np.minimum(y_lo, y, out=y_lo)
         np.maximum(y_hi, y, out=y_hi)
     if both_directions:

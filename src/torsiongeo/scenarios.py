@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from pathlib import Path
@@ -22,7 +23,7 @@ from .audit import InvariantReport, conformal_constant, killing_curvature_check,
 from .errors import ConfigError
 from .geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, fd_step, half_plane
 from .integrate import GeodesicState, Trace, integrate_two_sided
-from .plane import PlaneField, arcsin_invariant, flat_invariant, shear_field, winding_field
+from .plane import arcsin_invariant, flat_invariant, shear_field, winding_field
 from .surfaces import CATALOG_BUILDERS, CatalogSurface, loxodrome_check
 
 
@@ -56,9 +57,9 @@ def build_runtime(key: str) -> Runtime:
     if key == "plane-zero":
         return Runtime(chart=euclidean_plane(), field=VectorFieldSpec.zero())
     if key == "plane-winding":
-        return Runtime(chart=euclidean_plane(), field=winding_field().as_spec())
+        return Runtime(chart=euclidean_plane(), field=winding_field())
     if key == "plane-shear":
-        return Runtime(chart=euclidean_plane(), field=shear_field().as_spec())
+        return Runtime(chart=euclidean_plane(), field=shear_field())
     if key == "halfplane-sigma":
         return _halfplane_sigma_runtime()
     if key in CATALOG_BUILDERS:
@@ -181,6 +182,9 @@ _CONSTANT_NAMES = frozenset(_SAFE_NAMES) - _CALLABLE_NAMES
 _COORDS = {"x": "x", "y": "y", "u": "x", "v": "y"}
 _BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 _UNARY_OPS = (ast.UAdd, ast.USub)
+_INT_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+            ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+            ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 # the checked body replaces BODY; every other name here is bound only in
 # the function's globals, which no checked expression can name
@@ -206,8 +210,10 @@ def _check_expr(src: str) -> ast.expr:
     """
     tree = ast.parse(src, mode="eval")
     stack = [tree.body]
+    order = []
     while stack:
         node = stack.pop()
+        order.append(node)
         kind = type(node)
         if kind is ast.BinOp and isinstance(node.op, _BINARY_OPS):
             stack += (node.left, node.right)
@@ -231,7 +237,36 @@ def _check_expr(src: str) -> ast.expr:
         else:
             what = type(getattr(node, "op", node)).__name__
             raise ConfigError(f"expression {_quote(src)}: {what} is not allowed")
+    _check_int_powers(src, order)
     return tree.body
+
+
+def _check_int_powers(src: str, order: list[ast.expr]) -> None:
+    """Reject an int-only ``**`` whose value exceeds the float range, such as
+    9**9**9, before Python computes it exactly.  Int-only subtrees are
+    evaluated children first (``order`` is a pre-order walk); a power is
+    bounded by its exponent times its base's bit length before it is computed.
+    """
+    ints: dict[ast.expr, int] = {}
+    for node in reversed(order):
+        kind = type(node)
+        if kind is ast.Constant and type(node.value) is int:
+            ints[node] = node.value
+        elif kind is ast.UnaryOp and node.operand in ints:
+            ints[node] = _INT_OPS[type(node.op)](ints[node.operand])
+        elif kind is ast.BinOp and node.left in ints and node.right in ints:
+            a, b, op = ints[node.left], ints[node.right], type(node.op)
+            if op is ast.Pow and b >= 0:
+                try:
+                    if (abs(a).bit_length() - 1) * b >= 1024:
+                        raise OverflowError
+                    ints[node] = a ** b
+                    float(ints[node])
+                except OverflowError:
+                    raise ConfigError(f"expression {_quote(src)}: an integer power "
+                                      f"exceeds the float range") from None
+            elif op in _INT_OPS and (b != 0 or op not in (ast.FloorDiv, ast.Mod)):
+                ints[node] = _INT_OPS[op](a, b)
 
 
 def compile_expr(src: str) -> Callable[[float, float], float]:
@@ -306,19 +341,22 @@ class ScenarioConfig:
         reports = raw.get("reports", [])
         if not isinstance(reports, list) or any(r not in KNOWN_REPORTS for r in reports):
             raise ConfigError(f"reports must be a list drawn from {KNOWN_REPORTS}")
-        method = raw.get("integrator", {}).get("method", "rk4")
+        integ = raw.get("integrator", {})
+        if not isinstance(integ, dict):
+            raise ConfigError("integrator must be a JSON object")
+        method = integ.get("method", "rk4")
         if method not in ("rk4", "rk45"):
             raise ConfigError(f"unknown integrator method {method!r}")
 
         if "scenario" in raw:
-            base = CATALOG.get(raw["scenario"])
+            base = CATALOG.get(raw["scenario"]) if isinstance(raw["scenario"], str) else None
             if base is None:
                 raise ConfigError(f"unknown catalog scenario {raw['scenario']!r}")
             rt = build_runtime(base.runtime)
             scen = Scenario(id=sid, runtime=base.runtime, start=base.start,
                             velocity=base.velocity, angle=base.angle,
-                            span=tuple(raw.get("span", base.span)),
-                            h=float(raw.get("integrator", {}).get("h", base.h)))
+                            span=_span(raw.get("span", base.span)),
+                            h=_number(integ.get("h", base.h), "integrator.h"))
             return cls(id=sid, runtime=rt, scenario=scen, reports=reports, method=method)
 
         rt = _resolve_runtime(raw)
@@ -338,7 +376,7 @@ def _resolve_runtime(raw: dict) -> Runtime:
         if chart_sel == "plane":
             chart = euclidean_plane()
         elif chart_sel == "half-plane":
-            chart = half_plane(float(raw.get("y_min", 0.05)))
+            chart = half_plane(_number(raw.get("y_min", 0.05), "y_min"))
         elif chart_sel in CATALOG_BUILDERS:
             surface = CATALOG_BUILDERS[chart_sel]()
             chart = surface.chart
@@ -346,7 +384,7 @@ def _resolve_runtime(raw: dict) -> Runtime:
             raise ConfigError(f"unknown chart {chart_sel!r}")
     elif isinstance(chart_sel, dict) and "surface" in chart_sel:
         name = chart_sel["surface"]
-        if name not in CATALOG_BUILDERS:
+        if not isinstance(name, str) or name not in CATALOG_BUILDERS:
             raise ConfigError(f"unknown surface {name!r}")
         surface = CATALOG_BUILDERS[name]()
         chart = surface.chart
@@ -356,16 +394,16 @@ def _resolve_runtime(raw: dict) -> Runtime:
             g11 = compile_expr(comp["g11"])
             g12 = compile_expr(comp.get("g12", "0"))
             g22 = compile_expr(comp["g22"])
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"inline metric needs g11 and g22: {exc}") from exc
-        bounds = tuple(float(b) for b in chart_sel.get("bounds", (-math.inf, math.inf, -math.inf, math.inf)))
-        if len(bounds) != 4:
-            raise ConfigError("bounds must have four entries")
+        bounds = _numbers(chart_sel.get("bounds", (-math.inf, math.inf, -math.inf, math.inf)),
+                          4, "bounds")
         chart = ChartGeometry(
             name=chart_sel.get("name", "inline"),
             metric=lambda u, v: (g11(u, v), g12(u, v), g22(u, v)),
             bounds=bounds,
-            sample_box=tuple(chart_sel["sample_box"]) if "sample_box" in chart_sel else None,
+            sample_box=(_numbers(chart_sel["sample_box"], 4, "sample_box")
+                        if "sample_box" in chart_sel else None),
         )
     else:
         raise ConfigError("config needs a 'chart' selector")
@@ -378,9 +416,9 @@ def _resolve_field(sel, chart: ChartGeometry, surface: CatalogSurface | None) ->
     if sel == "zero":
         return VectorFieldSpec.zero()
     if sel == "winding":
-        return winding_field().as_spec()
+        return winding_field()
     if sel == "shear":
-        return shear_field().as_spec()
+        return shear_field()
     if sel == "catalog":
         if surface is None:
             raise ConfigError("field 'catalog' needs a surface chart")
@@ -391,19 +429,18 @@ def _resolve_field(sel, chart: ChartGeometry, surface: CatalogSurface | None) ->
     if isinstance(sel, dict) and "p" in sel:
         p = compile_expr(sel["p"])
 
-        def f(x: float, y: float) -> float:
-            h = fd_step(y)
-            return (p(x, y + h) - p(x, y - h)) / (2.0 * h)
+        def components(x: float, y: float) -> tuple[float, float]:
+            hy = fd_step(y)
+            hx = fd_step(x)
+            return ((p(x, y + hy) - p(x, y - hy)) / (2.0 * hy),
+                    -(p(x + hx, y) - p(x - hx, y)) / (2.0 * hx))
 
-        def g(x: float, y: float) -> float:
-            h = fd_step(x)
-            return -(p(x + h, y) - p(x - h, y)) / (2.0 * h)
-
-        return PlaneField(name="config-p", f=f, g=g, potential=p).as_spec()
+        return VectorFieldSpec(name="config-p", components=components, flat_potential=p)
     if isinstance(sel, dict) and "f" in sel and "g" in sel:
         f = compile_expr(sel["f"])
         g = compile_expr(sel["g"])
-        return PlaneField(name="config-inline", f=f, g=g).as_spec()
+        return VectorFieldSpec(name="config-inline",
+                               components=lambda x, y: (f(x, y), g(x, y)))
     raise ConfigError(f"cannot resolve field selector {sel!r}")
 
 
@@ -411,9 +448,7 @@ def _resolve_launch(sid: str, raw: dict, rt: Runtime) -> Scenario:
     init = raw.get("initial")
     if not isinstance(init, dict) or "position" not in init:
         raise ConfigError("config needs initial.position")
-    pos = tuple(float(x) for x in init["position"])
-    if len(pos) != 2:
-        raise ConfigError("initial.position must have two entries")
+    pos = _numbers(init["position"], 2, "initial.position")
     has_vel = "velocity" in init
     has_ang = "angle_deg" in init or "angle" in init
     if has_vel == has_ang:
@@ -421,18 +456,38 @@ def _resolve_launch(sid: str, raw: dict, rt: Runtime) -> Scenario:
     velocity = None
     angle = None
     if has_vel:
-        velocity = tuple(float(x) for x in init["velocity"])
-        if len(velocity) != 2 or velocity == (0.0, 0.0):
+        velocity = _numbers(init["velocity"], 2, "initial.velocity")
+        if velocity == (0.0, 0.0):
             raise ConfigError("initial.velocity must be a nonzero pair")
+    elif "angle_deg" in init:
+        angle = math.radians(_number(init["angle_deg"], "initial.angle_deg"))
     else:
-        angle = math.radians(float(init["angle_deg"])) if "angle_deg" in init else float(init["angle"])
-    span = raw.get("span", (-1.0, 1.0))
-    if not (isinstance(span, (list, tuple)) and len(span) == 2 and span[0] <= 0.0 <= span[1]):
-        raise ConfigError("span must be [t_min, t_max] containing 0")
-    integ = raw.get("integrator", {})
+        angle = _number(init["angle"], "initial.angle")
     return Scenario(id=sid, runtime="__inline__", start=pos, velocity=velocity,
-                    angle=angle, span=(float(span[0]), float(span[1])),
-                    h=float(integ.get("h", 1e-3)), E=float(init.get("E", 1.0)))
+                    angle=angle, span=_span(raw.get("span", (-1.0, 1.0))),
+                    h=_number(raw.get("integrator", {}).get("h", 1e-3), "integrator.h"),
+                    E=_number(init.get("E", 1.0), "initial.E"))
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float, or ConfigError naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _numbers(value, n: int, what: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ConfigError(f"{what} must be a list of {n} numbers, got {value!r}")
+    return tuple(_number(x, f"{what}[{i}]") for i, x in enumerate(value))
+
+
+def _span(value) -> tuple[float, float]:
+    span = _numbers(value, 2, "span")
+    if not span[0] <= 0.0 <= span[1]:
+        raise ConfigError(f"span must be [t_min, t_max] containing 0, got {value!r}")
+    return span
 
 
 def run_config(config: ScenarioConfig) -> tuple[Trace, list[InvariantReport]]:

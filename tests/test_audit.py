@@ -33,7 +33,7 @@ def test_series_derivative_nonuniform_spline():
 def test_curvature_zero_when_velocity_parallel_to_field():
     # a horizontal launch in a constant field keeps v parallel to V
     chart = euclidean_plane()
-    field = constant_field(1.0, 0.0).as_spec()
+    field = constant_field(1.0, 0.0)
     from torsiongeo.integrate import integrate
 
     tr = integrate(chart, field, GeodesicState(0.0, 0.0, 0.0, 1.0, 0.0),
@@ -50,7 +50,7 @@ def test_plane_lagrange_identity(rng):
         ang = rng.uniform(0.0, 2.0 * math.pi)
         dx, dy = math.cos(ang), math.sin(ang)
         signed = plane_curvature(pf, (x, y, dx, dy))
-        f, g = pf.f(x, y), pf.g(x, y)
+        f, g = pf.components(x, y)
         nV2 = f * f + g * g
         gV = f * dx + g * dy
         assert abs(signed) == pytest.approx(math.sqrt(max(0.0, nV2 - gV * gV)), abs=1e-12)
@@ -80,7 +80,7 @@ def test_killing_check_requires_flag(shear_trace):
 
 def test_mismatched_field_rejected(winding_trace):
     with pytest.raises(ValueError):
-        curvature_general(winding_trace, shear_field().as_spec())
+        curvature_general(winding_trace, shear_field())
 
 
 def test_report_sample_count_matches_trace(winding_trace):

@@ -81,6 +81,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["integrate", "--scenario", "no-such", "--out-dir", str(tmp_path)]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    # nested JSON values of the wrong shape
+    for i, cfg in enumerate([
+        dict(CONFIG, integrator="rk4"),
+        dict(CONFIG, initial={"position": [0.0, 2.0], "velocity": 5}),
+        dict(CONFIG, initial={"position": 5, "velocity": [1.0, 0.0]}),
+        dict(CONFIG, span=[-1, "x"]),
+        dict(CONFIG, chart={"metric": {"g11": "1", "g22": "1"}, "sample_box": 5}),
+        dict(CONFIG, chart={"metric": "1"}),
+        dict(CONFIG, chart={"surface": ["sphere"]}),
+    ]):
+        path = tmp_path / f"shape-{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["integrate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("f, position", [

@@ -183,14 +183,14 @@ def test_sigma_relation_on_catalog_surfaces():
 def test_killing_flags_verified_numerically(rng):
     chart = euclidean_plane()
     pts = sample_interior(chart, 20, rng)
-    assert check_killing(chart, winding_field().as_spec(), pts, rng) < 1e-6
+    assert check_killing(chart, winding_field(), pts, rng) < 1e-6
     # the shear field is not Killing; the residual is order one
-    assert check_killing(chart, shear_field().as_spec(), pts, rng) > 1e-2
+    assert check_killing(chart, shear_field(), pts, rng) > 1e-2
 
 
 def test_covariant_derivative_flat_plane():
     chart = euclidean_plane()
-    field = winding_field().as_spec()
+    field = winding_field()
     out = covariant_derivative(chart, field, (0.7, -0.1), (1.0, 0.0))
     # d_x(-y, x) = (0, 1)
     assert np.allclose(out, [0.0, 1.0], atol=1e-8)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 from scipy.interpolate import CubicSpline
 
+from torsiongeo.audit import uniform_step
 from torsiongeo.errors import ChartDomainError
 from torsiongeo.geometry import VectorFieldSpec, euclidean_plane
 from torsiongeo.integrate import (GeodesicState, IntegratorSettings, _make_rhs,
@@ -40,7 +41,7 @@ def test_rhs_matches_plane_curvature_form(rng):
     # On the plane with V = f dx + g dy and E = 1 the equations reduce to
     # x'' = -kappa y', y'' = kappa x' with kappa = f y' - g x'.
     chart = euclidean_plane()
-    field = winding_field().as_spec()
+    field = winding_field()
     for _ in range(50):
         x, y = rng.normal(size=2)
         ang = rng.uniform(0, 2 * math.pi)
@@ -96,7 +97,7 @@ def test_sphere_meridian_rhs_cancels():
 def test_winding_endpoint_against_sixteenth_step_reference():
     # Self-convergence oracle: the fine reference shares every 16th sample.
     chart = euclidean_plane()
-    field = winding_field().as_spec()
+    field = winding_field()
     state = GeodesicState(0.0, 0.0, 2.0, 1.0, 0.0)
     coarse = integrate(chart, field, state, settings(10.0, h=1e-3))
     fine = integrate(chart, field, state, settings(10.0, h=1e-3 / 16.0))
@@ -110,7 +111,7 @@ def test_rk4_observed_order_at_least_3_7():
     # step sizes large enough that the endpoint errors sit well above the
     # roundoff floor of the halving sequence
     chart = euclidean_plane()
-    field = winding_field().as_spec()
+    field = winding_field()
     state = GeodesicState(0.0, 0.0, 2.0, 1.0, 0.0)
     ref = integrate(chart, field, state, settings(10.0, h=6.25e-4))
     errors = []
@@ -123,7 +124,7 @@ def test_rk4_observed_order_at_least_3_7():
 
 def test_time_reversal_round_trip_by_backward_integration():
     chart = euclidean_plane()
-    field = winding_field().as_spec()
+    field = winding_field()
     fwd = integrate(chart, field, GeodesicState(0.0, 0.0, 2.0, 1.0, 0.0), settings(3.0))
     end = fwd.state(len(fwd) - 1)
     back = integrate(chart, field, end,
@@ -169,7 +170,7 @@ def test_arbitrary_launch_speed_is_conserved():
     # E is whatever the launch speed is; nothing assumes natural
     # parametrization in the stepper itself
     chart = euclidean_plane()
-    field = winding_field().as_spec()
+    field = winding_field()
     tr = integrate(chart, field, GeodesicState(0.0, 0.0, 2.0, 1.2, 1.6),
                    settings(3.0))
     assert tr.E == pytest.approx(2.0)
@@ -188,7 +189,7 @@ def test_max_steps_stop():
 def test_uniform_grid_and_strictly_increasing_times():
     tr = run_scenario(CATALOG["plane-winding-offset"], span=(-2.0, 2.0))
     assert np.all(np.diff(tr.t) > 0)
-    assert tr.is_uniform
+    assert uniform_step(tr.t) is not None
     assert tr.t[tr.index_at(0.0)] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -202,13 +203,13 @@ def test_merge_requires_shared_launch():
 
 def test_adaptive_matches_fixed_step():
     chart = euclidean_plane()
-    field = winding_field().as_spec()
+    field = winding_field()
     state = GeodesicState(0.0, 0.0, 2.0, 1.0, 0.0)
     ref = integrate(chart, field, state, settings(2.0, h=2.5e-4))
     ada = integrate_adaptive(chart, field, state,
                              settings(2.0, h=1e-2, rtol=1e-10, atol=1e-12))
     assert math.hypot(ada.u[-1] - ref.u[-1], ada.v[-1] - ref.v[-1]) < 1e-6
-    assert not ada.is_uniform  # steps actually adapted
+    assert uniform_step(ada.t) is None  # steps actually adapted
     assert ada.t[-1] == pytest.approx(2.0, abs=1e-12)
 
 

@@ -17,26 +17,28 @@ UPPER_DIAG = math.sqrt(2.0 * (C_DIAG + math.pi))
 
 def test_potentials_generate_components(rng):
     for pf in (winding_field(), shear_field(), constant_field(0.3, -1.2)):
+        p = pf.flat_potential
         for _ in range(20):
             x, y = rng.normal(size=2) * 2.0
             hx = 1e-6 * max(1.0, abs(x))
             hy = 1e-6 * max(1.0, abs(y))
-            dyp = (pf.potential(x, y + hy) - pf.potential(x, y - hy)) / (2 * hy)
-            dxp = (pf.potential(x + hx, y) - pf.potential(x - hx, y)) / (2 * hx)
-            assert pf.f(x, y) == pytest.approx(dyp, abs=1e-8)
-            assert pf.g(x, y) == pytest.approx(-dxp, abs=1e-8)
+            dyp = (p(x, y + hy) - p(x, y - hy)) / (2 * hy)
+            dxp = (p(x + hx, y) - p(x - hx, y)) / (2 * hx)
+            f, g = pf.components(x, y)
+            assert f == pytest.approx(dyp, abs=1e-8)
+            assert g == pytest.approx(-dxp, abs=1e-8)
 
 
 def test_flat_fields_have_zero_curvature_density(rng):
+    # the curvature form's coefficient -(d_x f + d_y g), by central differences
     for pf in (winding_field(), shear_field()):
         for _ in range(20):
             x, y = rng.normal(size=2) * 3.0
-            assert abs(pf.curvature_density(x, y)) < 1e-8
-
-
-def test_connection_form_coefficients():
-    pf = winding_field()
-    assert pf.connection_form(1.0, 2.0) == (1.0, 2.0)  # (g, -f) at (1, 2)
+            hx = 1e-6 * max(1.0, abs(x))
+            hy = 1e-6 * max(1.0, abs(y))
+            dfx = (pf.components(x + hx, y)[0] - pf.components(x - hx, y)[0]) / (2.0 * hx)
+            dgy = (pf.components(x, y + hy)[1] - pf.components(x, y - hy)[1]) / (2.0 * hy)
+            assert abs(dfx + dgy) < 1e-8
 
 
 def test_plane_curvature_examples(rng):
@@ -58,7 +60,7 @@ def test_plane_curvature_examples(rng):
 
 def test_flat_invariant_zero_field_constant_velocity():
     chart = euclidean_plane()
-    field = constant_field(0.0, 0.0).as_spec()
+    field = constant_field(0.0, 0.0)
     tr = integrate(chart, field, GeodesicState(0.0, 0.0, 0.0, 0.6, 0.8),
                    IntegratorSettings(t0=0.0, t1=2.0, h=1e-3))
     rep = flat_invariant(tr)
@@ -106,7 +108,7 @@ def test_flat_invariant_requires_potential(shear_trace):
 
 def test_horizontal_line_is_geodesic_with_degenerate_strip():
     chart = euclidean_plane()
-    field = shear_field().as_spec()
+    field = shear_field()
     tr = integrate(chart, field, GeodesicState(0.0, 0.0, 2.0, 1.0, 0.0),
                    IntegratorSettings(t0=0.0, t1=5.0, h=1e-3))
     # (a t + b, y0) solves the equations
@@ -255,7 +257,7 @@ def test_sweep_matches_direct_integration():
     sweep = shooting_sweep(origin=(1.0, 1.0), n_angles=8, t_max=3.0, h=1e-3,
                            both_directions=False)
     chart = euclidean_plane()
-    field = shear_field().as_spec()
+    field = shear_field()
     j = 1  # angle 2 pi / 8
     ang = sweep.angles[j]
     tr = integrate(chart, field,
@@ -268,7 +270,7 @@ def test_sweep_matches_direct_integration():
 def test_two_sided_sweep_matches_two_sided_integration():
     sweep = shooting_sweep(origin=(1.0, 1.0), n_angles=8, t_max=3.0, h=1e-3)
     chart = euclidean_plane()
-    field = shear_field().as_spec()
+    field = shear_field()
     for j in (1, 2, 3, 5, 6, 7):
         ang = sweep.angles[j]
         tr = integrate_two_sided(chart, field,
@@ -276,3 +278,52 @@ def test_two_sided_sweep_matches_two_sided_integration():
                                  -3.0, 3.0, h=1e-3)
         assert sweep.y_max[j] == pytest.approx(float(np.max(tr.v)), abs=1e-9)
         assert sweep.y_min[j] == pytest.approx(float(np.min(tr.v)), abs=1e-9)
+
+
+def _hand_written_sweep(origin, n_angles, t_max, h, both_directions):
+    """The sweep's former batched RK4 loop, kept as the bitwise oracle."""
+    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    dx = np.cos(angles)
+    dy = np.sin(angles)
+    if both_directions:
+        dx = np.concatenate([dx, -dx])
+        dy = np.concatenate([dy, -dy])
+    x = np.full(len(dx), float(origin[0]))
+    y = np.full(len(dx), float(origin[1]))
+    y_lo = y.copy()
+    y_hi = y.copy()
+
+    def rhs(x, y, dx, dy):
+        f = y + 0.0 * x
+        g = 0.0 * x + 0.0 * x
+        gv = f * dx + g * dy
+        return dx, dy, -f + gv * dx, -g + gv * dy
+
+    for _ in range(int(round(t_max / h))):
+        k1 = rhs(x, y, dx, dy)
+        k2 = rhs(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1],
+                 dx + 0.5 * h * k1[2], dy + 0.5 * h * k1[3])
+        k3 = rhs(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1],
+                 dx + 0.5 * h * k2[2], dy + 0.5 * h * k2[3])
+        k4 = rhs(x + h * k3[0], y + h * k3[1],
+                 dx + h * k3[2], dy + h * k3[3])
+        x = x + h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
+        y = y + h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
+        dx = dx + h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
+        dy = dy + h * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
+        np.minimum(y_lo, y, out=y_lo)
+        np.maximum(y_hi, y, out=y_hi)
+    if both_directions:
+        y_lo = np.minimum(y_lo[:n_angles], y_lo[n_angles:])
+        y_hi = np.maximum(y_hi[:n_angles], y_hi[n_angles:])
+    return y_lo, y_hi
+
+
+@pytest.mark.parametrize("n_angles", [64, 65])
+@pytest.mark.parametrize("both_directions", [True, False])
+def test_sweep_matches_hand_written_rk4_bitwise(n_angles, both_directions):
+    sweep = shooting_sweep(origin=(1.0, 1.0), n_angles=n_angles, t_max=20.0, h=2e-3,
+                           both_directions=both_directions)
+    y_lo, y_hi = _hand_written_sweep((1.0, 1.0), n_angles, 20.0, 2e-3, both_directions)
+    assert sweep.y_min.tobytes() == y_lo.tobytes()
+    assert sweep.y_max.tobytes() == y_hi.tobytes()

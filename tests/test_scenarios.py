@@ -1,11 +1,13 @@
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torsiongeo.audit import uniform_step
 from torsiongeo.errors import ConfigError
 from torsiongeo.geometry import norm
 from torsiongeo.scenarios import (_SAFE_NAMES, CATALOG, CATALOG_IDS, ScenarioConfig,
@@ -67,6 +69,19 @@ def test_compile_expr_whitelist():
 def test_compile_expr_rejects_outside_the_grammar(src):
     with pytest.raises(ConfigError):
         compile_expr(src)
+
+
+def test_int_power_tower_fails_at_compile_time():
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="float range"):
+        compile_expr("9**9**9")
+    assert time.perf_counter() - start < 1.0
+    # int arithmetic stays exact below the float range
+    assert compile_expr("(10**17+1)-10**17")(0.0, 0.0) == 1.0
+    assert compile_expr("2**1023")(0.0, 0.0) == 2.0 ** 1023
+    assert compile_expr("1**(9**9)")(0.0, 0.0) == 1.0
+    with pytest.raises(ConfigError, match="float range"):
+        compile_expr("x + 3**700")
 
 
 def test_compile_expr_coordinate_aliases():
@@ -228,7 +243,7 @@ def test_config_with_adaptive_integrator():
         "reports": ["speed"],
     }
     trace, reports = run_config(ScenarioConfig.from_dict(cfg))
-    assert not trace.is_uniform
+    assert uniform_step(trace.t) is None
     assert reports[0].passed
 
 
