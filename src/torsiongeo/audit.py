@@ -15,8 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ChartGeometry, VectorFieldSpec, inner
-from .integrate import GeodesicState, IntegratorSettings, Trace, integrate_two_sided
+from .geometry import ChartGeometry, VectorFieldSpec, along, positive_part
+from .integrate import (GeodesicState, IntegratorSettings, Trace, diagnostics,
+                        integrate_two_sided)
 
 #: Per-step slack when asserting that a series is non-increasing; absorbs
 #: roundoff without masking genuine violations.
@@ -156,34 +157,30 @@ def curvature_general(trace: Trace, field: VectorFieldSpec | None = None) -> np.
     """
     field = _resolve_field(trace, field)
     chart = _require_chart(trace)
-    E2 = trace.E * trace.E
-    out = np.empty(len(trace))
-    for i in range(len(trace)):
-        g11, g12, g22 = chart.metric(trace.u[i], trace.v[i])
-        Vu, Vv = field.components(trace.u[i], trace.v[i])
-        nv2 = g11 * Vu * Vu + 2.0 * g12 * Vu * Vv + g22 * Vv * Vv
-        gv = Vu * (g11 * trace.du[i] + g12 * trace.dv[i]) + Vv * (g12 * trace.du[i] + g22 * trace.dv[i])
-        out[i] = math.sqrt(max(0.0, nv2 - gv * gv / E2))
-    return out
+    return diagnostics(chart.metric, field.components, trace.u, trace.v,
+                       trace.du, trace.dv, trace.E)[1]
+
+
+def geodesic_defect(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample components (w^u, w^v) of a + Gamma(v, v), the acceleration
+    differenced from the stored velocities; zero along a classical geodesic."""
+    chart = _require_chart(trace)
+    ddu = series_derivative(trace.t, trace.du)
+    ddv = series_derivative(trace.t, trace.dv)
+    (a0, a1, a2), (b0, b1, b2) = along(chart.christoffel_raw, trace.u, trace.v, (2, 3))
+    du, dv = trace.du, trace.dv
+    wu = ddu + a0 * du * du + 2.0 * a1 * du * dv + a2 * dv * dv
+    wv = ddv + b0 * du * du + 2.0 * b1 * du * dv + b2 * dv * dv
+    return wu, wv
 
 
 def kinematic_curvature(trace: Trace) -> np.ndarray:
     """Curvature |a + Gamma(v, v)| / E^2 with the acceleration differenced
     from the stored velocities; the independent oracle for the closed form."""
-    chart = _require_chart(trace)
-    ddu = series_derivative(trace.t, trace.du)
-    ddv = series_derivative(trace.t, trace.dv)
-    E2 = trace.E * trace.E
-    out = np.empty(len(trace))
-    for i in range(len(trace)):
-        (a0, a1, a2), (b0, b1, b2) = chart.christoffel_raw(trace.u[i], trace.v[i])
-        du, dv = trace.du[i], trace.dv[i]
-        wu = ddu[i] + a0 * du * du + 2.0 * a1 * du * dv + a2 * dv * dv
-        wv = ddv[i] + b0 * du * du + 2.0 * b1 * du * dv + b2 * dv * dv
-        g11, g12, g22 = chart.metric(trace.u[i], trace.v[i])
-        n2 = g11 * wu * wu + 2.0 * g12 * wu * wv + g22 * wv * wv
-        out[i] = math.sqrt(max(0.0, n2)) / E2
-    return out
+    wu, wv = geodesic_defect(trace)
+    g11, g12, g22 = along(trace.chart.metric, trace.u, trace.v, (3,))
+    n2 = g11 * wu * wu + 2.0 * g12 * wu * wv + g22 * wv * wv
+    return np.sqrt(positive_part(n2)) / (trace.E * trace.E)
 
 
 def killing_curvature_check(trace: Trace, field: VectorFieldSpec | None = None,
@@ -225,16 +222,11 @@ def conformal_constant(trace: Trace, sigma: Callable[[float, float], float] | No
     chart components (callable or constant pair).  With ``sigma`` omitted,
     the potential attached to the trace's vector field is used.
     """
-    chart = _require_chart(trace)
     if sigma is None:
         sigma = getattr(trace.field, "sigma", None)
     if sigma is None:
         raise ValueError("no scalar potential available for the conformal constant")
-    xfun = X if callable(X) else (lambda u, v: (X[0], X[1]))
-    vals = np.empty(len(trace))
-    for i in range(len(trace)):
-        p = (trace.u[i], trace.v[i])
-        vals[i] = math.exp(sigma(*p)) * inner(chart, p, (trace.du[i], trace.dv[i]), xfun(*p))
+    vals = along(lambda u, v: math.exp(sigma(u, v)), trace.u, trace.v) * naive_momentum(trace, X)
     return make_report("conformal-constant", trace.t, vals, threshold=threshold, use_std=True)
 
 
@@ -242,12 +234,10 @@ def naive_momentum(trace: Trace,
                    X: Callable[[float, float], tuple[float, float]] | Sequence[float] = (0.0, 1.0)) -> np.ndarray:
     """The uncorrected series g(velocity, X); generally not a first integral."""
     chart = _require_chart(trace)
-    xfun = X if callable(X) else (lambda u, v: (X[0], X[1]))
-    return np.array([
-        inner(chart, (trace.u[i], trace.v[i]), (trace.du[i], trace.dv[i]),
-              xfun(trace.u[i], trace.v[i]))
-        for i in range(len(trace))
-    ])
+    g11, g12, g22 = along(chart.metric_components, trace.u, trace.v, (3,))
+    X0, X1 = along(X, trace.u, trace.v, (2,)) if callable(X) else X
+    du, dv = trace.du, trace.dv
+    return g11 * du * X0 + g12 * (du * X1 + dv * X0) + g22 * dv * X1
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +301,8 @@ def killing_flow_symmetry(trace: Trace, isometry: Isometry,
     if len(reint) != len(trace) or np.max(np.abs(reint.t - trace.t)) > 1e-9:
         raise ValueError("re-integrated trace does not share the sample grid")
 
-    mapped = np.array([isometry.point_map(u, v) for u, v in zip(trace.u, trace.v)])
-    mismatch = np.hypot(mapped[:, 0] - reint.u, mapped[:, 1] - reint.v)
+    mu, mv = along(isometry.point_map, trace.u, trace.v, (2,))
+    mismatch = np.hypot(mu - reint.u, mv - reint.v)
     return float(np.max(mismatch))
 
 

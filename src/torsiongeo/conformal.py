@@ -15,9 +15,10 @@ from typing import Callable
 
 import numpy as np
 
+from .audit import geodesic_defect, interior_slice
 from .geometry import (ChartGeometry, VectorFieldSpec, VectorComponents,
-                       grad, scalar_partials)
-from .integrate import Trace
+                       along, grad, scalar_partials)
+from .integrate import Trace, diagnostics
 
 Scalar = Callable[[float, float], float]
 
@@ -139,8 +140,11 @@ def reparametrize(trace: Trace, sigma: Scalar | None = None,
     if not (t_lo <= 0.0 <= t_hi):
         raise ValueError("reparametrization anchors tau(0) = 0; trace must contain t = 0")
 
+    def point_rate(u: float, v: float) -> float:
+        return math.exp(-sigma(u, v))
+
     def rate(tau: float) -> float:
-        return math.exp(-sigma(float(su(tau)), float(sv(tau))))
+        return point_rate(float(su(tau)), float(sv(tau)))
 
     h = float(np.median(np.diff(t)))
 
@@ -175,19 +179,16 @@ def reparametrize(trace: Trace, sigma: Scalar | None = None,
 
     uu = su(new_tau)
     vv = sv(new_tau)
-    rates = np.array([rate(x) for x in new_tau])
+    rates = along(point_rate, uu, vv)
     duu = rates * sdu(new_tau)
     dvv = rates * sdv(new_tau)
 
-    speed = np.empty(len(new_t))
-    for i in range(len(new_t)):
-        g11, g12, g22 = derived_chart.metric(uu[i], vv[i])
-        speed[i] = math.sqrt(max(0.0, g11 * duu[i] ** 2 + 2 * g12 * duu[i] * dvv[i] + g22 * dvv[i] ** 2))
-
+    no_field = VectorFieldSpec.zero()
+    speed = diagnostics(derived_chart.metric, no_field.components, uu, vv, duu, dvv, trace.E)[0]
     zero = np.zeros(len(new_t))
-    return Trace(t=new_t, u=np.asarray(uu), v=np.asarray(vv), du=duu, dv=dvv,
+    return Trace(t=new_t, u=uu, v=vv, du=duu, dv=dvv,
                  speed=speed, kappa=zero, g_v=zero, E=trace.E,
-                 chart=derived_chart, field=VectorFieldSpec.zero(),
+                 chart=derived_chart, field=no_field,
                  settings=trace.settings, stop_reason="reparametrized",
                  scenario_id=trace.scenario_id)
 
@@ -239,19 +240,6 @@ def geodesic_residual(trace: Trace) -> float:
     """Max residual of the classical geodesic equation along a trace,
     with accelerations finite-differenced from the samples.  Used to check
     that a reparametrized curve solves the rescaled metric's equation."""
-    from .audit import interior_slice, series_derivative
-
-    chart = trace.chart
-    if chart is None:
-        raise ValueError("trace carries no chart")
-    ddu = series_derivative(trace.t, trace.du)
-    ddv = series_derivative(trace.t, trace.dv)
+    wu, wv = geodesic_defect(trace)
     core = interior_slice(len(trace))
-    worst = 0.0
-    for i in range(*core.indices(len(trace))):
-        (a0, a1, a2), (b0, b1, b2) = chart.christoffel_raw(trace.u[i], trace.v[i])
-        du, dv = trace.du[i], trace.dv[i]
-        ru = ddu[i] + a0 * du * du + 2.0 * a1 * du * dv + a2 * dv * dv
-        rv = ddv[i] + b0 * du * du + 2.0 * b1 * du * dv + b2 * dv * dv
-        worst = max(worst, abs(ru), abs(rv))
-    return worst
+    return float(np.max(np.abs([wu[core], wv[core]]), initial=0.0))

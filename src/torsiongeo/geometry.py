@@ -13,6 +13,7 @@ metric.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -183,6 +184,22 @@ def inner(chart: ChartGeometry, point: Sequence[float], X: Sequence[float], Y: S
 
 def norm(chart: ChartGeometry, point: Sequence[float], X: Sequence[float]) -> float:
     return math.sqrt(max(0.0, inner(chart, point, X, X)))
+
+
+def along(fn: Callable, u: np.ndarray, v: np.ndarray, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """A scalar evaluator at every sample, called with Python floats as the
+    stepper calls it and streamed into an array of shape ``shape + (len(u),)``,
+    output axes first: ``g11, g12, g22 = along(metric, u, v, (3,))``."""
+    values = map(fn, u.tolist(), v.tolist())
+    for _ in shape:  # flat floats stream twice as fast as a subarray dtype
+        values = itertools.chain.from_iterable(values)
+    out = np.fromiter(values, dtype=float, count=len(u) * math.prod(shape))
+    return np.moveaxis(out.reshape(len(u), *shape), 0, -1)
+
+
+def positive_part(x: np.ndarray) -> np.ndarray:
+    """Elementwise max(0, x), with NaN mapped to 0 as ``max(0.0, x)`` does."""
+    return np.where(x > 0.0, x, 0.0)
 
 
 def scalar_partials(scalar: Callable[[float, float], float], u: float, v: float,

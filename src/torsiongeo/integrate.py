@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ChartGeometry, VectorFieldSpec
+from .geometry import ChartGeometry, VectorFieldSpec, along, positive_part
 
 STOP_TIME = "t1"
 STOP_BOUNDARY = "boundary"
@@ -64,8 +64,10 @@ class IntegratorSettings:
     def __post_init__(self) -> None:
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.h > 0.0:
-            raise ValueError("step h must be positive")
+        if not (self.h > 0.0 and math.isfinite(self.h)):
+            raise ValueError("step h must be finite and positive")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValueError("span t0, t1 must be finite")
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_steps <= 0:
@@ -246,7 +248,7 @@ def _run(march, chart: ChartGeometry, field: VectorFieldSpec,
     if sign < 0:
         t, u, v, du, dv = -t[::-1], u[::-1], v[::-1], -du[::-1], -dv[::-1]
 
-    speed, kappa, g_v = _diagnostics(chart.metric, field.components, u, v, du, dv, E)
+    speed, kappa, g_v = diagnostics(chart.metric, field.components, u, v, du, dv, E)
     return Trace(t=t, u=u, v=v, du=du, dv=dv, speed=speed, kappa=kappa,
                  g_v=g_v, E=E, chart=chart, field=field, settings=settings,
                  stop_reason=stop, scenario_id=scenario_id)
@@ -340,21 +342,15 @@ def _bisect_exit(rhs, contains, u, v, du, dv, h):
     return lo, best
 
 
-def _diagnostics(metric, comp, u, v, du, dv, E):
-    n = len(u)
-    speed = np.empty(n)
-    kappa = np.empty(n)
-    g_v = np.empty(n)
-    E2 = E * E
-    for i in range(n):
-        g11, g12, g22 = metric(u[i], v[i])
-        Vu, Vv = comp(u[i], v[i])
-        sp2 = g11 * du[i] ** 2 + 2.0 * g12 * du[i] * dv[i] + g22 * dv[i] ** 2
-        speed[i] = math.sqrt(max(0.0, sp2))
-        gv = Vu * (g11 * du[i] + g12 * dv[i]) + Vv * (g12 * du[i] + g22 * dv[i])
-        nv2 = g11 * Vu * Vu + 2.0 * g12 * Vu * Vv + g22 * Vv * Vv
-        g_v[i] = gv
-        kappa[i] = math.sqrt(max(0.0, nv2 - gv * gv / E2))
+def diagnostics(metric, comp, u, v, du, dv, E):
+    """Per-sample (speed, kappa, g(V, v)) at launch speed E; the speed squares
+    the velocity as the launch does, so the launch sample's speed is E."""
+    g11, g12, g22 = along(metric, u, v, (3,))
+    Vu, Vv = along(comp, u, v, (2,))
+    speed = np.sqrt(positive_part(g11 * du * du + 2.0 * g12 * du * dv + g22 * dv * dv))
+    g_v = Vu * (g11 * du + g12 * dv) + Vv * (g12 * du + g22 * dv)
+    nv2 = g11 * Vu * Vu + 2.0 * g12 * Vu * Vv + g22 * Vv * Vv
+    kappa = np.sqrt(positive_part(nv2 - g_v * g_v / (E * E)))
     return speed, kappa, g_v
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .audit import InvariantReport, SegmentStat, make_report
-from .geometry import VectorFieldSpec
+from .geometry import VectorFieldSpec, along
 from .integrate import GeodesicState, Trace, _rk4_step
 
 #: A branch segment of the arcsin invariant ends when |x'| drops below this.
@@ -84,7 +84,7 @@ def flat_invariant(trace: Trace, p: Callable[[float, float], float] | None = Non
     if p is None:
         raise ValueError("no flat potential available for the complex invariant")
     zdot = trace.du + 1j * trace.dv
-    phase = np.array([p(x, y) for x, y in zip(trace.u, trace.v)])
+    phase = along(p, trace.u, trace.v)
     values = zdot * np.exp(-1j * phase)
     return make_report("flat-invariant", trace.t, values, threshold=threshold)
 

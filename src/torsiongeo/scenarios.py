@@ -347,6 +347,9 @@ class ScenarioConfig:
         method = integ.get("method", "rk4")
         if method not in ("rk4", "rk45"):
             raise ConfigError(f"unknown integrator method {method!r}")
+        h = _number(integ.get("h", 1e-3), "integrator.h")
+        if not h > 0.0:
+            raise ConfigError(f"integrator.h must be positive, got {h!r}")
 
         if "scenario" in raw:
             base = CATALOG.get(raw["scenario"]) if isinstance(raw["scenario"], str) else None
@@ -356,11 +359,11 @@ class ScenarioConfig:
             scen = Scenario(id=sid, runtime=base.runtime, start=base.start,
                             velocity=base.velocity, angle=base.angle,
                             span=_span(raw.get("span", base.span)),
-                            h=_number(integ.get("h", base.h), "integrator.h"))
+                            h=h)
             return cls(id=sid, runtime=rt, scenario=scen, reports=reports, method=method)
 
         rt = _resolve_runtime(raw)
-        scen = _resolve_launch(sid, raw, rt)
+        scen = _resolve_launch(sid, raw, rt, h)
         return cls(id=sid, runtime=rt, scenario=scen, reports=reports, method=method)
 
     def run(self) -> tuple[Trace, list[InvariantReport]]:
@@ -397,7 +400,7 @@ def _resolve_runtime(raw: dict) -> Runtime:
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"inline metric needs g11 and g22: {exc}") from exc
         bounds = _numbers(chart_sel.get("bounds", (-math.inf, math.inf, -math.inf, math.inf)),
-                          4, "bounds")
+                          4, "bounds", finite=False)
         chart = ChartGeometry(
             name=chart_sel.get("name", "inline"),
             metric=lambda u, v: (g11(u, v), g12(u, v), g22(u, v)),
@@ -444,7 +447,7 @@ def _resolve_field(sel, chart: ChartGeometry, surface: CatalogSurface | None) ->
     raise ConfigError(f"cannot resolve field selector {sel!r}")
 
 
-def _resolve_launch(sid: str, raw: dict, rt: Runtime) -> Scenario:
+def _resolve_launch(sid: str, raw: dict, rt: Runtime, h: float) -> Scenario:
     init = raw.get("initial")
     if not isinstance(init, dict) or "position" not in init:
         raise ConfigError("config needs initial.position")
@@ -465,22 +468,26 @@ def _resolve_launch(sid: str, raw: dict, rt: Runtime) -> Scenario:
         angle = _number(init["angle"], "initial.angle")
     return Scenario(id=sid, runtime="__inline__", start=pos, velocity=velocity,
                     angle=angle, span=_span(raw.get("span", (-1.0, 1.0))),
-                    h=_number(raw.get("integrator", {}).get("h", 1e-3), "integrator.h"),
+                    h=h,
                     E=_number(init.get("E", 1.0), "initial.E"))
 
 
-def _number(value, what: str) -> float:
-    """A JSON number as a float, or ConfigError naming ``what``."""
+def _number(value, what: str, finite: bool = True) -> float:
+    """A JSON number as a float, or ConfigError naming ``what``; unless ``finite``
+    is off, Infinity and NaN, which Python's JSON admits, fail too."""
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if finite and not math.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return x
 
 
-def _numbers(value, n: int, what: str) -> tuple[float, ...]:
+def _numbers(value, n: int, what: str, finite: bool = True) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != n:
         raise ConfigError(f"{what} must be a list of {n} numbers, got {value!r}")
-    return tuple(_number(x, f"{what}[{i}]") for i, x in enumerate(value))
+    return tuple(_number(x, f"{what}[{i}]", finite) for i, x in enumerate(value))
 
 
 def _span(value) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .audit import make_report, series_derivative, InvariantReport
 from .errors import ChartDomainError
-from .geometry import ChartGeometry, OrthoFrame, VectorFieldSpec
+from .geometry import ChartGeometry, OrthoFrame, VectorFieldSpec, along
 from .integrate import Trace
 
 
@@ -235,7 +235,7 @@ def loxodrome_check(trace: Trace, surface: CatalogSurface,
     """Report on g(velocity, e2) = r * dphi/dt, the cosine of the angle to
     the parallel circles; constant exactly when the curve is a loxodrome."""
     r = surface.profile.r
-    vals = np.array([r(u) * dv for u, dv in zip(trace.u, trace.dv)])
+    vals = along(lambda u, v: r(u), trace.u, trace.v) * trace.dv
     return make_report("loxodrome-angle", trace.t, vals, threshold=threshold, use_std=True)
 
 

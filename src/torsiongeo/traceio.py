@@ -32,7 +32,8 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
 
 
 def read_trace_csv(path: str | Path) -> Trace:
-    """Parse a trace CSV; the result carries no chart or field objects."""
+    """Parse a trace CSV; the result carries no chart or field objects.
+    E is the speed at t = 0, the launch sample of a two-sided trace."""
     lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",") if lines else []
     if tuple(header) != CSV_COLUMNS:
@@ -46,7 +47,7 @@ def read_trace_csv(path: str | Path) -> Trace:
         raise ValueError(f"every trace CSV row must have {width} fields")
     data = np.fromiter(map(float, ",".join(rows).split(",")), dtype=float).reshape(-1, width)
     t, u, v, du, dv, speed, kappa, g_v = data.T
-    E = float(speed[0])
+    E = float(speed[np.argmin(np.abs(t))])
     return Trace(t=t, u=u, v=v, du=du, dv=dv, speed=speed, kappa=kappa,
                  g_v=g_v, E=E, chart=None, field=None, settings=None,
                  stop_reason="from-csv")

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings as hsettings, strategies as st
 
 from torsiongeo.audit import (Isometry, conformal_constant, curvature_general,
                               interior_slice, killing_curvature_check,
                               killing_flow_symmetry, kinematic_curvature,
                               make_report, naive_momentum, series_derivative)
-from torsiongeo.geometry import euclidean_plane
-from torsiongeo.integrate import GeodesicState, IntegratorSettings, levi_civita_integrate
+from torsiongeo.geometry import euclidean_plane, inner
+from torsiongeo.integrate import (GeodesicState, IntegratorSettings, integrate_two_sided,
+                                  levi_civita_integrate)
 from torsiongeo.plane import constant_field, plane_curvature, shear_field, winding_field
-from torsiongeo.scenarios import CATALOG, run_scenario
+from torsiongeo.scenarios import CATALOG, build_runtime, run_scenario
 from torsiongeo.surfaces import make_sphere
+from torsiongeo.traceio import read_trace_csv, write_trace_csv
 
 
 def test_series_derivative_fourth_order():
@@ -158,3 +161,85 @@ def test_make_report_without_finite_samples():
         assert math.isnan(rep.max_dev) and math.isnan(rep.std)
         assert rep.passed is False
         assert make_report("x", times, values).passed is None
+
+
+# ---------------------------------------------------------------------------
+# Array diagnostics against the per-sample loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_diagnostics(chart, field, tr):
+    n = len(tr)
+    speed, kappa, g_v = np.empty(n), np.empty(n), np.empty(n)
+    E2 = tr.E * tr.E
+    for i in range(n):
+        g11, g12, g22 = chart.metric(tr.u[i], tr.v[i])
+        Vu, Vv = field.components(tr.u[i], tr.v[i])
+        du, dv = tr.du[i], tr.dv[i]
+        speed[i] = math.sqrt(max(0.0, g11 * du * du + 2.0 * g12 * du * dv + g22 * dv * dv))
+        gv = Vu * (g11 * du + g12 * dv) + Vv * (g12 * du + g22 * dv)
+        nv2 = g11 * Vu * Vu + 2.0 * g12 * Vu * Vv + g22 * Vv * Vv
+        g_v[i] = gv
+        kappa[i] = math.sqrt(max(0.0, nv2 - gv * gv / E2))
+    return speed, kappa, g_v
+
+
+def loop_kinematic(chart, tr):
+    ddu = series_derivative(tr.t, tr.du)
+    ddv = series_derivative(tr.t, tr.dv)
+    out = np.empty(len(tr))
+    for i in range(len(tr)):
+        (a0, a1, a2), (b0, b1, b2) = chart.christoffel_raw(tr.u[i], tr.v[i])
+        du, dv = tr.du[i], tr.dv[i]
+        wu = ddu[i] + a0 * du * du + 2.0 * a1 * du * dv + a2 * dv * dv
+        wv = ddv[i] + b0 * du * du + 2.0 * b1 * du * dv + b2 * dv * dv
+        g11, g12, g22 = chart.metric(tr.u[i], tr.v[i])
+        out[i] = math.sqrt(max(0.0, g11 * wu * wu + 2.0 * g12 * wu * wv + g22 * wv * wv)) / (tr.E * tr.E)
+    return out
+
+
+def loop_momentum(chart, tr, xfun, sigma=lambda u, v: 0.0):
+    return np.array([
+        math.exp(sigma(tr.u[i], tr.v[i]))
+        * inner(chart, (tr.u[i], tr.v[i]), (tr.du[i], tr.dv[i]), xfun(tr.u[i], tr.v[i]))
+        for i in range(len(tr))
+    ])
+
+
+def rotation_x(u, v):
+    return (v, -u)
+
+
+@pytest.mark.parametrize("key", ["plane-zero", "plane-winding", "plane-shear",
+                                 "halfplane-sigma", "sphere", "pseudosphere", "catenoid"])
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.05, 3.0),
+       st.floats(0.0, 2.0 * math.pi), st.floats(-0.3, -0.05), st.floats(0.05, 0.3),
+       st.sampled_from(["rk4", "rk45"]))
+@hsettings(max_examples=20, deadline=None)
+def test_array_audits_equal_sample_loops(key, tmp_path_factory, fu, fv, speed, angle,
+                                         t_min, t_max, method):
+    rt = build_runtime(key)
+    chart, field = rt.chart, rt.field
+    u0, u1, v0, v1 = chart.sample_box
+    u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
+    g11, _, g22 = chart.metric(u, v)
+    state = GeodesicState(0.0, u, v, speed * math.cos(angle) / math.sqrt(g11),
+                          speed * math.sin(angle) / math.sqrt(g22))
+    tr = integrate_two_sided(chart, field, state, t_min, t_max, h=0.01, method=method)
+    assume(len(tr) >= 2)
+
+    for got, want in zip((tr.speed, tr.kappa, tr.g_v), loop_diagnostics(chart, field, tr)):
+        assert got.tobytes() == want.tobytes()
+    assert curvature_general(tr).tobytes() == tr.kappa.tobytes()
+    assert kinematic_curvature(tr).tobytes() == loop_kinematic(chart, tr).tobytes()
+    for X, xfun in (((0.0, 1.0), lambda u, v: (0.0, 1.0)), (rotation_x, rotation_x)):
+        want = loop_momentum(chart, tr, xfun)
+        assert naive_momentum(tr, X).tobytes() == want.tobytes()
+        if field.sigma is not None:
+            want = loop_momentum(chart, tr, xfun, field.sigma)
+            assert conformal_constant(tr, X=X).values.tobytes() == want.tobytes()
+
+    # the launch sample squares its velocity as the launch does
+    assert tr.speed[tr.index_at(0.0)] == tr.E
+    path = write_trace_csv(tr, tmp_path_factory.getbasetemp() / "oracle.csv")
+    assert read_trace_csv(path).E == tr.E

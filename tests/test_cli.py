@@ -90,6 +90,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         dict(CONFIG, chart={"metric": {"g11": "1", "g22": "1"}, "sample_box": 5}),
         dict(CONFIG, chart={"metric": "1"}),
         dict(CONFIG, chart={"surface": ["sphere"]}),
+        # non-finite or non-positive numbers, which Python's json parses
+        dict(CONFIG, integrator={"h": 0.0}),
+        dict(CONFIG, integrator={"h": -1.0}),
+        dict(CONFIG, integrator={"h": float("nan")}),
+        {"version": 1, "id": "short", "scenario": "plane-straight", "integrator": {"h": 0}},
+        {"version": 1, "id": "short", "scenario": "plane-straight",
+         "integrator": {"h": float("nan")}},
+        dict(CONFIG, span=[-1.0, float("inf")]),
+        dict(CONFIG, span=[float("-inf"), 1.0], integrator={"method": "rk45"}),
+        dict(CONFIG, initial={"position": [float("nan"), 2.0], "velocity": [1.0, 0.0]}),
+        dict(CONFIG, initial={"position": [0.0, 2.0], "velocity": [float("inf"), 0.0]}),
     ]):
         path = tmp_path / f"shape-{i}.json"
         path.write_text(json.dumps(cfg))

@@ -164,6 +164,10 @@ def test_settings_validation():
         IntegratorSettings(rtol=0.0)
     with pytest.raises(ValueError):
         IntegratorSettings(method="euler")
+    for bad in (dict(h=math.inf), dict(h=math.nan), dict(t1=math.inf),
+                dict(t0=math.nan), dict(t0=0.0, t1=-math.inf)):
+        with pytest.raises(ValueError):
+            IntegratorSettings(**bad)
 
 
 def test_arbitrary_launch_speed_is_conserved():

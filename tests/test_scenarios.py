@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import time
 
@@ -279,6 +280,50 @@ def test_catalog_shortcut_config():
 def test_config_validation_errors(raw):
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("shortcut", [False, True], ids=["inline", "catalog"])
+@pytest.mark.parametrize("key, value, message", [
+    ("h", 0.0, "integrator.h must be positive"),
+    ("h", -1.0, "integrator.h must be positive"),
+    ("h", math.nan, "integrator.h must be a finite number"),
+    ("h", math.inf, "integrator.h must be a finite number"),
+    ("span", [-1.0, math.inf], "span[1] must be a finite number"),
+    ("span", [-math.inf, 1.0], "span[0] must be a finite number"),
+])
+def test_config_numbers_checked_at_parse_time(shortcut, key, value, message):
+    raw = ({"version": 1, "id": "x", "scenario": "plane-straight"} if shortcut else
+           {"version": 1, "id": "x", "chart": "plane",
+            "initial": {"position": [0, 0], "velocity": [1, 0]}})
+    if key == "h":
+        raw["integrator"] = {"h": value}
+    else:
+        raw[key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ScenarioConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("initial, message", [
+    ({"position": [math.nan, 0.0], "velocity": [1, 0]}, "initial.position"),
+    ({"position": [1.0, math.inf], "velocity": [1, 0]}, "initial.position"),
+    ({"position": [1.0, 0.0], "velocity": [math.inf, 0.0]}, "initial.velocity"),
+    ({"position": [1.0, 0.0], "velocity": [1.0, math.nan]}, "initial.velocity"),
+    ({"position": [1.0, 0.0], "angle": math.inf}, "initial.angle"),
+    ({"position": [1.0, 0.0], "angle_deg": 10, "E": math.nan}, "initial.E"),
+])
+def test_launch_numbers_must_be_finite(initial, message):
+    raw = {"version": 1, "id": "x", "chart": "sphere", "field": "catalog", "initial": initial}
+    with pytest.raises(ConfigError, match=f"{message}.* must be a finite number"):
+        ScenarioConfig.from_dict(raw)
+
+
+def test_infinite_chart_bounds_stay_valid():
+    raw = {"version": 1, "id": "x", "span": [-0.1, 0.1],
+           "chart": {"metric": {"g11": "1", "g22": "1"},
+                     "bounds": [-math.inf, math.inf, 0.0, math.inf]},
+           "initial": {"position": [0, 1], "velocity": [1, 0]}}
+    trace, _ = run_config(ScenarioConfig.from_dict(raw))
+    assert trace.stop_reason == "t1/t1"
 
 
 def test_boundary_scenarios_record_stop():

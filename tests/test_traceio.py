@@ -18,7 +18,8 @@ def test_csv_round_trip_bit_exact(tmp_path):
         a = getattr(tr, name)
         b = getattr(back, name)
         assert np.array_equal(a, b), name
-    assert back.E == tr.speed[0]
+    # the first row is t = -1; E is the launch speed, at t = 0
+    assert back.E == tr.E
 
 
 COLUMN_ATTRS = ("t", "u", "v", "du", "dv", "speed", "kappa", "g_v")
