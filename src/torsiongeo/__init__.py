@@ -9,7 +9,7 @@ scenario tooling (CSV/JSON/SVG artifacts, CLI).
 from .algebra import Decomposition, DifferenceTensor, decompose, torsion_from, vectorial_tensor
 from .audit import (InvariantReport, Isometry, conformal_constant, curvature_general,
                     killing_curvature_check, killing_flow_symmetry, kinematic_curvature)
-from .conformal import ConformalPair, compare_point_sets, conformal_metric, reparametrize
+from .conformal import compare_point_sets, conformal_metric, reparametrize
 from .errors import ChartDomainError, ConfigError, MetricDegeneracyError
 from .geometry import (ChartGeometry, OrthoFrame, VectorFieldSpec, christoffel,
                        euclidean_plane, grad, half_plane, inner, norm)

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import algebra, suite
 from .errors import ConfigError
-from .integrate import Trace
-from .plane import shooting_sweep, strip_bounds
+from .geometry import euclidean_plane
+from .integrate import GeodesicState, Trace, integrate_two_sided
+from .plane import shear_field, strip_bounds
 from .scenarios import CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime, run_config, run_scenario
 from .surfaces import CATALOG_BUILDERS, embed, mercator_map
 from .svgplot import plot_traces, project_orthographic, render_svg, trace_curves
@@ -136,11 +137,10 @@ def _cmd_strip_bounds(args) -> int:
     print(f"strip = ({sb.lower:.12g}, {sb.upper:.12g})"
           + ("  [degenerate line]" if sb.degenerate else ""))
     if args.verify:
-        angle = math.atan2(args.vy, args.vx)
-        sweep = shooting_sweep(origin=(args.x0, args.y0), n_angles=720,
-                               t_max=args.t_max, h=2e-3)
-        j = int(round((angle % (2 * math.pi)) / (2 * math.pi) * 720)) % 720
-        lo, hi = float(sweep.y_min[j]), float(sweep.y_max[j])
+        launch = GeodesicState(0.0, args.x0, args.y0, args.vx / speed, args.vy / speed)
+        tr = integrate_two_sided(euclidean_plane(), shear_field(), launch,
+                                 -args.t_max, args.t_max, h=2e-3)
+        lo, hi = float(tr.v.min()), float(tr.v.max())
         ok = lo >= sb.lower - 1e-3 and hi <= sb.upper + 1e-3
         print(f"integrated height range over |t| <= {args.t_max:g}: ({lo:.6g}, {hi:.6g})")
         print(f"confinement: {'PASS' if ok else 'FAIL'}")

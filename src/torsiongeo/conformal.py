@@ -2,22 +2,20 @@
 
 For V = -grad(sigma), geodesics of the twisted connection are, up to a
 reparametrization, classical geodesics of the rescaled metric
-exp(2 sigma) g.  This module builds the rescaled chart, solves the
-reparametrization ODE, and compares point sets of independently
-integrated curves.
+exp(2 sigma) g.  This module builds the rescaled chart, carries a trace
+to the rescaled metric's clock by quadrature over its own samples, and
+compares point sets of independently integrated curves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .audit import geodesic_defect, interior_slice
-from .geometry import (ChartGeometry, VectorFieldSpec, VectorComponents,
-                       along, grad, scalar_partials)
+from .geometry import ChartGeometry, VectorFieldSpec, VectorComponents, along
 from .integrate import Trace, diagnostics
 
 Scalar = Callable[[float, float], float]
@@ -71,122 +69,41 @@ def conformal_metric(chart: ChartGeometry, sigma: Scalar,
     )
 
 
-@dataclass
-class ConformalPair:
-    """A base chart together with its exp(2 sigma) rescaling."""
+def reparametrize(trace: Trace) -> Trace:
+    """Relabel a twisted geodesic's samples with the time of the rescaled metric.
 
-    base: ChartGeometry
-    sigma: Scalar
-    sigma_grad: Callable[[float, float], VectorComponents] | None = None
-    derived: ChartGeometry = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.derived = conformal_metric(self.base, self.sigma, self.sigma_grad)
-
-    def connection_identity_residual(self, points: np.ndarray) -> float:
-        """Max residual of the conformal transformation rule for the
-        Levi-Civita connection, checked through finite differences."""
-        worst = 0.0
-        for u, v in points:
-            tilde = np.array(self.derived.christoffel_fd(u, v))
-            base = np.array(self.base.christoffel(u, v))
-            if self.sigma_grad is not None:
-                su, sv = self.sigma_grad(u, v)
-            else:
-                su, sv = scalar_partials(self.sigma, u, v, self.base.fd_scale)
-            gs = grad(self.base, self.sigma, (u, v), partials=self.sigma_grad)
-            g11, g12, g22 = self.base.metric(u, v)
-            expect = base.copy()
-            # Gamma~^k_ij = Gamma^k_ij + d_i s d^k_j + d_j s d^k_i - g_ij grad^k
-            ds = (su, sv)
-            gmat = ((g11, g12), (g12, g22))
-            for k in (0, 1):
-                for col, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
-                    expect[k][col] += (ds[i] if j == k else 0.0)
-                    expect[k][col] += (ds[j] if i == k else 0.0)
-                    expect[k][col] -= gmat[i][j] * gs[k]
-            worst = max(worst, float(np.max(np.abs(tilde - expect))))
-        return worst
-
-
-def reparametrize(trace: Trace, sigma: Scalar | None = None,
-                  derived_chart: ChartGeometry | None = None) -> Trace:
-    """Resample a twisted geodesic into the time of the rescaled metric.
-
-    Solves d tau / d t = exp(-sigma(gamma(tau))), tau(0) = 0, by RK4 on the
-    scalar equation while interpolating the stored trace with cubic
-    splines, and returns gamma(tau(t)) sampled on the new clock.  The
-    output has constant speed for the rescaled metric and satisfies its
-    classical geodesic equation.
+    The new clock obeys d t~ / d t = f = exp(sigma), and along the curve
+    f' = -f g(V, v) from the trace's ``g_v`` column.  Each step adds the
+    end-corrected trapezoid rule h/2 (f_k + f_k+1) + h^2/12 (f'_k - f'_k+1),
+    which is 4th order, and the clock is anchored at t~ = 0 on the trace's
+    t = 0 sample.  Positions are the trace's own and the velocity is v / f:
+    the output has constant speed for the rescaled metric and satisfies
+    its classical geodesic equation.
     """
-    if sigma is None:
-        sigma = getattr(trace.field, "sigma", None)
+    sigma = getattr(trace.field, "sigma", None)
     if sigma is None:
         raise ValueError("trace's field declares no scalar potential sigma")
-    if derived_chart is None:
-        if trace.chart is None:
-            raise ValueError("trace carries no chart")
-        derived_chart = conformal_metric(trace.chart, sigma,
-                                         getattr(trace.field, "sigma_grad", None))
+    if trace.chart is None:
+        raise ValueError("trace carries no chart")
+    launch = trace.index_at(0.0)
+    if trace.t[launch] != 0.0:
+        raise ValueError("reparametrization anchors t~ = 0 on the trace's t = 0 sample")
+    derived_chart = conformal_metric(trace.chart, sigma, trace.field.sigma_grad)
 
-    from scipy.interpolate import CubicSpline
+    f = np.exp(along(sigma, trace.u, trace.v))
+    df = -f * trace.g_v
+    h = np.diff(trace.t)
+    steps = 0.5 * h * (f[:-1] + f[1:]) + h * h / 12.0 * (df[:-1] - df[1:])
+    clock = np.concatenate([[0.0], np.cumsum(steps)])
+    clock -= clock[launch]
 
-    t = trace.t
-    su = CubicSpline(t, trace.u)
-    sv = CubicSpline(t, trace.v)
-    sdu = CubicSpline(t, trace.du)
-    sdv = CubicSpline(t, trace.dv)
-    t_lo, t_hi = float(t[0]), float(t[-1])
-    if not (t_lo <= 0.0 <= t_hi):
-        raise ValueError("reparametrization anchors tau(0) = 0; trace must contain t = 0")
-
-    def point_rate(u: float, v: float) -> float:
-        return math.exp(-sigma(u, v))
-
-    def rate(tau: float) -> float:
-        return point_rate(float(su(tau)), float(sv(tau)))
-
-    h = float(np.median(np.diff(t)))
-
-    def march(rate, lo: float, hi: float) -> tuple[list[float], list[float]]:
-        times = [0.0]
-        taus = [0.0]
-        tau = 0.0
-        while True:
-            k1 = rate(tau)
-            # stop before the spline range is exhausted
-            if not (lo <= tau + h * k1 <= hi):
-                break
-            k2 = rate(tau + 0.5 * h * k1)
-            k3 = rate(tau + 0.5 * h * k2)
-            if not (lo <= tau + h * k3 <= hi):
-                break
-            k4 = rate(tau + h * k3)
-            step = h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if tau + step - hi > 0:
-                break
-            tau += step
-            times.append(times[-1] + h)
-            taus.append(tau)
-        return times, taus
-
-    # the backward half is the forward march of the reflected clock tau -> -tau
-    # (RK4 commutes with it bitwise), reversed and without its launch sample
-    fw_t, fw_tau = march(rate, t_lo, t_hi)
-    bw_t, bw_tau = march(lambda s: rate(-s), -t_hi, -t_lo)
-    new_t = np.array([-s for s in bw_t[:0:-1]] + fw_t)
-    new_tau = np.array([-s for s in bw_tau[:0:-1]] + fw_tau)
-
-    uu = su(new_tau)
-    vv = sv(new_tau)
-    rates = along(point_rate, uu, vv)
-    duu = rates * sdu(new_tau)
-    dvv = rates * sdv(new_tau)
-
+    du = trace.du / f
+    dv = trace.dv / f
     no_field = VectorFieldSpec.zero()
-    speed = diagnostics(derived_chart.metric, no_field.components, uu, vv, duu, dvv, trace.E)[0]
-    zero = np.zeros(len(new_t))
-    return Trace(t=new_t, u=uu, v=vv, du=duu, dv=dvv,
+    speed = diagnostics(derived_chart.metric, no_field.components,
+                        trace.u, trace.v, du, dv, trace.E)[0]
+    zero = np.zeros(len(trace))
+    return Trace(t=clock, u=trace.u, v=trace.v, du=du, dv=dv,
                  speed=speed, kappa=zero, g_v=zero, E=trace.E,
                  chart=derived_chart, field=no_field,
                  settings=trace.settings, stop_reason="reparametrized",

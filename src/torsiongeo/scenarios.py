@@ -466,10 +466,12 @@ def _resolve_launch(sid: str, raw: dict, rt: Runtime, h: float) -> Scenario:
         angle = math.radians(_number(init["angle_deg"], "initial.angle_deg"))
     else:
         angle = _number(init["angle"], "initial.angle")
+    E = _number(init.get("E", 1.0), "initial.E")
+    if not E > 0.0:
+        raise ConfigError(f"initial.E must be positive, got {E!r}")
     return Scenario(id=sid, runtime="__inline__", start=pos, velocity=velocity,
                     angle=angle, span=_span(raw.get("span", (-1.0, 1.0))),
-                    h=h,
-                    E=_number(init.get("E", 1.0), "initial.E"))
+                    h=h, E=E)
 
 
 def _number(value, what: str, finite: bool = True) -> float:
@@ -501,12 +503,9 @@ def run_config(config: ScenarioConfig) -> tuple[Trace, list[InvariantReport]]:
     """Integrate a resolved config and compute its requested reports."""
     scen = config.scenario
     rt = config.runtime
-    if scen.runtime == "__inline__":
-        trace = integrate_two_sided(rt.chart, rt.field, _launch(scen, rt.surface),
-                                    scen.span[0], scen.span[1],
-                                    h=scen.h, method=config.method, scenario_id=scen.id)
-    else:
-        trace = run_scenario(scen, method=config.method)
+    trace = integrate_two_sided(rt.chart, rt.field, _launch(scen, rt.surface),
+                                scen.span[0], scen.span[1],
+                                h=scen.h, method=config.method, scenario_id=scen.id)
     reports = [execute_report(name, trace, rt) for name in config.reports]
     return trace, reports
 

@@ -17,10 +17,10 @@ from .audit import (conformal_constant, curvature_general, interior_slice,
                     killing_curvature_check, killing_flow_symmetry,
                     kinematic_curvature, naive_momentum, Isometry)
 from .conformal import compare_point_sets, conformal_metric
-from .geometry import norm as metric_norm
+from .geometry import along, norm as metric_norm
 from .integrate import GeodesicState, IntegratorSettings, Trace, levi_civita_integrate
-from .plane import (arcsin_invariant, flat_invariant, plane_curvature,
-                    shooting_sweep, strip_bounds, strip_quadrature)
+from .plane import (arcsin_invariant, flat_invariant, shooting_sweep, strip_bounds,
+                    strip_quadrature)
 from .scenarios import CATALOG, CATALOG_IDS, Runtime, Scenario, build_runtime, run_scenario
 from .surfaces import (gauss_map_trace, gaussian_curvature, loxodrome_check,
                        mercator_map, sphere_angle_cosines)
@@ -211,10 +211,8 @@ def criterion_curvature_formulas(ctx: SuiteContext) -> CriterionResult:
         core = interior_slice(len(tr))
         general = curvature_general(tr)
         kinematic = kinematic_curvature(tr)
-        signed = np.array([
-            plane_curvature(tr.field, (tr.u[i], tr.v[i], tr.du[i], tr.dv[i]))
-            for i in range(len(tr))
-        ])
+        f, g = along(tr.field.components, tr.u, tr.v, (2,))
+        signed = f * tr.dv - g * tr.du
         res.add(f"{sid} |general - kinematic|",
                 float(np.max(np.abs(general[core] - kinematic[core]))), 1e-5)
         res.add(f"{sid} ||signed| - kinematic|",

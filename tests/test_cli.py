@@ -132,7 +132,11 @@ def test_import_leaves_scipy_unloaded():
     src = str(Path(torsiongeo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # reparametrize is a quadrature on the trace's samples: no splines
     code = ("import sys, torsiongeo, torsiongeo.cli; "
+            "from torsiongeo.scenarios import CATALOG, run_scenario; "
+            "torsiongeo.reparametrize("
+            "run_scenario(CATALOG['sphere-loxodrome-45'], span=(-0.1, 0.1))); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
@@ -163,6 +167,17 @@ def test_strip_bounds_subcommand(capsys):
     out = capsys.readouterr().out
     assert "strip = (" in out
     assert "confinement: PASS" in out
+
+
+def test_strip_bounds_verify_integrates_the_exact_launch(capsys):
+    # this launch lies between two angles of a 0.5 degree grid; the nearest
+    # grid angle leaves the requested strip
+    code = main(["strip-bounds", "--y0", "0.3", "--vx", "-0.12399981434160419",
+                 "--vy", "0.9922822411205633", "--verify"])
+    out = capsys.readouterr().out
+    assert "strip = (-1.72712276586, 1.72712276586)" in out
+    assert "confinement: PASS" in out
+    assert code == 0
 
 
 def test_mercator_subcommand(tmp_path, capsys):

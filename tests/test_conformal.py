@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
-from torsiongeo.conformal import (ConformalPair, chordal_lengths, compare_point_sets,
-                                  conformal_metric, geodesic_residual, reparametrize,
-                                  resample_by_arclength)
-from torsiongeo.geometry import euclidean_plane, half_plane, sample_interior
+from torsiongeo.conformal import (chordal_lengths, compare_point_sets, conformal_metric,
+                                  geodesic_residual, reparametrize, resample_by_arclength)
+from torsiongeo.geometry import (check_christoffel_consistency, euclidean_plane, half_plane,
+                                 sample_interior)
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, levi_civita_integrate
 from torsiongeo.scenarios import CATALOG, Scenario, build_runtime, run_scenario
 from torsiongeo.suite import _conformal_pair_distance
-from torsiongeo.surfaces import make_sphere
+from torsiongeo.surfaces import make_sphere, mercator_map
 
 
 def test_identity_rescale_keeps_metric():
@@ -45,15 +46,16 @@ def test_halfplane_rescale_is_hyperbolic():
 
 @pytest.mark.parametrize("case", ["sphere", "pseudosphere", "catenoid", "halfplane"])
 def test_connection_identity_residual(case, rng):
+    # the analytic conformal Christoffel rule against central differences
+    # of the rescaled metric
     if case == "halfplane":
-        chart = half_plane(0.05)
-        pair = ConformalPair(chart, lambda u, v: -math.log(v),
-                             lambda u, v: (0.0, -1.0 / v))
+        base = half_plane(0.05)
+        sigma, sigma_grad = (lambda u, v: -math.log(v)), (lambda u, v: (0.0, -1.0 / v))
     else:
         surf = build_runtime(case).surface
-        pair = ConformalPair(surf.chart, surf.field.sigma, surf.field.sigma_grad)
-    pts = sample_interior(pair.base, 100, rng)
-    assert pair.connection_identity_residual(pts) < 1e-6
+        base, sigma, sigma_grad = surf.chart, surf.field.sigma, surf.field.sigma_grad
+    pts = sample_interior(base, 100, rng)
+    assert check_christoffel_consistency(conformal_metric(base, sigma, sigma_grad), pts) < 1e-6
 
 
 def test_reparametrize_constant_sigma_rescales_time():
@@ -79,6 +81,40 @@ def test_reparametrized_loxodrome_is_classical_geodesic(suite_ctx):
     assert np.std(rep.speed) < 1e-6
     # and the classical geodesic equation holds along the resample
     assert geodesic_residual(rep) < 1e-4
+
+
+SIGMA_SCENARIOS = [sid for sid, sc in CATALOG.items()
+                   if build_runtime(sc.runtime).field.sigma is not None]
+
+
+@pytest.mark.parametrize("sid", SIGMA_SCENARIOS)
+def test_reparametrized_catalog_traces_are_classical_geodesics(suite_ctx, sid):
+    rep = reparametrize(suite_ctx.trace(sid))
+    assert np.std(rep.speed) < 1e-6
+    assert geodesic_residual(rep) < 1e-4
+
+
+@pytest.mark.parametrize("key", ["sphere", "pseudosphere", "catenoid"])
+@given(st.floats(0.2, 0.8), st.floats(-1.2, 1.2), st.booleans(), st.floats(0.05, 0.5))
+@hsettings(max_examples=20, deadline=None)
+def test_loxodrome_clock_is_mercator_over_cos_alpha(key, fs, alpha, flip, t_max):
+    # the rescaled metric is dy^2 + dphi^2 in the Mercator coordinate y, where
+    # a loxodrome at angle alpha to the meridians is a line with dy = cos(alpha) dt~
+    surf = build_runtime(key).surface
+    u0, u1 = surf.chart.sample_box[:2]
+    s0 = u0 + fs * (u1 - u0)
+    alpha += math.pi if flip else 0.0
+    tr = run_scenario(Scenario("lox", key, (s0, 0.0), angle=alpha, span=(-t_max, t_max)))
+    rep = reparametrize(tr)
+    exact = (mercator_map(surf, tr.u) - mercator_map(surf, s0)) / math.cos(alpha)
+    assert rep.t[tr.index_at(0.0)] == 0.0
+    assert np.max(np.abs(rep.t - exact)) <= 1e-10 * np.max(np.abs(rep.t))
+
+
+def test_reparametrize_needs_the_launch_sample(suite_ctx):
+    tr = suite_ctx.trace("sphere-loxodrome-45").sub_interval(0.5, 2.0)
+    with pytest.raises(ValueError, match="t = 0 sample"):
+        reparametrize(tr)
 
 
 def test_reparametrize_requires_potential(winding_trace):

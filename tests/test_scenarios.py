@@ -255,6 +255,27 @@ def test_catalog_shortcut_config():
     assert len(trace) == 501
 
 
+
+@pytest.mark.parametrize("sid", CATALOG_IDS)
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_catalog_shortcut_runs_the_catalog_launch(sid, method):
+    cfg = {"version": 1, "id": sid, "scenario": sid, "span": [-0.05, 0.05],
+           "integrator": {"method": method}}
+    trace, _ = run_config(ScenarioConfig.from_dict(cfg))
+    want = run_scenario(CATALOG[sid], span=(-0.05, 0.05), method=method)
+    for col in ("t", "u", "v", "du", "dv", "speed", "kappa", "g_v"):
+        assert getattr(trace, col).tobytes() == getattr(want, col).tobytes()
+    assert (trace.E, trace.stop_reason) == (want.E, want.stop_reason)
+
+
+@pytest.mark.parametrize("E", [0.0, -1.0])
+def test_nonpositive_launch_speed_fails_at_parse_time(E):
+    raw = {"version": 1, "id": "x", "chart": "sphere", "field": "catalog",
+           "initial": {"position": [1, 0], "angle_deg": 10, "E": E}}
+    with pytest.raises(ConfigError, match=re.escape("initial.E must be positive")):
+        ScenarioConfig.from_dict(raw)
+
+
 @pytest.mark.parametrize("raw", [
     {},
     {"version": 2, "id": "x", "chart": "plane",
