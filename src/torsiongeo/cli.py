@@ -1,8 +1,8 @@
 """Command line interface.
 
-Subcommands: integrate, compare-conformal, mercator, decompose,
-strip-bounds, plot, suite.  Exit codes: 0 all requested checks passed,
-1 a report or criterion failed, 2 usage or configuration error.
+Subcommands: integrate, compare-conformal, mercator, decompose, strip-bounds,
+plot, suite.  Exit codes: 0 all requested checks passed, 1 a report or
+criterion failed or the integration underflowed, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import algebra, suite
 from .errors import ConfigError
 from .geometry import euclidean_plane
-from .integrate import GeodesicState, Trace, integrate_two_sided
+from .integrate import STOP_UNDERFLOW, GeodesicState, Trace, integrate_two_sided
 from .plane import shear_field, strip_bounds
 from .scenarios import CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime, run_config, run_scenario
 from .surfaces import CATALOG_BUILDERS, embed, mercator_map
@@ -62,9 +62,11 @@ def _cmd_integrate(args) -> int:
         written.append(path)
     for path in written:
         print(path)
+    print(f"stop: {trace.stop_reason}")
     for rep in reports:
         print(f"{rep.name}: {rep.verdict} (max_dev={rep.max_dev:.3e}, std={rep.std:.3e})")
-    return 0 if all(r.passed is not False for r in reports) else REPORT_FAILURE
+    failed = STOP_UNDERFLOW in trace.stop_reason.split("/")
+    return 0 if not failed and all(r.passed is not False for r in reports) else REPORT_FAILURE
 
 
 def _cmd_compare_conformal(args) -> int:

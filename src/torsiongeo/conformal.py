@@ -65,7 +65,6 @@ def conformal_metric(chart: ChartGeometry, sigma: Scalar,
         christoffel_analytic=gamma,
         coord_names=chart.coord_names,
         sample_box=chart.sample_box,
-        fd_scale=chart.fd_scale,
     )
 
 

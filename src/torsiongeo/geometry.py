@@ -33,8 +33,8 @@ ChristoffelComponents = tuple[tuple[float, float, float], tuple[float, float, fl
 FD_SCALE = 1e-6
 
 
-def fd_step(x: float, scale: float = FD_SCALE) -> float:
-    return scale * max(1.0, abs(x))
+def fd_step(x: float) -> float:
+    return FD_SCALE * max(1.0, abs(x))
 
 
 @dataclass
@@ -68,7 +68,6 @@ class ChartGeometry:
     christoffel_analytic: Callable[[float, float], ChristoffelComponents] | None = None
     coord_names: tuple[str, str] = ("u", "v")
     sample_box: tuple[float, float, float, float] | None = None
-    fd_scale: float = FD_SCALE
 
     def contains(self, u: float, v: float) -> bool:
         u0, u1, v0, v1 = self.bounds
@@ -113,8 +112,8 @@ class ChartGeometry:
 
     def christoffel_fd(self, u: float, v: float) -> ChristoffelComponents:
         """Levi-Civita coefficients from central differences of the metric."""
-        hu = fd_step(u, self.fd_scale)
-        hv = fd_step(v, self.fd_scale)
+        hu = fd_step(u)
+        hv = fd_step(v)
         gp = self.metric(u + hu, v)
         gm = self.metric(u - hu, v)
         du_g = ((gp[0] - gm[0]) / (2.0 * hu), (gp[1] - gm[1]) / (2.0 * hu), (gp[2] - gm[2]) / (2.0 * hu))
@@ -202,11 +201,11 @@ def positive_part(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, 0.0)
 
 
-def scalar_partials(scalar: Callable[[float, float], float], u: float, v: float,
-                    scale: float = FD_SCALE) -> tuple[float, float]:
+def scalar_partials(scalar: Callable[[float, float], float],
+                    u: float, v: float) -> tuple[float, float]:
     """Central-difference partial derivatives of a scalar evaluator."""
-    hu = fd_step(u, scale)
-    hv = fd_step(v, scale)
+    hu = fd_step(u)
+    hv = fd_step(v)
     su = (scalar(u + hu, v) - scalar(u - hu, v)) / (2.0 * hu)
     sv = (scalar(u, v + hv) - scalar(u, v - hv)) / (2.0 * hv)
     return su, sv
@@ -225,7 +224,7 @@ def grad(chart: ChartGeometry, scalar: Callable[[float, float], float],
     if partials is not None:
         su, sv = partials(u, v)
     else:
-        su, sv = scalar_partials(scalar, u, v, chart.fd_scale)
+        su, sv = scalar_partials(scalar, u, v)
     i11, i12, i22 = chart.inverse_metric_components(u, v)
     return np.array([i11 * su + i12 * sv, i12 * su + i22 * sv])
 
@@ -306,7 +305,7 @@ class VectorFieldSpec:
             if sigma_grad is not None:
                 su, sv = sigma_grad(u, v)
             else:
-                su, sv = scalar_partials(sigma, u, v, chart.fd_scale)
+                su, sv = scalar_partials(sigma, u, v)
             i11, i12, i22 = chart.inverse_metric_components(u, v)
             return (-(i11 * su + i12 * sv), -(i12 * su + i22 * sv))
 
@@ -319,8 +318,8 @@ def covariant_derivative(chart: ChartGeometry, field: VectorFieldSpec,
     """Levi-Civita covariant derivative (nabla_X V) in chart components."""
     u, v = float(point[0]), float(point[1])
     chart.require_inside(u, v)
-    hu = fd_step(u, chart.fd_scale)
-    hv = fd_step(v, chart.fd_scale)
+    hu = fd_step(u)
+    hv = fd_step(v)
     Vpu = field.components(u + hu, v)
     Vmu = field.components(u - hu, v)
     Vpv = field.components(u, v + hv)

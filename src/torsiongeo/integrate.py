@@ -26,6 +26,7 @@ from .geometry import ChartGeometry, VectorFieldSpec, along, positive_part
 STOP_TIME = "t1"
 STOP_BOUNDARY = "boundary"
 STOP_MAX_STEPS = "max-steps"
+STOP_UNDERFLOW = "underflow"
 
 #: Absolute time tolerance to which a domain-boundary exit is bisected.
 BOUNDARY_TIME_TOL = 1e-9
@@ -106,10 +107,6 @@ class Trace:
     def positions(self) -> np.ndarray:
         return np.column_stack([self.u, self.v])
 
-    def state(self, i: int) -> GeodesicState:
-        return GeodesicState(float(self.t[i]), float(self.u[i]), float(self.v[i]),
-                             float(self.du[i]), float(self.dv[i]))
-
     def index_at(self, t: float) -> int:
         return int(np.argmin(np.abs(self.t - t)))
 
@@ -158,72 +155,66 @@ def geodesic_rhs(chart: ChartGeometry, field: VectorFieldSpec,
     return rhs(state.u, state.v, state.du, state.dv)
 
 
-def _rk4_step(rhs, contains, u, v, du, dv, h):
-    a1, b1 = rhs(u, v, du, dv)
-    u2 = u + 0.5 * h * du
-    v2 = v + 0.5 * h * dv
-    if not contains(u2, v2):
-        raise _BoundaryHit
-    p2 = du + 0.5 * h * a1
-    q2 = dv + 0.5 * h * b1
-    a2, b2 = rhs(u2, v2, p2, q2)
-    u3 = u + 0.5 * h * p2
-    v3 = v + 0.5 * h * q2
-    if not contains(u3, v3):
-        raise _BoundaryHit
-    p3 = du + 0.5 * h * a2
-    q3 = dv + 0.5 * h * b2
-    a3, b3 = rhs(u3, v3, p3, q3)
-    u4 = u + h * p3
-    v4 = v + h * q3
-    if not contains(u4, v4):
-        raise _BoundaryHit
-    p4 = du + h * a3
-    q4 = dv + h * b3
-    a4, b4 = rhs(u4, v4, p4, q4)
-    un = u + h * (du + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
-    vn = v + h * (dv + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
-    if not contains(un, vn):
-        raise _BoundaryHit
-    pn = du + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-    qn = dv + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
-    return un, vn, pn, qn
+def _explicit_rk(a, b, divisor=1.0, err=None):
+    """Compile an explicit Runge-Kutta tableau into one straight-line step.
+
+    ``a`` holds the Butcher matrix rows below the diagonal (the system is
+    autonomous, so the nodes are not needed), ``b`` the weights, each divided
+    by ``divisor``, and ``err`` the optional error-estimate weights.  The
+    step ``(rhs, contains, u, v, du, dv, h)`` returns the new state, paired
+    with the error estimate when ``err`` is given, and raises _BoundaryHit
+    rather than evaluate a stage, or return a result, outside the domain.
+    Zero coefficients are skipped and unit ones dropped; a lone coefficient
+    multiplies h before the slope, one array op instead of two in a sweep.
+    """
+    ks = [("du", "dv", "a1", "b1")]
+
+    def combo(weights, j, den=1.0):
+        terms = [(w, k[j]) for w, k in zip(weights, ks) if w != 0.0]
+        if len(terms) == 1 and den == 1.0:
+            w, k = terms[0]
+            return f"h * {k}" if w == 1.0 else f"{w!r} * h * {k}"
+        total = " + ".join(k if w == 1.0 else f"{w!r} * {k}" for w, k in terms)
+        return f"h * ({total})" + ("" if den == 1.0 else f" / {den!r}")
+
+    def update(names, weights, den=1.0):
+        u, v, p, q = (f"    {n} = {y} + {combo(weights, j, den)}"
+                      for j, (n, y) in enumerate(zip(names, ("u", "v", "du", "dv"))))
+        return [u, v, f"    if not contains({names[0]}, {names[1]}):",
+                "        raise _BoundaryHit", p, q]
+
+    lines = ["def step(rhs, contains, u, v, du, dv, h):", "    a1, b1 = rhs(u, v, du, dv)"]
+    for s, row in enumerate(a, start=2):
+        lines += update((f"u{s}", f"v{s}", f"p{s}", f"q{s}"), row)
+        lines.append(f"    a{s}, b{s} = rhs(u{s}, v{s}, p{s}, q{s})")
+        ks.append((f"p{s}", f"q{s}", f"a{s}", f"b{s}"))
+    lines += update(("un", "vn", "pn", "qn"), b, divisor)
+    if err is None:
+        lines.append("    return un, vn, pn, qn")
+    else:
+        lines += [f"    {n} = {combo(err, j)}" for j, n in enumerate(("eu", "ev", "ep", "eq"))]
+        lines.append("    return (un, vn, pn, qn), (eu, ev, ep, eq)")
+    namespace = {"_BoundaryHit": _BoundaryHit}
+    exec(compile("\n".join(lines) + "\n", "<explicit-rk>", "exec"), namespace)
+    return namespace["step"]
 
 
-# Fehlberg 4(5) tableau.  The 4th-order solution is propagated; the
-# difference to the embedded 5th-order one estimates the local error.
-_F_C = (0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
-_F_A = (
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
+_rk4_step = _explicit_rk(((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)
+
+# Fehlberg 4(5).  The 4th-order solution is propagated; the difference to
+# the embedded 5th-order one estimates the local error.
 _F_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2, 0.0)
 _F_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
-_F_ERR = tuple(b5 - b4 for b4, b5 in zip(_F_B4, _F_B5))
+_rkf45_step = _explicit_rk(
+    ((0.25,),
+     (3.0 / 32.0, 9.0 / 32.0),
+     (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
+     (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
+     (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0)),
+    _F_B4, err=tuple(b5 - b4 for b4, b5 in zip(_F_B4, _F_B5)))
 
 
-def _rkf45_step(rhs, contains, y, h):
-    """One Fehlberg step from the 4-vector y; returns (y4, err_vector)."""
-    ks = []
-    f = rhs(y[0], y[1], y[2], y[3])
-    ks.append((y[2], y[3], f[0], f[1]))
-    for row in _F_A:
-        z = [y[i] + h * sum(a * k[i] for a, k in zip(row, ks)) for i in range(4)]
-        if not contains(z[0], z[1]):
-            raise _BoundaryHit
-        f = rhs(z[0], z[1], z[2], z[3])
-        ks.append((z[2], z[3], f[0], f[1]))
-    y4 = [y[i] + h * sum(b * k[i] for b, k in zip(_F_B4, ks)) for i in range(4)]
-    if not contains(y4[0], y4[1]):
-        raise _BoundaryHit
-    err = [h * sum(e * k[i] for e, k in zip(_F_ERR, ks)) for i in range(4)]
-    return y4, err
-
-
-def _run(march, chart: ChartGeometry, field: VectorFieldSpec,
+def _run(march, method: str, chart: ChartGeometry, field: VectorFieldSpec,
          initial: GeodesicState, settings: IntegratorSettings,
          scenario_id: str | None) -> Trace:
     """Launch checks, time reversal and diagnostics shared by the steppers.
@@ -250,7 +241,8 @@ def _run(march, chart: ChartGeometry, field: VectorFieldSpec,
 
     speed, kappa, g_v = diagnostics(chart.metric, field.components, u, v, du, dv, E)
     return Trace(t=t, u=u, v=v, du=du, dv=dv, speed=speed, kappa=kappa,
-                 g_v=g_v, E=E, chart=chart, field=field, settings=settings,
+                 g_v=g_v, E=E, chart=chart, field=field,
+                 settings=replace(settings, method=method),
                  stop_reason=stop, scenario_id=scenario_id)
 
 
@@ -267,9 +259,10 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
     boundary stop: the offending step is discarded and the exit time is
     refined by bisection to ``BOUNDARY_TIME_TOL``.  A backward span
     (``t1 < t0``) is integrated forward from the negated launch velocity
-    and reflected back.
+    and reflected back.  ``settings.method`` is not read; the trace's
+    settings record ``"rk4"``.
     """
-    return _run(_rk4_march, chart, field, initial, settings, scenario_id)
+    return _run(_rk4_march, "rk4", chart, field, initial, settings, scenario_id)
 
 
 def _rk4_march(rhs, contains, t0, t1, y, settings):
@@ -357,14 +350,18 @@ def diagnostics(metric, comp, u, v, du, dv, E):
 def integrate_adaptive(chart: ChartGeometry, field: VectorFieldSpec,
                        initial: GeodesicState, settings: IntegratorSettings,
                        scenario_id: str | None = None) -> Trace:
-    """Embedded Fehlberg 4(5) integration with per-step error control."""
-    return _run(_rkf45_march, chart, field, initial, settings, scenario_id)
+    """Embedded Fehlberg 4(5) integration with per-step error control.
+
+    Stops like :func:`integrate`, and also with ``underflow`` when the
+    controlled step falls below 1e-14, keeping the samples accepted so far.
+    The trace's settings record ``"rk45"`` whatever ``settings.method`` says.
+    """
+    return _run(_rkf45_march, "rk45", chart, field, initial, settings, scenario_id)
 
 
 def _rkf45_march(rhs, contains, t0, t1, y, settings):
     span = t1 - t0
     t_rel = 0.0
-    y = list(y)
     rows = [(t0, *y)]
     h = min(settings.h, span) if span > 0 else settings.h
     stop = STOP_TIME
@@ -376,12 +373,13 @@ def _rkf45_march(rhs, contains, t0, t1, y, settings):
             stop = STOP_MAX_STEPS
             break
         if h < 1e-14:
-            raise RuntimeError("adaptive step size underflow")
+            stop = STOP_UNDERFLOW
+            break
         h = min(h, span - t_rel)
         try:
-            y_new, err = _rkf45_step(rhs, contains, y, h)
+            y_new, err = _rkf45_step(rhs, contains, *y, h)
         except _BoundaryHit:
-            partial = _bisect_exit(rhs, contains, y[0], y[1], y[2], y[3], h)
+            partial = _bisect_exit(rhs, contains, *y, h)
             if partial is not None:
                 h_part, state = partial
                 t_rel += h_part

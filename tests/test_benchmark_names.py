@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,22 @@ def test_traced_instance_callables_exist(tracer):
 def test_sweep_parameters_the_tracer_reads():
     params = inspect.signature(lib("plane").shooting_sweep).parameters
     assert {"t_max", "h", "both_directions"} <= set(params)
+
+
+@pytest.mark.parametrize("method, stepper", [("rk4", "integrate"),
+                                             ("rk45", "integrate_adaptive")])
+def test_integrate_any_reaches_one_traced_stepper_once(monkeypatch, method, stepper):
+    # the tracer adds a trace's samples in both integrate and
+    # integrate_adaptive, so a dispatch through both would count them twice
+    mod = lib("integrate")
+    calls = Counter()
+    for name in ("integrate", "integrate_adaptive"):
+        def spy(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, spy)
+    mod.integrate_any(lib("geometry").euclidean_plane(), lib("geometry").VectorFieldSpec.zero(),
+                      mod.GeodesicState(0.0, 0.0, 0.0, 1.0, 0.0),
+                      mod.IntegratorSettings(method=method, h=0.1, t1=0.5))
+    assert calls == {stepper: 1}

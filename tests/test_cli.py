@@ -233,3 +233,20 @@ def test_compare_conformal_subcommand(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "half-plane" in out
+
+
+def test_adaptive_underflow_writes_the_partial_trace_and_exits_1(tmp_path, capsys):
+    # the field jumps by 1e12 at x = 1: the Fehlberg step shrinks below its
+    # floor there, and the run stops with the samples it has
+    cfg = {"version": 1, "id": "jump", "chart": "plane",
+           "field": {"f": "1e12*(x//1)", "g": "0"},
+           "integrator": {"method": "rk45", "h": 1e-3},
+           "initial": {"position": [0.9, 0], "velocity": [1, 0.1]}, "span": [0, 1]}
+    path = tmp_path / "jump.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["integrate", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "stop: underflow" in captured.out
+    assert "Traceback" not in captured.err
+    trace = read_trace_csv(tmp_path / "jump.csv")
+    assert 1 < len(trace) and trace.u[-1] < 1.0

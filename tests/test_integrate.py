@@ -5,20 +5,29 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from torsiongeo.audit import uniform_step
+from torsiongeo.audit import Isometry, killing_flow_symmetry, uniform_step
 from torsiongeo.errors import ChartDomainError
 from torsiongeo.geometry import VectorFieldSpec, euclidean_plane
-from torsiongeo.integrate import (GeodesicState, IntegratorSettings, _make_rhs,
-                                  geodesic_rhs, integrate, integrate_adaptive,
-                                  integrate_two_sided, levi_civita_integrate,
-                                  merge_traces)
+from torsiongeo.integrate import (GeodesicState, IntegratorSettings, _BoundaryHit,
+                                  _make_rhs, _rk4_step, _rkf45_step, geodesic_rhs,
+                                  integrate, integrate_adaptive, integrate_two_sided,
+                                  levi_civita_integrate, merge_traces)
 from torsiongeo.plane import winding_field
 from torsiongeo.scenarios import CATALOG, build_runtime, run_scenario
 from torsiongeo.surfaces import make_sphere
 
 
+RUNTIMES = ["plane-zero", "plane-winding", "plane-shear", "halfplane-sigma", "sphere",
+            "pseudosphere", "catenoid"]
+
+
 def settings(t1, h=1e-3, **kw):
     return IntegratorSettings(t0=0.0, t1=t1, h=h, **kw)
+
+
+def state_at(tr, i):
+    return GeodesicState(float(tr.t[i]), float(tr.u[i]), float(tr.v[i]),
+                         float(tr.du[i]), float(tr.dv[i]))
 
 
 def test_straight_line_endpoint():
@@ -72,8 +81,7 @@ def test_rhs_orthogonal_to_velocity(rng):
         assert lc_u * du + g22 * lc_v * dv == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("key", ["plane-zero", "plane-winding", "plane-shear",
-                                 "halfplane-sigma", "sphere", "pseudosphere", "catenoid"])
+@pytest.mark.parametrize("key", RUNTIMES)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
        st.floats(0.01, 10.0))
 @hsettings(max_examples=50, deadline=None)
@@ -85,6 +93,98 @@ def test_rhs_is_exactly_even_in_velocity(key, fu, fv, du, dv, E2):
     u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
     rhs = _make_rhs(rt.chart, rt.field, E2)
     assert rhs(u, v, du, dv) == rhs(u, v, -du, -dv)
+
+
+def oracle_rk4_step(rhs, contains, u, v, du, dv, h):
+    # the hand-written RK4 step the tableau compiler replaced
+    a1, b1 = rhs(u, v, du, dv)
+    u2 = u + 0.5 * h * du
+    v2 = v + 0.5 * h * dv
+    if not contains(u2, v2):
+        raise _BoundaryHit
+    p2 = du + 0.5 * h * a1
+    q2 = dv + 0.5 * h * b1
+    a2, b2 = rhs(u2, v2, p2, q2)
+    u3 = u + 0.5 * h * p2
+    v3 = v + 0.5 * h * q2
+    if not contains(u3, v3):
+        raise _BoundaryHit
+    p3 = du + 0.5 * h * a2
+    q3 = dv + 0.5 * h * b2
+    a3, b3 = rhs(u3, v3, p3, q3)
+    u4 = u + h * p3
+    v4 = v + h * q3
+    if not contains(u4, v4):
+        raise _BoundaryHit
+    p4 = du + h * a3
+    q4 = dv + h * b3
+    a4, b4 = rhs(u4, v4, p4, q4)
+    un = u + h * (du + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
+    vn = v + h * (dv + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
+    if not contains(un, vn):
+        raise _BoundaryHit
+    pn = du + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+    qn = dv + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0
+    return un, vn, pn, qn
+
+
+F_A = (
+    (0.25,),
+    (3.0 / 32.0, 9.0 / 32.0),
+    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
+    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
+    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+)
+F_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2, 0.0)
+F_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
+F_ERR = tuple(b5 - b4 for b4, b5 in zip(F_B4, F_B5))
+
+
+def oracle_rkf45_step(rhs, contains, y, h):
+    # the generic Fehlberg 4(5) loop the tableau compiler replaced
+    ks = []
+    f = rhs(y[0], y[1], y[2], y[3])
+    ks.append((y[2], y[3], f[0], f[1]))
+    for row in F_A:
+        z = [y[i] + h * sum(a * k[i] for a, k in zip(row, ks)) for i in range(4)]
+        if not contains(z[0], z[1]):
+            raise _BoundaryHit
+        f = rhs(z[0], z[1], z[2], z[3])
+        ks.append((z[2], z[3], f[0], f[1]))
+    y4 = [y[i] + h * sum(b * k[i] for b, k in zip(F_B4, ks)) for i in range(4)]
+    if not contains(y4[0], y4[1]):
+        raise _BoundaryHit
+    err = [h * sum(e * k[i] for e, k in zip(F_ERR, ks)) for i in range(4)]
+    return y4, err
+
+
+def bits(call):
+    """The float bits of a step's flattened result, or the exception it raised."""
+    try:
+        out = call()
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+    flat = np.ravel(np.array(out, dtype=object))
+    return [float.hex(float(x)) for x in flat]
+
+
+@pytest.mark.parametrize("key", RUNTIMES)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.floats(0.5, 3.0), st.floats(1e-4, 1.0))
+@hsettings(max_examples=150, deadline=None)
+def test_compiled_kernels_equal_the_hand_written_ones(key, fu, fv, du, dv, E, h):
+    rt = build_runtime(key)
+    u0, u1, v0, v1 = rt.chart.sample_box
+    u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
+    rhs, inside = _make_rhs(rt.chart, rt.field, E * E), rt.chart.contains
+    assert bits(lambda: _rk4_step(rhs, inside, u, v, du, dv, h)) == \
+        bits(lambda: oracle_rk4_step(rhs, inside, u, v, du, dv, h))
+    # The first Fehlberg stage was h * (0.25 * k) and is now 0.25 * h * k.
+    # Scaling by 0.25 is exact unless it lands in the subnormal range, so the
+    # two round differently only for slopes below about 1e-307.
+    if all(x == 0.0 or abs(x) >= 1e-300 for x in (du, dv)):
+        assert bits(lambda: _rkf45_step(rhs, inside, u, v, du, dv, h)) == \
+            bits(lambda: oracle_rkf45_step(rhs, inside, (u, v, du, dv), h))
 
 
 def test_sphere_meridian_rhs_cancels():
@@ -126,7 +226,7 @@ def test_time_reversal_round_trip_by_backward_integration():
     chart = euclidean_plane()
     field = winding_field()
     fwd = integrate(chart, field, GeodesicState(0.0, 0.0, 2.0, 1.0, 0.0), settings(3.0))
-    end = fwd.state(len(fwd) - 1)
+    end = state_at(fwd, len(fwd) - 1)
     back = integrate(chart, field, end,
                      IntegratorSettings(t0=3.0, t1=0.0, h=1e-3))
     # backward traces are stored ascending; the first sample is t = 0
@@ -233,7 +333,7 @@ def test_trace_satisfies_ode_residual(winding_trace):
     dv_spline = CubicSpline(tr.t, tr.dv).derivative()(tr.t)
     worst = 0.0
     for i in range(5, len(tr) - 5):
-        ddu, ddv = geodesic_rhs(tr.chart, tr.field, tr.state(i), tr.E)
+        ddu, ddv = geodesic_rhs(tr.chart, tr.field, state_at(tr, i), tr.E)
         worst = max(worst, abs(du_spline[i] - ddu), abs(dv_spline[i] - ddv))
     assert worst < 1e-5
 
@@ -273,3 +373,23 @@ def test_two_sided_span_contains_zero():
     with pytest.raises(ValueError):
         integrate_two_sided(chart, VectorFieldSpec.zero(),
                             GeodesicState(0.0, 0.0, 0.0, 1.0, 0.0), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("run, asked, ran", [(integrate, "rk45", "rk4"),
+                                             (integrate_adaptive, "rk4", "rk45")])
+def test_trace_records_the_method_that_ran(run, asked, ran):
+    # each stepper ignores settings.method; the trace must name the one
+    # that ran, or a re-integration from its settings lands on another grid
+    tr = run(euclidean_plane(), winding_field(), GeodesicState(0.0, 0.0, 0.0, 1.0, 0.0),
+             IntegratorSettings(method=asked, h=1e-2, t1=2.0))
+    assert tr.settings.method == ran
+    assert killing_flow_symmetry(tr, Isometry.identity()) == 0.0
+
+
+def test_adaptive_underflow_is_a_stop_reason():
+    # the field jumps by 1e12 at x = 1, so no step across it meets the tolerance
+    field = VectorFieldSpec("jump", lambda x, y: (1e12 * (x // 1), 0.0))
+    tr = integrate_adaptive(euclidean_plane(), field, GeodesicState(0.0, 0.9, 0.0, 1.0, 0.1),
+                            settings(1.0))
+    assert tr.stop_reason == "underflow"
+    assert 1 < len(tr) and tr.u[-1] < 1.0
