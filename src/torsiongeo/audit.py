@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import ChartGeometry, VectorFieldSpec, along, positive_part
-from .integrate import (GeodesicState, IntegratorSettings, Trace, diagnostics,
-                        integrate_two_sided)
+from .integrate import GeodesicState, IntegratorSettings, Trace, integrate_two_sided
 
 #: Per-step slack when asserting that a series is non-increasing; absorbs
 #: roundoff without masking genuine violations.
@@ -153,12 +152,12 @@ def curvature_general(trace: Trace, field: VectorFieldSpec | None = None) -> np.
     """Per-sample geodesic curvature sqrt(max(0, |V|^2 - g(V, v)^2 / E^2)).
 
     Nonnegative; vanishes where the velocity is parallel to V, where the
-    curve locally coincides with a classical geodesic.
+    curve locally coincides with a classical geodesic.  This is the trace's
+    own ``kappa`` column, which the integrator computes with this formula;
+    ``field``, when given, must be the trace's field.
     """
-    field = _resolve_field(trace, field)
-    chart = _require_chart(trace)
-    return diagnostics(chart.metric, field.components, trace.u, trace.v,
-                       trace.du, trace.dv, trace.E)[1]
+    _resolve_field(trace, field)
+    return trace.kappa
 
 
 def geodesic_defect(trace: Trace) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,7 @@ def _cmd_integrate(args) -> int:
         written.append(write_trace_csv(trace, out / f"{config.id}.csv"))
     if "json" in formats:
         written.append(write_reports_json(reports, out / f"{config.id}.report.json",
-                                          scenario_id=config.id))
+                                          scenario_id=config.id, trace=trace))
     if "svg" in formats:
         path = out / f"{config.id}.svg"
         path.write_text(plot_traces([trace]))

@@ -117,25 +117,22 @@ def arcsin_invariant(trace: Trace, threshold: float = 1e-6,
 
     values = np.full(len(trace), np.nan)
     live = np.abs(dx) >= BRANCH_SPLIT_TOL
-    signs = np.sign(dx)
-    values[live] = signs[live] * 0.5 * trace.v[live] ** 2 - np.arcsin(dyc[live])
+    branch = np.where(live, np.sign(dx), 0.0)
+    values[live] = branch[live] * 0.5 * trace.v[live] ** 2 - np.arcsin(dyc[live])
 
+    # segments are the runs of one nonzero branch sign; the padding makes
+    # every run, even one at either end, begin and end at a change
+    cuts = np.flatnonzero(np.diff(branch, prepend=0.0, append=0.0)).tolist()
     segments: list[SegmentStat] = []
-    start = None
-    for i in range(len(trace) + 1):
-        boundary = i == len(trace) or not live[i] or (start is not None and signs[i] != signs[start])
-        if start is None:
-            if i < len(trace) and live[i]:
-                start = i
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        if branch[start] == 0.0:
             continue
-        if boundary:
-            seg = values[start:i]
-            segments.append(SegmentStat(
-                start=start, stop=i, sign=int(signs[start]),
-                mean=float(np.mean(seg)), std=float(np.std(seg)),
-                max_dev=float(np.max(np.abs(seg - seg[0]))),
-            ))
-            start = i if (i < len(trace) and live[i]) else None
+        seg = values[start:stop]
+        segments.append(SegmentStat(
+            start=start, stop=stop, sign=int(branch[start]),
+            mean=float(np.mean(seg)), std=float(np.std(seg)),
+            max_dev=float(np.max(np.abs(seg - seg[0]))),
+        ))
 
     max_dev = max((s.max_dev for s in segments), default=math.nan)
     worst_std = max((s.std for s in segments), default=math.nan)
@@ -181,7 +178,13 @@ def strip_bounds(y0: float, dy0: float, dx0: float) -> StripBounds:
     c = s * 0.5 * y0 * y0 - math.asin(max(-1.0, min(1.0, dy0)))
     if dy0 == 0.0:
         return StripBounds(c=c, sign=s, lower=y0, upper=y0)
+    lower, upper = _strip_levels(y0, c, s)
+    return StripBounds(c=c, sign=s, lower=lower, upper=upper)
 
+
+def _strip_levels(y0: float, c: float, s: int) -> tuple[float, float]:
+    """The singular levels y = +/-sqrt(2 s (c + k pi)) nearest below and
+    above y0 (-inf or inf where there is none)."""
     levels: list[float] = []
     k0 = math.ceil(-c / math.pi) if s > 0 else math.floor(-c / math.pi)
     reach = abs(y0) + 1.0
@@ -196,7 +199,7 @@ def strip_bounds(y0: float, dy0: float, dx0: float) -> StripBounds:
             break
     lower = max((lv for lv in levels if lv < y0), default=-math.inf)
     upper = min((lv for lv in levels if lv > y0), default=math.inf)
-    return StripBounds(c=c, sign=s, lower=lower, upper=upper)
+    return lower, upper
 
 
 @dataclass
@@ -225,10 +228,11 @@ def strip_quadrature(y0: float, y: float, c: float, sign: int,
     if y == y0:
         return StripTime(0.0, False)
 
-    bounds = strip_bounds_from_invariant(y0, c, sign)
+    # a launch height on a singular level (y' = 0) has a degenerate strip
+    lower, upper = (y0, y0) if theta(y0) == 0.0 else _strip_levels(y0, c, sign)
     lo, hi = (y0, y) if y > y0 else (y, y0)
-    near = min(abs(y - bounds.lower), abs(y - bounds.upper))
-    if not (bounds.lower < lo and hi < bounds.upper):
+    near = min(abs(y - lower), abs(y - upper))
+    if not (lower < lo and hi < upper):
         if near <= 4.0 * np.finfo(float).eps * max(1.0, abs(y)):
             return StripTime(math.copysign(cap, y - y0), True)
         raise ValueError(
@@ -240,7 +244,7 @@ def strip_quadrature(y0: float, y: float, c: float, sign: int,
 
     # Approach a nearby singular endpoint geometrically so the adaptive
     # rule never straddles the blow-up.
-    target_level = bounds.upper if y > y0 else bounds.lower
+    target_level = upper if y > y0 else lower
     gap = abs(target_level - y)
     width = abs(y - y0)
     total = 0.0
@@ -263,16 +267,6 @@ def strip_quadrature(y0: float, y: float, c: float, sign: int,
     return StripTime(total, False)
 
 
-def strip_bounds_from_invariant(y0: float, c: float, sign: int) -> StripBounds:
-    """Strip bounds from an already-known invariant value."""
-    dy0 = math.sin(sign * 0.5 * y0 * y0 - c)
-    dx0 = float(sign) * math.sqrt(max(0.0, 1.0 - dy0 * dy0))
-    if dy0 == 0.0:
-        # y0 sits on a singular level; treat as degenerate
-        return StripBounds(c=c, sign=sign, lower=y0, upper=y0)
-    return strip_bounds(y0, dy0, dx0)
-
-
 # ---------------------------------------------------------------------------
 # Shooting sweep (vectorized over launch angles)
 # ---------------------------------------------------------------------------
@@ -287,19 +281,18 @@ class SweepResult:
 
 def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720,
                    t_max: float = 50.0, h: float = 2e-3,
-                   field: VectorFieldSpec | None = None,
                    both_directions: bool = True) -> SweepResult:
-    """Integrate unit-speed launches in every direction and record the
-    extreme heights reached; the negative-control evidence that points in
-    disjoint strips cannot be joined by a geodesic arc.
+    """Integrate unit-speed shear-field launches in every direction and
+    record the extreme heights reached; the negative-control evidence that
+    points in disjoint strips cannot be joined by a geodesic arc.
 
     The shared RK4 step advances all angles at once as arrays, with E = 1
-    and no boundary.  The flow is even in the velocity, so the backward
+    and no boundary, on the shear's own equation x'' = y x' x' - y,
+    y'' = y x' y'.  The flow is even in the velocity, so the backward
     half of each geodesic is the forward run from the exactly negated
     launch velocity: with ``both_directions`` those launches join the
     same batch and the two halves' extremes are merged.
     """
-    comp = (field or shear_field()).components
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     dx = np.cos(angles)
     dy = np.sin(angles)
@@ -312,12 +305,8 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     y_hi = y.copy()
 
     def rhs(x, y, dx, dy):
-        f, g = comp(x, y)
-        # adding 0.0 * x broadcasts constant components to the batch
-        f = f + 0.0 * x
-        g = g + 0.0 * x
-        gv = f * dx + g * dy
-        return -f + gv * dx, -g + gv * dy
+        gv = y * dx
+        return gv * dx - y, gv * dy
 
     def everywhere(x, y):
         return True

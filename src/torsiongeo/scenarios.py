@@ -21,7 +21,8 @@ from typing import Callable
 
 from .audit import InvariantReport, conformal_constant, killing_curvature_check, make_report
 from .errors import ConfigError
-from .geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, fd_step, half_plane
+from .geometry import (ChartGeometry, VectorFieldSpec, euclidean_plane, half_plane,
+                       scalar_partials)
 from .integrate import GeodesicState, Trace, integrate_two_sided
 from .plane import arcsin_invariant, flat_invariant, shear_field, winding_field
 from .surfaces import CATALOG_BUILDERS, CatalogSurface, loxodrome_check
@@ -433,10 +434,8 @@ def _resolve_field(sel, chart: ChartGeometry, surface: CatalogSurface | None) ->
         p = compile_expr(sel["p"])
 
         def components(x: float, y: float) -> tuple[float, float]:
-            hy = fd_step(y)
-            hx = fd_step(x)
-            return ((p(x, y + hy) - p(x, y - hy)) / (2.0 * hy),
-                    -(p(x + hx, y) - p(x - hx, y)) / (2.0 * hx))
+            px, py = scalar_partials(p, x, y)
+            return py, -px
 
         return VectorFieldSpec(name="config-p", components=components, flat_potential=p)
     if isinstance(sel, dict) and "f" in sel and "g" in sel:

@@ -25,10 +25,10 @@ from .integrate import Trace
 
 @dataclass
 class RevolutionProfile:
-    """Profile curve evaluators r(s), h(s) with first derivatives.
+    """Profile curve evaluators r(s), h(s) with first derivatives, and r''(s)
+    for the Gauss curvature.
 
     ``natural`` asserts arc-length parametrization, r'^2 + h'^2 = 1.
-    ``d2r`` is optional; curvature falls back to differencing ``dr``.
     """
 
     r: Callable[[float], float]
@@ -36,8 +36,8 @@ class RevolutionProfile:
     h: Callable[[float], float]
     dh: Callable[[float], float]
     s_domain: tuple[float, float]
+    d2r: Callable[[float], float]
     natural: bool = True
-    d2r: Callable[[float], float] | None = None
 
     def natural_residual(self, samples: np.ndarray) -> float:
         """Max |r'^2 + h'^2 - 1| over sample arc lengths."""
@@ -297,14 +297,6 @@ def embed(surface: CatalogSurface, trace: Trace) -> np.ndarray:
 
 def gaussian_curvature(surface: CatalogSurface, s: float) -> float:
     """Gauss curvature -r''/r of a surface of revolution in natural
-    parametrization; r'' is differenced from dr when not supplied."""
+    parametrization."""
     profile = surface.profile
-    if profile.d2r is not None:
-        d2 = profile.d2r(s)
-    else:
-        h = 1e-5 * max(1.0, abs(s))
-        lo, hi = profile.s_domain
-        if not (lo < s - h and s + h < hi):
-            raise ChartDomainError(f"s = {s} too close to the profile domain edge")
-        d2 = (profile.dr(s + h) - profile.dr(s - h)) / (2.0 * h)
-    return -d2 / profile.r(s)
+    return -profile.d2r(s) / profile.r(s)

@@ -53,17 +53,23 @@ def read_trace_csv(path: str | Path) -> Trace:
                  stop_reason="from-csv")
 
 
-def reports_to_json(reports: list[InvariantReport], scenario_id: str | None = None) -> str:
+def reports_to_json(reports: list[InvariantReport], scenario_id: str | None = None,
+                    trace: Trace | None = None) -> str:
+    """The reports as JSON; with ``trace``, also how that run stopped and
+    the method that ran."""
     payload = {
         "scenario": scenario_id,
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed is not False for r in reports),
     }
+    if trace is not None:
+        payload["stop_reason"] = trace.stop_reason
+        payload["method"] = trace.settings.method if trace.settings else None
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_reports_json(reports: list[InvariantReport], path: str | Path,
-                       scenario_id: str | None = None) -> Path:
+                       scenario_id: str | None = None, trace: Trace | None = None) -> Path:
     path = Path(path)
-    path.write_text(reports_to_json(reports, scenario_id))
+    path.write_text(reports_to_json(reports, scenario_id, trace))
     return path

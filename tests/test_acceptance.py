@@ -3,9 +3,28 @@
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 failure output) and asserts the criterion.  Traces are shared through the
 session-scoped context, so the whole module runs at desk scale.
+
+Every check must also print as it does in ``data/suite-checks.txt``, the
+``torsiongeo suite --verbose`` output at seed 0: the acceptance values are
+pinned to their printed precision.  A change that moves a value updates
+that file.
 """
 
+from pathlib import Path
+
 from torsiongeo import suite
+
+PINNED = Path(__file__).parent / "data" / "suite-checks.txt"
+
+
+def _pinned_lines(index):
+    """The summary and check lines of criterion ``index`` in the pinned output."""
+    head = f"criterion {index:02d} "
+    lines = PINNED.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(head))
+    stop = next((i for i in range(start + 1, len(lines))
+                 if lines[i].startswith("criterion ")), len(lines))
+    return lines[start:stop]
 
 
 def _run(criterion, ctx):
@@ -16,6 +35,7 @@ def _run(criterion, ctx):
         print(line)
     failed = [str(c) for c in result.checks if not c.ok]
     assert result.passed, "failed checks:\n" + "\n".join(failed)
+    assert [result.summary(), *result.detail_lines()] == _pinned_lines(result.index)
     return result
 
 

@@ -250,3 +250,6 @@ def test_adaptive_underflow_writes_the_partial_trace_and_exits_1(tmp_path, capsy
     assert "Traceback" not in captured.err
     trace = read_trace_csv(tmp_path / "jump.csv")
     assert 1 < len(trace) and trace.u[-1] < 1.0
+    report = json.loads((tmp_path / "jump.report.json").read_text())
+    assert report["stop_reason"] == "underflow"
+    assert report["method"] == "rk45"

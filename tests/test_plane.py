@@ -5,7 +5,7 @@ import pytest
 
 from torsiongeo.geometry import euclidean_plane
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, integrate_two_sided
-from torsiongeo.plane import (arcsin_invariant,
+from torsiongeo.plane import (BRANCH_SPLIT_TOL, arcsin_invariant,
                               constant_field, flat_invariant, plane_curvature,
                               shear_field, shooting_sweep, strip_bounds,
                               strip_quadrature, winding_field)
@@ -117,6 +117,9 @@ def test_horizontal_line_is_geodesic_with_degenerate_strip():
     sb = strip_bounds(2.0, 0.0, 1.0)
     assert sb.degenerate
     assert sb.lower == sb.upper == 2.0
+    # the launch height is a singular level of the quadrature
+    with pytest.raises(ValueError):
+        strip_quadrature(2.0, 2.5, sb.c, sb.sign)
     rep = arcsin_invariant(tr)
     assert rep.std == 0.0
     assert all(seg.std == 0.0 for seg in rep.segments)
@@ -142,6 +145,57 @@ def test_arcsin_invariant_steep_scenario_single_branch():
     assert rep.passed
     assert len(rep.segments) == 1
     assert rep.segments[0].sign == -1
+
+
+def _segments_by_sample_loop(values, dx):
+    """The former per-sample scan for branch segments, kept as the oracle."""
+    live = np.abs(dx) >= BRANCH_SPLIT_TOL
+    signs = np.sign(dx)
+    segments = []
+    start = None
+    for i in range(len(dx) + 1):
+        boundary = i == len(dx) or not live[i] or (start is not None and signs[i] != signs[start])
+        if start is None:
+            if i < len(dx) and live[i]:
+                start = i
+            continue
+        if boundary:
+            seg = values[start:i]
+            segments.append((start, i, int(signs[start]), float(np.mean(seg)),
+                             float(np.std(seg)), float(np.max(np.abs(seg - seg[0])))))
+            start = i if (i < len(dx) and live[i]) else None
+    return segments
+
+
+def test_arcsin_segments_equal_the_sample_loop(shear_trace):
+    from dataclasses import replace
+
+    from hypothesis import example, given, settings as hsettings, strategies as st
+
+    small = st.floats(-BRANCH_SPLIT_TOL, BRANCH_SPLIT_TOL, exclude_min=True, exclude_max=True)
+    dx_value = st.one_of(st.floats(-1.0, 1.0), small, st.just(math.nan),
+                         st.just(0.0), st.just(-0.0), st.sampled_from([-1.0, 1.0]))
+
+    @given(st.lists(dx_value, max_size=60), st.integers(0, 2 ** 32 - 1))
+    @example([], 0)
+    @hsettings(max_examples=300, deadline=None)
+    def run(dx_list, seed):
+        n = len(dx_list)
+        rng = np.random.default_rng(seed)
+        dx = np.array(dx_list, dtype=float)
+        tr = replace(shear_trace, t=np.arange(n, dtype=float), u=np.zeros(n),
+                     v=rng.normal(size=n), du=dx, dv=rng.uniform(-1.0, 1.0, size=n))
+        rep = arcsin_invariant(tr)
+        live = np.abs(dx) >= BRANCH_SPLIT_TOL
+        values = np.full(n, np.nan)
+        values[live] = np.sign(dx)[live] * 0.5 * tr.v[live] ** 2 - np.arcsin(tr.dv[live])
+        assert rep.values.tobytes() == values.tobytes()
+        got = [(s.start, s.stop, s.sign, s.mean, s.std, s.max_dev) for s in rep.segments]
+        want = _segments_by_sample_loop(rep.values, dx)
+        assert [s[:3] for s in got] == [s[:3] for s in want]
+        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+    run()
 
 
 def test_arcsin_invariant_rejects_superluminal_series(shear_trace):
@@ -319,11 +373,12 @@ def _hand_written_sweep(origin, n_angles, t_max, h, both_directions):
     return y_lo, y_hi
 
 
-@pytest.mark.parametrize("n_angles", [64, 65])
+@pytest.mark.parametrize("origin, n_angles", [((1.0, 1.0), 64), ((1.0, 1.0), 65),
+                                              ((0.3, -2.0), 37)])
 @pytest.mark.parametrize("both_directions", [True, False])
-def test_sweep_matches_hand_written_rk4_bitwise(n_angles, both_directions):
-    sweep = shooting_sweep(origin=(1.0, 1.0), n_angles=n_angles, t_max=20.0, h=2e-3,
+def test_sweep_matches_hand_written_rk4_bitwise(origin, n_angles, both_directions):
+    sweep = shooting_sweep(origin=origin, n_angles=n_angles, t_max=20.0, h=2e-3,
                            both_directions=both_directions)
-    y_lo, y_hi = _hand_written_sweep((1.0, 1.0), n_angles, 20.0, 2e-3, both_directions)
+    y_lo, y_hi = _hand_written_sweep(origin, n_angles, 20.0, 2e-3, both_directions)
     assert sweep.y_min.tobytes() == y_lo.tobytes()
     assert sweep.y_max.tobytes() == y_hi.tobytes()

@@ -266,6 +266,6 @@ def test_surface_rejects_non_natural_profile():
 
     profile = RevolutionProfile(
         r=lambda s: 2.0, dr=lambda s: 0.0, h=lambda s: 2.0 * s,
-        dh=lambda s: 2.0, s_domain=(0.0, 1.0), natural=False)
+        dh=lambda s: 2.0, s_domain=(0.0, 1.0), d2r=lambda s: 0.0, natural=False)
     with pytest.raises(ValueError):
         _surface("cylinder", profile, lambda s: 0.5 * s, lambda y: 2.0 * y)

@@ -90,6 +90,15 @@ def test_report_json_schema(tmp_path):
         assert {"name", "max_dev", "std", "verdict"} <= set(rep)
 
 
+def test_report_json_records_the_run_only_when_given_the_trace():
+    tr = run_scenario(CATALOG["plane-winding-center"], span=(-1.0, 1.0))
+    reports = [make_report("dummy", tr.t, tr.speed, threshold=1e-5)]
+    bare = json.loads(reports_to_json(reports, scenario_id="x"))
+    assert set(bare) == {"scenario", "reports", "all_passed"}
+    full = json.loads(reports_to_json(reports, scenario_id="x", trace=tr))
+    assert full == {**bare, "stop_reason": tr.stop_reason, "method": "rk4"}
+
+
 def test_failed_report_marks_payload():
     tr = run_scenario(CATALOG["plane-winding-center"], span=(-1.0, 1.0))
     rep = make_report("too-strict", tr.t, tr.u, threshold=1e-30)
