@@ -18,12 +18,12 @@ import numpy as np
 from . import algebra, suite
 from .errors import ConfigError
 from .geometry import euclidean_plane
-from .integrate import STOP_UNDERFLOW, GeodesicState, Trace, integrate_two_sided
+from .integrate import GeodesicState, Trace, integrate_two_sided
 from .plane import shear_field, strip_bounds
 from .scenarios import CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime, run_config, run_scenario
 from .surfaces import CATALOG_BUILDERS, embed, mercator_map
 from .svgplot import plot_traces, project_orthographic, render_svg, trace_curves
-from .traceio import read_trace_csv, write_reports_json, write_trace_csv
+from .traceio import all_passed, read_trace_csv, write_reports_json, write_trace_csv
 
 USAGE_ERROR = 2
 REPORT_FAILURE = 1
@@ -65,8 +65,7 @@ def _cmd_integrate(args) -> int:
     print(f"stop: {trace.stop_reason}")
     for rep in reports:
         print(f"{rep.name}: {rep.verdict} (max_dev={rep.max_dev:.3e}, std={rep.std:.3e})")
-    failed = STOP_UNDERFLOW in trace.stop_reason.split("/")
-    return 0 if not failed and all(r.passed is not False for r in reports) else REPORT_FAILURE
+    return 0 if all_passed(reports, trace) else REPORT_FAILURE
 
 
 def _cmd_compare_conformal(args) -> int:

@@ -178,13 +178,19 @@ def strip_bounds(y0: float, dy0: float, dx0: float) -> StripBounds:
     c = s * 0.5 * y0 * y0 - math.asin(max(-1.0, min(1.0, dy0)))
     if dy0 == 0.0:
         return StripBounds(c=c, sign=s, lower=y0, upper=y0)
-    lower, upper = _strip_levels(y0, c, s)
+    lower, upper = _strip_levels(y0, c, s, -math.asin(dy0) * s * y0)
     return StripBounds(c=c, sign=s, lower=lower, upper=upper)
 
 
-def _strip_levels(y0: float, c: float, s: int) -> tuple[float, float]:
+def _strip_levels(y0: float, c: float, s: int, side: float) -> tuple[float, float]:
     """The singular levels y = +/-sqrt(2 s (c + k pi)) nearest below and
-    above y0 (-inf or inf where there is none)."""
+    above y0 (-inf or inf where there is none).
+
+    A level that rounds onto y0 lies above it if ``side`` > 0 and below
+    if ``side`` < 0.  Near y0, theta(y) = s y^2/2 - c is about
+    theta(y0) + s y0 (y - y0), so its zero lies on the side of
+    -theta(y0) s y0.
+    """
     levels: list[float] = []
     k0 = math.ceil(-c / math.pi) if s > 0 else math.floor(-c / math.pi)
     reach = abs(y0) + 1.0
@@ -197,8 +203,10 @@ def _strip_levels(y0: float, c: float, s: int) -> tuple[float, float]:
         levels.extend([m, -m] if m > 0.0 else [0.0])
         if m > reach:
             break
-    lower = max((lv for lv in levels if lv < y0), default=-math.inf)
-    upper = min((lv for lv in levels if lv > y0), default=math.inf)
+    lower = max((lv for lv in levels if lv < y0 or (lv == y0 and side < 0.0)),
+                default=-math.inf)
+    upper = min((lv for lv in levels if lv > y0 or (lv == y0 and side > 0.0)),
+                default=math.inf)
     return lower, upper
 
 
@@ -229,7 +237,8 @@ def strip_quadrature(y0: float, y: float, c: float, sign: int,
         return StripTime(0.0, False)
 
     # a launch height on a singular level (y' = 0) has a degenerate strip
-    lower, upper = (y0, y0) if theta(y0) == 0.0 else _strip_levels(y0, c, sign)
+    lower, upper = ((y0, y0) if theta(y0) == 0.0
+                    else _strip_levels(y0, c, sign, -theta(y0) * sign * y0))
     lo, hi = (y0, y) if y > y0 else (y, y0)
     near = min(abs(y - lower), abs(y - upper))
     if not (lower < lo and hi < upper):

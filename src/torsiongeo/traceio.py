@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import InvariantReport
-from .integrate import Trace
+from .integrate import STOP_UNDERFLOW, Trace
 
 CSV_COLUMNS = ("t", "u", "v", "du", "dv", "speed", "kappa", "gV")
 
@@ -53,6 +53,15 @@ def read_trace_csv(path: str | Path) -> Trace:
                  stop_reason="from-csv")
 
 
+def all_passed(reports: list[InvariantReport], trace: Trace | None = None) -> bool:
+    """No report failed and, given ``trace``, that run did not stop on step
+    underflow; the report JSON's ``all_passed`` and the exit code of
+    ``torsiongeo integrate`` both read this."""
+    if trace is not None and STOP_UNDERFLOW in trace.stop_reason.split("/"):
+        return False
+    return all(r.passed is not False for r in reports)
+
+
 def reports_to_json(reports: list[InvariantReport], scenario_id: str | None = None,
                     trace: Trace | None = None) -> str:
     """The reports as JSON; with ``trace``, also how that run stopped and
@@ -60,7 +69,7 @@ def reports_to_json(reports: list[InvariantReport], scenario_id: str | None = No
     payload = {
         "scenario": scenario_id,
         "reports": [r.to_dict() for r in reports],
-        "all_passed": all(r.passed is not False for r in reports),
+        "all_passed": all_passed(reports, trace),
     }
     if trace is not None:
         payload["stop_reason"] = trace.stop_reason

@@ -128,6 +128,32 @@ def test_expression_failures_exit_2(f, position, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("src, position", [
+    ("-" * 100000 + "x", [0.0, 0.0]),
+    ("1" + "+1" * 200000, [0.0, 0.0]),
+    ("1 + sqrt(y)", [0.5, 0.0]),
+    ("1 + sin(x, y)", [0.5, 0.0]),
+    ("x + sin()", [0.5, 0.0]),
+], ids=["deep-unary", "long-sum", "derivative-fails", "arity", "no-arguments"])
+@pytest.mark.parametrize("chart, field", [
+    ("plane", {"p": "SRC"}),
+    ("plane", {"sigma": "SRC"}),
+    ({"metric": {"g11": "SRC", "g22": "1"}}, "zero"),
+], ids=["p", "sigma", "metric"])
+def test_differentiated_expression_failures_exit_2(src, position, chart, field, tmp_path,
+                                                   capsys):
+    cfg = json.loads(json.dumps(dict(CONFIG, id="bad-derivative", chart=chart, field=field,
+                                     initial={"position": position, "velocity": [1.0, 0.0]}))
+                     .replace('"SRC"', json.dumps(src)))
+    path = tmp_path / "bad-derivative.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["integrate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if len(src) < 60:  # failed during the run: the message names the expression and the point
+        assert repr(src) in err and f"({position[0]!r}, {position[1]!r})" in err
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(torsiongeo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -253,3 +279,5 @@ def test_adaptive_underflow_writes_the_partial_trace_and_exits_1(tmp_path, capsy
     report = json.loads((tmp_path / "jump.report.json").read_text())
     assert report["stop_reason"] == "underflow"
     assert report["method"] == "rk45"
+    # the report JSON and the exit code tell the same story
+    assert report["all_passed"] is False

@@ -298,6 +298,18 @@ def test_strip_bounds_bracket_and_are_levels_for_random_launches():
     run()
 
 
+@pytest.mark.parametrize("y0, dy0, dx0, lower, upper", [
+    # y' = sin(pi) = 1.2e-16: the level sqrt(2|c|) = 1 + 1e-16 rounds onto y0
+    (1.0, math.sin(math.pi), math.cos(math.pi), -1.0, 1.0),
+    (-1.0, math.sin(math.pi), math.cos(math.pi), -1.0, 1.0),
+    (1.0, -math.sin(math.pi), math.cos(math.pi), 1.0 - 2.0 ** -53, 2.698737724785346),
+])
+def test_strip_bounds_keep_a_level_that_rounds_onto_the_launch_height(y0, dy0, dx0,
+                                                                       lower, upper):
+    sb = strip_bounds(y0, dy0, dx0)
+    assert (sb.lower, sb.upper) == (lower, upper)
+
+
 def test_shooting_sweep_stays_out_of_disjoint_strip():
     sweep = shooting_sweep(origin=(1.0, 1.0), n_angles=36, t_max=5.0, h=2e-3)
     assert sweep.y_max.shape == (36,)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torsiongeo import geometry
 from torsiongeo.audit import uniform_step
-from torsiongeo.errors import ConfigError
-from torsiongeo.geometry import norm
-from torsiongeo.scenarios import (_SAFE_NAMES, CATALOG, CATALOG_IDS, ScenarioConfig,
+from torsiongeo.errors import ConfigError, MetricDegeneracyError
+from torsiongeo.geometry import ChartGeometry, norm
+from torsiongeo.scenarios import (_SAFE_NAMES, CATALOG, CATALOG_IDS, ScenarioConfig, _compile,
                                   build_runtime, compile_expr, run_config, run_scenario)
 
 
@@ -150,6 +152,222 @@ def test_compiled_expr_matches_eval_bitwise(src, a, b):
             fn(a, b)
         return
     assert struct.pack("<d", fn(a, b)) == struct.pack("<d", want)
+
+
+def _partials(src: str):
+    """(value, d/dx, d/dy) of an expression from the exact derivative compiler."""
+    return _compile((src,), "return (v0, v0x, v0y)")[0]
+
+
+def _central(fn, a: float, b: float, axis: int, h: float) -> tuple[float, float]:
+    """The central difference of fn along one axis, and the forward minus
+    the backward difference, about h f'' where fn is smooth."""
+    def at(t):
+        return fn(a + t, b) if axis == 0 else fn(a, b + t)
+    lo, mid, hi = at(-h), at(0.0), at(h)
+    return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / h
+
+
+# Central differences see features no wider than their step only as noise,
+# so some inputs are left out.  a // b and a % b: near a dense staircase of
+# jumps a difference reads the staircase's mean slope at every step size
+# (test_exact_partials_match_sympy checks their rules).  Coordinates within
+# 1e-3 of 0 but not 0: at x = 1e-247, x**1e-50 has slope 1e196, which no
+# difference step of a safe size resolves.  Constants within 1e-3 of 0 but
+# not 0: x / 2e-311 overflows to inf inside atan2(x, x / 2e-311), whose
+# value stays finite while its partials read inf - inf.
+def _away_from_zero(lo: float, hi: float):
+    return st.floats(lo, hi).filter(lambda t: t == 0.0 or abs(t) >= 1e-3)
+
+
+_COORDINATES = _away_from_zero(-10.0, 10.0)
+_SMOOTH_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "u", "v", "pi", "e", "tau"]),
+    st.integers(0, 9).map(str),
+    _away_from_zero(-1e3, 1e3).map(repr),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=st.recursive(_SMOOTH_LEAVES, _grow, max_leaves=8).filter(
+           lambda s: " // " not in s and " % " not in s),
+       a=_COORDINATES, b=_COORDINATES)
+def test_exact_partials_match_central_differences(src, a, b):
+    fn, exact = compile_expr(src), _partials(src)
+    for axis in (0, 1):
+        h = 1e-4 * max(1.0, abs((a, b)[axis]))
+        try:
+            wide, wide_gap = _central(fn, a, b, axis, h)
+            fine, fine_gap = _central(fn, a, b, axis, 0.5 * h)
+            size = max(abs(fn(a, b)), abs(fn(a + h, b)), abs(fn(a, b + h)))
+        except ConfigError:
+            continue
+        scale = 1.0 + abs(fine)
+        # well conditioned: both steps agree, the one-sided gap halves with
+        # the step (no jump or kink within reach), and roundoff is small
+        if not (math.isfinite(wide) and math.isfinite(fine) and math.isfinite(size)
+                and abs(wide - fine) <= 1e-6 * scale
+                and abs(fine_gap - 0.5 * wide_gap) <= 1e-6 * scale
+                and 1e-15 * size / h <= 1e-8 * scale):
+            continue
+        try:
+            value, *grad = exact(a, b)
+        except ConfigError as exc:
+            # the value is defined here, so only a partial may fail, at a
+            # point where its rule has no value (such as d sqrt(t) at t = 0)
+            assert str(exc).startswith("derivative of expression")
+            continue
+        assert struct.pack("<d", value) == struct.pack("<d", fn(a, b))
+        assert abs(grad[axis] - fine) <= 1e-5 * scale, (src, axis, grad[axis], fine)
+
+
+class _PiecewiseOps(ast.NodeTransformer):
+    """a // b and a % b as calls, so sympy applies the piecewise rules."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        name = {ast.FloorDiv: "floordiv", ast.Mod: "mod"}.get(type(node.op))
+        if name is None:
+            return node
+        return ast.Call(ast.Name(name, ast.Load()), [node.left, node.right], [])
+
+
+def _sympy_partials(src: str, a: float, b: float) -> tuple[float, float]:
+    sympy = pytest.importorskip("sympy")
+
+    class _floor(sympy.Function):
+        """floor with the piecewise rule the compiler uses: derivative 0."""
+
+        @classmethod
+        def eval(cls, arg):
+            if arg.is_Number:
+                return sympy.floor(arg)
+
+        def fdiff(self, argindex=1):
+            return sympy.S.Zero
+
+    x, y = sympy.symbols("x y", real=True)
+    names = {name: getattr(sympy, name) for name in
+             ("sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh",
+              "tanh", "asinh", "acosh", "atanh", "exp", "log", "sqrt", "pi", "E")}
+    names.update(x=x, y=y, u=x, v=y, e=sympy.E, tau=2 * sympy.pi, abs=sympy.Abs,
+                 log2=lambda t: sympy.log(t, 2), log10=lambda t: sympy.log(t, 10),
+                 hypot=lambda *ts: sympy.sqrt(sum(t * t for t in ts)),
+                 floordiv=lambda p, q: _floor(p / q),
+                 mod=lambda p, q: p - q * _floor(p / q))
+    tree = ast.fix_missing_locations(_PiecewiseOps().visit(ast.parse(src, mode="eval")))
+    expr = eval(compile(tree, "<rule>", "eval"), {"__builtins__": {}}, names)
+    point = {x: sympy.Float(a, 30), y: sympy.Float(b, 30)}
+    return tuple(float(sympy.diff(expr, s).subs(point).evalf(30)) for s in (x, y))
+
+
+# every rule of the grammar, each on arguments that vary along both axes
+_RULE_CASES = [
+    "x + y", "x - y", "x * y", "x / y", "x // y", "(x*y) // y", "x % y", "(x*y) % (x + y)",
+    "-(x*y)", "+(x*y)", "(x*y)**3", "(x + y)**2.5", "2**(x*y)", "e**(x - y)", "(x*y)**(x + y)",
+    "(x - 1.3)**0", "x**y", "sin(x*y)", "cos(x*y)", "tan(x*y)", "asin(x*y/4)", "acos(x*y/4)",
+    "atan(x*y)", "atan2(x*y, x + y)", "sinh(x*y)", "cosh(x*y)", "tanh(x*y)", "asinh(x*y)",
+    "acosh(1 + x*y)", "atanh(x*y/4)", "exp(x*y)", "log(x*y)", "log(x*y, x + y)", "log(x*y, 3)",
+    "log2(x*y)", "log10(x*y)", "sqrt(x*y)", "hypot(x*y)", "hypot(x, y)", "hypot(x, y, x*y, 2)",
+    "abs(x - y)", "abs(y - x)", "abs(x*y - 0.91)", "u*v + pi*tau",
+]
+
+
+@pytest.mark.parametrize("src", _RULE_CASES)
+def test_exact_partials_match_sympy(src):
+    a, b = 1.3, 0.7
+    _, *grad = _partials(src)(a, b)
+    for got, want in zip(grad, _sympy_partials(src, a, b)):
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (src, got, want)
+
+
+def test_partials_that_fail_name_the_expression_and_the_point():
+    with pytest.raises(ConfigError) as info:
+        _partials("sqrt(y)")(2.0, 0.0)
+    message = str(info.value)
+    assert message.startswith("derivative of expression 'sqrt(y)' failed at (x, y) = (2.0, 0.0)")
+    assert "ZeroDivisionError" in message
+    with pytest.raises(ConfigError, match=r"expression 'sin\(x, y\)' failed at \(x, y\) = "
+                                          r"\(1.0, 2.0\): TypeError"):
+        _partials("sin(x, y)")(1.0, 2.0)
+    with pytest.raises(ConfigError, match=r"^expression 'x \+ sin\(\)' failed at \(x, y\) = "
+                                          r"\(1.0, 2.0\): TypeError"):
+        _partials("x + sin()")(1.0, 2.0)
+    # one function of several expressions names the one that fails
+    metric, = _compile(("1 + x*x", "log(x)", "1 + sqrt(y)"), "return (v0x, v1x, v2y)")
+    with pytest.raises(ConfigError, match=r"^expression 'log\(x\)' failed at \(x, y\) = "
+                                          r"\(-1.0, 0.0\): ValueError"):
+        metric(-1.0, 0.0)
+    with pytest.raises(ConfigError, match=r"^derivative of expression '1 \+ sqrt\(y\)' "
+                                          r"failed at \(x, y\) = \(1.0, 0.0\)"):
+        metric(1.0, 0.0)
+    for src in ("-" * 100000 + "x", "1" + "+1" * 200000):
+        with pytest.raises(ConfigError):
+            _partials(src)
+
+
+def test_partials_of_calls_without_arguments_and_of_wide_and_deep_trees():
+    assert _partials("x + hypot()")(1.0, 2.0) == (1.0, 1.0, 0.0)
+    # one statement per operation: no nesting limit of Python's tokenizer
+    # and no Python recursion over the terms of a wide hypot
+    deep = "(" * 199 + "x*y" + ")" * 199
+    assert _partials(deep)(3.0, 2.0) == (6.0, 2.0, 3.0)
+    assert compile_expr(deep)(3.0, 2.0) == 6.0
+    wide = "hypot(" + "x*y, " * 1000 + "x)"
+    value, dx, dy = _partials(wide)(1.0, 2.0)
+    assert value == compile_expr(wide)(1.0, 2.0)
+    assert math.isclose(dx, 4001.0 / value, rel_tol=1e-12)
+    assert math.isclose(dy, 2000.0 / value, rel_tol=1e-12)
+
+
+def test_one_module_shares_the_values_between_its_functions():
+    value, grad = _compile(("x*log(y)",), "return v0", "return (v0x, v0y)")
+    assert value(3.0, 1.0) == 0.0 and grad(3.0, 1.0) == (0.0, 3.0)
+    # the gradient evaluates the value first, and a failure there is the value's
+    with pytest.raises(ConfigError, match=r"^expression 'x\*log\(y\)' failed"):
+        grad(3.0, -1.0)
+
+
+_NON_DIAGONAL = {"metric": {"g11": "2 + sin(x*y)", "g12": "0.3*cos(x - y)",
+                            "g22": "1 + x*x/(1 + y*y)"}, "name": "tilted"}
+
+
+def test_inline_metric_christoffels_match_central_differences():
+    chart = ScenarioConfig.from_dict({
+        "version": 1, "id": "tilted", "chart": _NON_DIAGONAL,
+        "initial": {"position": [0.0, 0.0], "velocity": [1.0, 0.0]}}).runtime.chart
+    assert chart.metric(0.4, -1.1) == (2.0 + math.sin(0.4 * -1.1), 0.3 * math.cos(0.4 + 1.1),
+                                       1.0 + 0.4 * 0.4 / (1.0 + 1.1 * 1.1))
+    for u in np.linspace(-2.0, 2.0, 5):
+        for v in np.linspace(-2.0, 2.0, 5):
+            exact = np.array(chart.christoffel_analytic(u, v))
+            assert np.max(np.abs(exact - np.array(chart.christoffel_fd(u, v)))) < 1e-7
+    flat = ScenarioConfig.from_dict({
+        "version": 1, "id": "flat", "chart": {"metric": {"g11": "x", "g22": "1"}},
+        "initial": {"position": [1.0, 0.0], "velocity": [1.0, 0.0]}}).runtime.chart
+    for gamma in (flat.christoffel_analytic, flat.christoffel_fd):
+        with pytest.raises(MetricDegeneracyError,
+                           match=r"chart 'inline' is not positive definite at \(-1.0, 0.5\)"):
+            gamma(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("chart, field", [
+    ("plane", {"p": "0.3*(x*x + y*y) - 0.2*x*y"}),
+    ("half-plane", {"sigma": "-0.8*log(y)"}),
+    ({"metric": {"g11": "1/(y*y)", "g22": "1/(y*y)"}, "bounds": [-1e3, 1e3, 0.2, 1e3]}, "zero"),
+    (_NON_DIAGONAL, {"sigma": "0.1*x*y"}),
+], ids=["p", "sigma", "metric", "metric-sigma"])
+def test_config_derivatives_take_no_finite_differences(monkeypatch, chart, field):
+    def forbidden(*args):
+        raise AssertionError("a config derivative took finite differences")
+
+    monkeypatch.setattr(ChartGeometry, "christoffel_fd", forbidden)
+    monkeypatch.setattr(geometry, "scalar_partials", forbidden)
+    cfg = {"version": 1, "id": "exact", "chart": chart, "field": field,
+           "initial": {"position": [0.3, 1.2], "velocity": [0.6, 0.8]},
+           "span": [-0.5, 0.5], "reports": ["speed"]}
+    trace, reports = run_config(ScenarioConfig.from_dict(cfg))
+    assert len(trace) == 1001 and reports[0].passed
 
 
 def test_config_round_trip(tmp_path):
