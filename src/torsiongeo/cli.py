@@ -17,9 +17,8 @@ import numpy as np
 
 from . import algebra, suite
 from .errors import ConfigError
-from .geometry import euclidean_plane
 from .integrate import GeodesicState, Trace, integrate_two_sided
-from .plane import shear_field, strip_bounds
+from .plane import strip_bounds
 from .scenarios import CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime, run_config, run_scenario
 from .surfaces import CATALOG_BUILDERS, embed, mercator_map
 from .svgplot import plot_traces, project_orthographic, render_svg, trace_curves
@@ -139,8 +138,8 @@ def _cmd_strip_bounds(args) -> int:
           + ("  [degenerate line]" if sb.degenerate else ""))
     if args.verify:
         launch = GeodesicState(0.0, args.x0, args.y0, args.vx / speed, args.vy / speed)
-        tr = integrate_two_sided(euclidean_plane(), shear_field(), launch,
-                                 -args.t_max, args.t_max, h=2e-3)
+        rt = build_runtime("plane-shear")
+        tr = integrate_two_sided(rt.chart, rt.field, launch, -args.t_max, args.t_max, h=2e-3)
         lo, hi = float(tr.v.min()), float(tr.v.max())
         ok = lo >= sb.lower - 1e-3 and hi <= sb.upper + 1e-3
         print(f"integrated height range over |t| <= {args.t_max:g}: ({lo:.6g}, {hi:.6g})")

@@ -8,19 +8,21 @@ Metric evaluators return the three independent components (g11, g12, g22)
 of the symmetric matrix; ``metric_matrix`` assembles the 2x2 array when a
 dense form is needed.  Christoffel symbols come either from an analytic
 evaluator supplied at construction or from central differences of the
-metric.
+metric.  A chart and a field described by expression sources are compiled
+together by :func:`compile_runtime`, with exact derivatives throughout.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ChartDomainError, MetricDegeneracyError
+from .expr import _ACCELERATION, _CHRISTOFFEL, _FIELDS, _INVERSE, _compile
 
 MetricComponents = tuple[float, float, float]
 VectorComponents = tuple[float, float]
@@ -54,12 +56,14 @@ class ChartGeometry:
     bounds:
         ``(u_min, u_max, v_min, v_max)``; entries may be infinite.
     christoffel_analytic:
-        Optional ``(u, v) -> ((G^u_uu, G^u_uv, G^u_vv), (G^v_uu, ...))``.
-        Must agree with central differences of the metric; see
-        :func:`check_christoffel_consistency`.
+        Optional ``(u, v) -> ((G^u_uu, G^u_uv, G^u_vv), (G^v_uu, ...))``,
+        which must agree with central differences of the metric.
     sample_box:
         Finite box used for sampled validation when ``bounds`` has infinite
         sides.
+    source:
+        The :class:`ChartSource` a compiled chart was built from, so that
+        it can be compiled again with another field.
     """
 
     name: str
@@ -68,6 +72,7 @@ class ChartGeometry:
     christoffel_analytic: Callable[[float, float], ChristoffelComponents] | None = None
     coord_names: tuple[str, str] = ("u", "v")
     sample_box: tuple[float, float, float, float] | None = None
+    source: ChartSource | None = None
 
     def contains(self, u: float, v: float) -> bool:
         u0, u1, v0, v1 = self.bounds
@@ -241,29 +246,6 @@ class OrthoFrame:
     e1: Callable[[float, float], VectorComponents]
     e2: Callable[[float, float], VectorComponents]
 
-    @classmethod
-    def gram_schmidt(cls, chart: ChartGeometry) -> "OrthoFrame":
-        """Orthonormalize the coordinate frame (du first, then dv)."""
-
-        def e1(u: float, v: float) -> VectorComponents:
-            g11, _, _ = chart.metric(u, v)
-            return (1.0 / math.sqrt(g11), 0.0)
-
-        def e2(u: float, v: float) -> VectorComponents:
-            g11, g12, g22 = chart.metric(u, v)
-            # dv minus its projection on du, normalized
-            a = -g12 / g11
-            nrm = math.sqrt(g22 + 2.0 * a * g12 + a * a * g11)
-            return (a / nrm, 1.0 / nrm)
-
-        return cls(e1, e2)
-
-    def matrix(self, u: float, v: float) -> np.ndarray:
-        """Frame vectors as columns of a 2x2 array."""
-        c1 = self.e1(u, v)
-        c2 = self.e2(u, v)
-        return np.array([[c1[0], c2[0]], [c1[1], c2[1]]])
-
 
 # ---------------------------------------------------------------------------
 # Vector fields
@@ -278,6 +260,8 @@ class VectorFieldSpec:
     declares the plane relation (V_u, V_v) = (d_y p, -d_x p).  Both are
     assertions by the scenario author, verified numerically by the checks
     below.  ``killing`` flags fields whose flow consists of isometries.
+    ``fused`` pairs the chart this field was compiled with and the factory
+    ``E2 -> rhs(u, v, du, dv)`` of their fused geodesic RHS.
     """
 
     name: str
@@ -286,6 +270,8 @@ class VectorFieldSpec:
     sigma_grad: Callable[[float, float], VectorComponents] | None = None
     flat_potential: Callable[[float, float], float] | None = None
     killing: bool = False
+    fused: tuple[ChartGeometry, Callable] | None = dc_field(default=None, repr=False,
+                                                         compare=False)
 
     def __call__(self, u: float, v: float) -> VectorComponents:
         return self.components(u, v)
@@ -294,181 +280,81 @@ class VectorFieldSpec:
     def zero(cls) -> "VectorFieldSpec":
         return cls(name="zero", components=lambda u, v: (0.0, 0.0), killing=True)
 
-    @classmethod
-    def minus_grad(cls, name: str, sigma: Callable[[float, float], float],
-                   chart: ChartGeometry,
-                   sigma_grad: Callable[[float, float], VectorComponents] | None = None,
-                   killing: bool = False) -> "VectorFieldSpec":
-        """The field V = -grad(sigma) on ``chart``."""
-
-        def components(u: float, v: float) -> VectorComponents:
-            if sigma_grad is not None:
-                su, sv = sigma_grad(u, v)
-            else:
-                su, sv = scalar_partials(sigma, u, v)
-            i11, i12, i22 = chart.inverse_metric_components(u, v)
-            return (-(i11 * su + i12 * sv), -(i12 * su + i22 * sv))
-
-        return cls(name=name, components=components, sigma=sigma,
-                   sigma_grad=sigma_grad, killing=killing)
-
-
-def covariant_derivative(chart: ChartGeometry, field: VectorFieldSpec,
-                         point: Sequence[float], X: Sequence[float]) -> np.ndarray:
-    """Levi-Civita covariant derivative (nabla_X V) in chart components."""
-    u, v = float(point[0]), float(point[1])
-    chart.require_inside(u, v)
-    hu = fd_step(u)
-    hv = fd_step(v)
-    Vpu = field.components(u + hu, v)
-    Vmu = field.components(u - hu, v)
-    Vpv = field.components(u, v + hv)
-    Vmv = field.components(u, v - hv)
-    dV = np.array([
-        [(Vpu[0] - Vmu[0]) / (2 * hu), (Vpu[1] - Vmu[1]) / (2 * hu)],
-        [(Vpv[0] - Vmv[0]) / (2 * hv), (Vpv[1] - Vmv[1]) / (2 * hv)],
-    ])  # dV[i][k] = partial_i V^k
-    G = christoffel(chart, (u, v))
-    V = np.array(field.components(u, v))
-    Xa = np.asarray(X, dtype=float)
-    out = np.empty(2)
-    for k in (0, 1):
-        out[k] = Xa[0] * dV[0][k] + Xa[1] * dV[1][k] + Xa @ G[k] @ V
-    return out
-
 
 # ---------------------------------------------------------------------------
-# Sampled validation
+# Charts and fields from expression sources
 # ---------------------------------------------------------------------------
 
 
-def _validation_box(chart: ChartGeometry, margin: float = 0.01) -> tuple[float, float, float, float]:
-    u0, u1, v0, v1 = chart.bounds
-    box = chart.sample_box
-    if not all(map(math.isfinite, (u0, u1, v0, v1))):
-        if box is None:
-            raise ValueError(
-                f"chart {chart.name!r} has an unbounded domain and no sample_box"
-            )
-        return box
-    du = (u1 - u0) * margin
-    dv = (v1 - v0) * margin
-    return (u0 + du, u1 - du, v0 + dv, v1 - dv)
+@dataclass(frozen=True)
+class ChartSource:
+    """A chart by the sources of its metric (g11, g12, g22) in the
+    coordinates x and y, or u and v, and its domain."""
+
+    name: str
+    metric: tuple[str, str, str]
+    bounds: tuple[float, float, float, float] = (-math.inf, math.inf, -math.inf, math.inf)
+    coord_names: tuple[str, str] = ("u", "v")
+    sample_box: tuple[float, float, float, float] | None = None
 
 
-def sample_interior(chart: ChartGeometry, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Uniform random interior points, shape (n, 2)."""
-    rng = rng or np.random.default_rng(0)
-    u0, u1, v0, v1 = _validation_box(chart)
-    pts = np.empty((n, 2))
-    pts[:, 0] = rng.uniform(u0, u1, n)
-    pts[:, 1] = rng.uniform(v0, v1, n)
-    return pts
+@dataclass(frozen=True)
+class FieldSource:
+    """A vector field by its sources: the components (f, g) for ``kind``
+    "fg", a flat potential p with V = (d_y p, -d_x p) for "p", or a
+    potential with V = -grad(sigma) for the chart's metric for "sigma"."""
+
+    name: str
+    kind: str
+    srcs: tuple[str, ...]
+    killing: bool = False
 
 
-def interior_grid(chart: ChartGeometry, n: int = 20) -> np.ndarray:
-    """A regular n x n interior sample grid, shape (n*n, 2)."""
-    u0, u1, v0, v1 = _validation_box(chart)
-    us = np.linspace(u0, u1, n)
-    vs = np.linspace(v0, v1, n)
-    uu, vv = np.meshgrid(us, vs)
-    return np.column_stack([uu.ravel(), vv.ravel()])
+ZERO_FIELD = FieldSource("zero", "fg", ("0", "0"), killing=True)
+PLANE = ChartSource("plane", ("1", "0", "1"), coord_names=("x", "y"),
+                    sample_box=(-5.0, 5.0, -5.0, 5.0))
 
 
-def check_metric_spd(chart: ChartGeometry, points: np.ndarray) -> float:
-    """Verify SPD at every point; returns the smallest eigenvalue seen."""
-    smallest = math.inf
-    for u, v in points:
-        w = np.linalg.eigvalsh(chart.metric_matrix(u, v))
-        smallest = min(smallest, float(w[0]))
-        if w[0] <= 0.0:
-            raise MetricDegeneracyError(
-                f"metric of chart {chart.name!r} has eigenvalue {w[0]} at ({u}, {v})"
-            )
-    return smallest
-
-
-def check_christoffel_consistency(chart: ChartGeometry, points: np.ndarray) -> float:
-    """Max |analytic - central difference| over Christoffel components."""
-    if chart.christoffel_analytic is None:
-        return 0.0
-    worst = 0.0
-    for u, v in points:
-        ana = np.array(chart.christoffel_analytic(u, v))
-        num = np.array(chart.christoffel_fd(u, v))
-        worst = max(worst, float(np.max(np.abs(ana - num))))
-    return worst
-
-
-def check_frame_orthonormal(chart: ChartGeometry, frame: OrthoFrame, points: np.ndarray) -> float:
-    """Max |g(e_i, e_j) - delta_ij| over the sample points."""
-    worst = 0.0
-    for u, v in points:
-        e1 = frame.e1(u, v)
-        e2 = frame.e2(u, v)
-        worst = max(
-            worst,
-            abs(inner(chart, (u, v), e1, e1) - 1.0),
-            abs(inner(chart, (u, v), e2, e2) - 1.0),
-            abs(inner(chart, (u, v), e1, e2)),
-        )
-    return worst
-
-
-def check_gradient_relation(chart: ChartGeometry, field: VectorFieldSpec, points: np.ndarray) -> float:
-    """Max norm of V + grad(sigma) over the sample points."""
-    if field.sigma is None:
-        raise ValueError(f"field {field.name!r} declares no scalar potential")
-    worst = 0.0
-    for u, v in points:
-        g = grad(chart, field.sigma, (u, v), partials=field.sigma_grad)
-        V = np.array(field.components(u, v))
-        worst = max(worst, float(np.max(np.abs(V + g))))
-    return worst
-
-
-def check_killing(chart: ChartGeometry, field: VectorFieldSpec, points: np.ndarray,
-                  rng: np.random.Generator | None = None) -> float:
-    """Max |g(nabla_X V, Y) + g(nabla_Y V, X)| over random unit X, Y."""
-    rng = rng or np.random.default_rng(1)
-    worst = 0.0
-    for u, v in points:
-        X = rng.normal(size=2)
-        Y = rng.normal(size=2)
-        X /= np.linalg.norm(X)
-        Y /= np.linalg.norm(Y)
-        nxv = covariant_derivative(chart, field, (u, v), X)
-        nyv = covariant_derivative(chart, field, (u, v), Y)
-        worst = max(worst, abs(inner(chart, (u, v), nxv, Y) + inner(chart, (u, v), nyv, X)))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Stock charts
-# ---------------------------------------------------------------------------
-
-_FLAT_GAMMA: ChristoffelComponents = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-
-
-def euclidean_plane(name: str = "plane",
-                    sample_box: tuple[float, float, float, float] = (-5.0, 5.0, -5.0, 5.0)) -> ChartGeometry:
-    """The euclidean plane with identity metric and vanishing Christoffels."""
-    return ChartGeometry(
-        name=name,
-        metric=lambda u, v: (1.0, 0.0, 1.0),
-        christoffel_analytic=lambda u, v: _FLAT_GAMMA,
-        coord_names=("x", "y"),
-        sample_box=sample_box,
-    )
-
-
-def half_plane(v_min: float = 0.05, name: str = "half-plane") -> ChartGeometry:
+def half_plane_source(v_min: float = 0.05) -> ChartSource:
     """The euclidean metric restricted to the open strip v > v_min."""
-    return ChartGeometry(
-        name=name,
-        metric=lambda u, v: (1.0, 0.0, 1.0),
-        christoffel_analytic=lambda u, v: _FLAT_GAMMA,
-        bounds=(-math.inf, math.inf, v_min, math.inf),
-        coord_names=("x", "y"),
-        sample_box=(-5.0, 5.0, v_min + 0.05, 5.0),
-    )
+    return replace(PLANE, name="half-plane", bounds=(-math.inf, math.inf, v_min, math.inf),
+                   sample_box=(-5.0, 5.0, v_min + 0.05, 5.0))
+
+
+def compile_runtime(chart: ChartSource,
+                    field: FieldSource) -> tuple[ChartGeometry, VectorFieldSpec]:
+    """Compile a chart and a field together into one module: the metric,
+    its exact Christoffel symbols, the field's components and potentials,
+    and the fused geodesic RHS that ``integrate`` steps this pair with."""
+
+    def degenerate(u: float, v: float) -> MetricDegeneracyError:
+        return MetricDegeneracyError(
+            f"metric of chart {chart.name!r} is not positive definite at ({u}, {v})")
+
+    comps = _FIELDS[field.kind]
+    tails = {"metric": "return (v0, v1, v2)",
+             "christoffel": _CHRISTOFFEL + "return ((a0, a1, a2), (b0, b1, b2))",
+             "components": (_INVERSE if field.kind == "sigma" else "") + comps + "return (Vu, Vv)",
+             "rhs": _CHRISTOFFEL + comps + _ACCELERATION + "return (ddu, ddv)",
+             **{"sigma": {"sigma": "return v3", "sigma_grad": "return (v3x, v3y)"},
+                "p": {"p": "return v3"}}.get(field.kind, {})}
+    fns = dict(zip(tails, _compile((*chart.metric, *field.srcs), *tails.values(),
+                                   _degenerate=degenerate)))
+    compiled = ChartGeometry(name=chart.name, metric=fns["metric"], bounds=chart.bounds,
+                             christoffel_analytic=fns["christoffel"],
+                             coord_names=chart.coord_names, sample_box=chart.sample_box,
+                             source=chart)
+    return compiled, VectorFieldSpec(
+        name=field.name, components=fns["components"], sigma=fns.get("sigma"),
+        sigma_grad=fns.get("sigma_grad"), flat_potential=fns.get("p"),
+        killing=field.killing, fused=(compiled, fns["rhs"]))
+
+
+def euclidean_plane() -> ChartGeometry:
+    """The euclidean plane with identity metric and vanishing Christoffels."""
+    return compile_runtime(PLANE, ZERO_FIELD)[0]
+
+
+def half_plane(v_min: float = 0.05) -> ChartGeometry:
+    """The euclidean metric restricted to the open strip v > v_min."""
+    return compile_runtime(half_plane_source(v_min), ZERO_FIELD)[0]

@@ -69,6 +69,9 @@ class IntegratorSettings:
             raise ValueError("step h must be finite and positive")
         if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
             raise ValueError("span t0, t1 must be finite")
+        if not math.isfinite((self.t1 - self.t0) / self.h):
+            raise ValueError(f"span [{self.t0!r}, {self.t1!r}] over step {self.h!r} "
+                             f"overflows the step count")
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_steps <= 0:
@@ -127,6 +130,16 @@ class _BoundaryHit(Exception):
 
 
 def _make_rhs(chart: ChartGeometry, field: VectorFieldSpec, E2: float) -> Callable:
+    """The acceleration (u, v, du, dv) -> (ddu, ddv) at launch speed E2: the
+    fused RHS when ``field`` was compiled together with ``chart``, else a
+    closure over their evaluators, the only RHS of a chart built in code
+    (such as conformal_metric's)."""
+    if field.fused is not None and field.fused[0] is chart:
+        return field.fused[1](E2)
+    return _closure_rhs(chart, field, E2)
+
+
+def _closure_rhs(chart: ChartGeometry, field: VectorFieldSpec, E2: float) -> Callable:
     metric = chart.metric
     gamma = chart.christoffel_analytic or chart.christoffel_fd
     comp = field.components
@@ -228,8 +241,8 @@ def _run(march, method: str, chart: ChartGeometry, field: VectorFieldSpec,
     g11, g12, g22 = chart.metric(initial.u, initial.v)
     du, dv = initial.du, initial.dv
     E2 = g11 * du * du + 2.0 * g12 * du * dv + g22 * dv * dv
-    if not E2 > 0.0:
-        raise ValueError("initial velocity must be nonzero")
+    if not 0.0 < E2 < math.inf:
+        raise ValueError(f"initial velocity must be nonzero, with a finite speed: E^2 = {E2!r}")
     E = math.sqrt(E2)
 
     sign = 1.0 if settings.t1 >= settings.t0 else -1.0
@@ -252,7 +265,7 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
     """Integrate the geodesic equation from ``initial`` over the settings span.
 
     The initial position must lie strictly inside the chart domain and the
-    initial velocity must be nonzero; E is the metric speed at launch.
+    initial velocity must be nonzero, with a finite speed E at launch.
     Integration stops at ``t1``, at ``max_steps``, or at a domain-boundary
     event, whichever comes first, and records which in ``stop_reason``.
     A step that would evaluate outside the open domain box triggers the

@@ -20,31 +20,26 @@ from typing import Callable
 import numpy as np
 
 from .audit import InvariantReport, SegmentStat, make_report
-from .geometry import VectorFieldSpec, along
+from .geometry import PLANE, FieldSource, VectorFieldSpec, along, compile_runtime
 from .integrate import GeodesicState, Trace, _rk4_step
 
 #: A branch segment of the arcsin invariant ends when |x'| drops below this.
 BRANCH_SPLIT_TOL = 1e-9
 
 
+#: The winding and shear fields by their flat potentials p, V = (d_y p, -d_x p).
+WINDING = FieldSource("winding", "p", ("-0.5*(x*x + y*y)",), killing=True)
+SHEAR = FieldSource("shear", "p", ("0.5*y*y",))
+
+
 def winding_field() -> VectorFieldSpec:
     """V = -y dx + x dy, the rotation generator; flat potential -(x^2+y^2)/2."""
-    return VectorFieldSpec(
-        name="winding",
-        components=lambda x, y: (-y, x),
-        flat_potential=lambda x, y: -0.5 * (x * x + y * y),
-        killing=True,
-    )
+    return compile_runtime(PLANE, WINDING)[1]
 
 
 def shear_field() -> VectorFieldSpec:
     """V = y dx; flat potential y^2/2.  Not Killing, but commutes with dx."""
-    return VectorFieldSpec(
-        name="shear",
-        components=lambda x, y: (y, 0.0 * x),
-        flat_potential=lambda x, y: 0.5 * y * y,
-        killing=False,
-    )
+    return compile_runtime(PLANE, SHEAR)[1]
 
 
 def constant_field(a: float, b: float) -> VectorFieldSpec:

@@ -17,11 +17,12 @@ from functools import lru_cache
 from pathlib import Path
 
 from .audit import InvariantReport, conformal_constant, killing_curvature_check, make_report
-from .errors import ConfigError, MetricDegeneracyError
-from .expr import _CHRISTOFFEL, _SAFE_NAMES, _compile, compile_expr  # noqa: F401
-from .geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, half_plane
+from .errors import ConfigError
+from .expr import compile_expr  # noqa: F401  the name perfbench's tracer binds
+from .geometry import (PLANE, ZERO_FIELD, ChartGeometry, ChartSource, FieldSource,
+                       VectorFieldSpec, compile_runtime, half_plane_source)
 from .integrate import GeodesicState, Trace, integrate_two_sided
-from .plane import arcsin_invariant, flat_invariant, shear_field, winding_field
+from .plane import SHEAR, WINDING, arcsin_invariant, flat_invariant
 from .surfaces import CATALOG_BUILDERS, CatalogSurface, loxodrome_check
 
 
@@ -34,32 +35,23 @@ class Runtime:
     surface: CatalogSurface | None = None
 
 
-def _halfplane_sigma_runtime() -> Runtime:
-    chart = half_plane(0.05)
-
-    def components(u: float, v: float):
-        return (0.0, 1.0 / v)
-
-    fld = VectorFieldSpec(
-        name="grad-log-height",
-        components=components,
-        sigma=lambda u, v: -math.log(v),
-        sigma_grad=lambda u, v: (0.0, -1.0 / v),
-    )
-    return Runtime(chart=chart, field=fld)
+#: The plane and half-plane runtimes by their sources; each surface
+#: runtime is its CATALOG_BUILDERS surface's chart and field.
+_SOURCE_RUNTIMES = {
+    "plane-zero": (PLANE, ZERO_FIELD),
+    "plane-winding": (PLANE, WINDING),
+    "plane-shear": (PLANE, SHEAR),
+    "halfplane-sigma": (half_plane_source(0.05),
+                        FieldSource("grad-log-height", "sigma", ("-log(y)",))),
+}
 
 
 @lru_cache(maxsize=None)
 def build_runtime(key: str) -> Runtime:
     """Construct (and cache) one of the named chart/field pairings."""
-    if key == "plane-zero":
-        return Runtime(chart=euclidean_plane(), field=VectorFieldSpec.zero())
-    if key == "plane-winding":
-        return Runtime(chart=euclidean_plane(), field=winding_field())
-    if key == "plane-shear":
-        return Runtime(chart=euclidean_plane(), field=shear_field())
-    if key == "halfplane-sigma":
-        return _halfplane_sigma_runtime()
+    if key in _SOURCE_RUNTIMES:
+        chart, field = compile_runtime(*_SOURCE_RUNTIMES[key])
+        return Runtime(chart=chart, field=field)
     if key in CATALOG_BUILDERS:
         surf = CATALOG_BUILDERS[key]()
         return Runtime(chart=surf.chart, field=surf.field, surface=surf)
@@ -193,7 +185,7 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        if raw.get("version") != 1:
+        if type(raw.get("version")) is not int or raw["version"] != 1:
             raise ConfigError("config version must be 1")
         sid = raw.get("id")
         if not isinstance(sid, str) or not sid:
@@ -231,78 +223,68 @@ class ScenarioConfig:
         return run_config(self)
 
 
+#: Config field selectors by name, and the built-in runtime of each
+#: (chart, field) selector pair that has one.
+_FIELD_SOURCES = {"zero": ZERO_FIELD, "winding": WINDING, "shear": SHEAR}
+_BUILT_IN_PAIRS = {("plane", "zero"): "plane-zero", ("plane", "winding"): "plane-winding",
+                   ("plane", "shear"): "plane-shear",
+                   **{(name, "catalog"): name for name in CATALOG_BUILDERS}}
+
+
 def _resolve_runtime(raw: dict) -> Runtime:
+    """The runtime of a config's chart and field selectors: a built-in
+    pair is ``build_runtime``'s, and any other pair is compiled from the
+    chart's and the field's sources together."""
     chart_sel = raw.get("chart")
     field_sel = raw.get("field", "zero")
+    if isinstance(chart_sel, dict) and "surface" in chart_sel:
+        chart_sel = chart_sel["surface"]
+        if not isinstance(chart_sel, str) or chart_sel not in CATALOG_BUILDERS:
+            raise ConfigError(f"unknown surface {chart_sel!r}")
+    if isinstance(chart_sel, str) and isinstance(field_sel, str):
+        key = _BUILT_IN_PAIRS.get((chart_sel, field_sel))
+        if key is not None:
+            return build_runtime(key)
 
     surface = None
-    if isinstance(chart_sel, str):
-        if chart_sel == "plane":
-            chart = euclidean_plane()
-        elif chart_sel == "half-plane":
-            chart = half_plane(_number(raw.get("y_min", 0.05), "y_min"))
-        elif chart_sel in CATALOG_BUILDERS:
-            surface = CATALOG_BUILDERS[chart_sel]()
-            chart = surface.chart
-        else:
-            raise ConfigError(f"unknown chart {chart_sel!r}")
-    elif isinstance(chart_sel, dict) and "surface" in chart_sel:
-        name = chart_sel["surface"]
-        if not isinstance(name, str) or name not in CATALOG_BUILDERS:
-            raise ConfigError(f"unknown surface {name!r}")
-        surface = CATALOG_BUILDERS[name]()
-        chart = surface.chart
+    if chart_sel == "plane":
+        chart = PLANE
+    elif chart_sel == "half-plane":
+        chart = half_plane_source(_number(raw.get("y_min", 0.05), "y_min"))
+    elif isinstance(chart_sel, str) and chart_sel in CATALOG_BUILDERS:
+        surface = build_runtime(chart_sel).surface
+        chart = surface.chart.source
     elif isinstance(chart_sel, dict) and "metric" in chart_sel:
         comp = chart_sel["metric"]
         try:
             srcs = (comp["g11"], comp.get("g12", "0"), comp["g22"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"inline metric needs g11 and g22: {exc}") from exc
-        name = chart_sel.get("name", "inline")
-
-        def degenerate(u: float, v: float) -> MetricDegeneracyError:
-            return MetricDegeneracyError(
-                f"metric of chart {name!r} is not positive definite at ({u}, {v})")
-
-        bounds = _numbers(chart_sel.get("bounds", (-math.inf, math.inf, -math.inf, math.inf)),
-                          4, "bounds", finite=False)
-        metric, gamma = _compile(srcs, "return (v0, v1, v2)", _CHRISTOFFEL,
-                                 _degenerate=degenerate)
-        chart = ChartGeometry(
-            name=name,
-            metric=metric,
-            christoffel_analytic=gamma,
-            bounds=bounds,
+        chart = ChartSource(
+            name=chart_sel.get("name", "inline"), metric=srcs,
+            bounds=_numbers(chart_sel.get("bounds", (-math.inf, math.inf, -math.inf, math.inf)),
+                            4, "bounds", finite=False),
             sample_box=(_numbers(chart_sel["sample_box"], 4, "sample_box")
-                        if "sample_box" in chart_sel else None),
-        )
+                        if "sample_box" in chart_sel else None))
+    elif isinstance(chart_sel, str):
+        raise ConfigError(f"unknown chart {chart_sel!r}")
     else:
         raise ConfigError("config needs a 'chart' selector")
 
-    field = _resolve_field(field_sel, chart, surface)
+    chart, field = compile_runtime(chart, _field_source(field_sel))
     return Runtime(chart=chart, field=field, surface=surface)
 
 
-def _resolve_field(sel, chart: ChartGeometry, surface: CatalogSurface | None) -> VectorFieldSpec:
-    if sel == "zero":
-        return VectorFieldSpec.zero()
-    if sel == "winding":
-        return winding_field()
-    if sel == "shear":
-        return shear_field()
+def _field_source(sel) -> FieldSource:
+    if isinstance(sel, str) and sel in _FIELD_SOURCES:
+        return _FIELD_SOURCES[sel]
     if sel == "catalog":
-        if surface is None:
-            raise ConfigError("field 'catalog' needs a surface chart")
-        return surface.field
-    if isinstance(sel, dict) and "sigma" in sel:
-        sigma, sigma_grad = _compile((sel["sigma"],), "return v0", "return (v0x, v0y)")
-        return VectorFieldSpec.minus_grad("config-sigma", sigma, chart, sigma_grad=sigma_grad)
-    if isinstance(sel, dict) and "p" in sel:
-        p, components = _compile((sel["p"],), "return v0", "return (v0y, -v0x)")
-        return VectorFieldSpec(name="config-p", components=components, flat_potential=p)
-    if isinstance(sel, dict) and "f" in sel and "g" in sel:
-        components, = _compile((sel["f"], sel["g"]), "return (v0, v1)")
-        return VectorFieldSpec(name="config-inline", components=components)
+        raise ConfigError("field 'catalog' needs a surface chart")
+    if isinstance(sel, dict):
+        for name, kind, keys in (("config-sigma", "sigma", ("sigma",)),
+                                 ("config-p", "p", ("p",)), ("config-inline", "fg", ("f", "g"))):
+            if all(key in sel for key in keys):
+                return FieldSource(name, kind, tuple(sel[key] for key in keys))
     raise ConfigError(f"cannot resolve field selector {sel!r}")
 
 

@@ -19,16 +19,16 @@ import numpy as np
 
 from .audit import make_report, series_derivative, InvariantReport
 from .errors import ChartDomainError
-from .geometry import ChartGeometry, OrthoFrame, VectorFieldSpec, along
+from .expr import _compile
+from .geometry import (ChartGeometry, ChartSource, FieldSource, OrthoFrame, VectorFieldSpec,
+                       along, compile_runtime)
 from .integrate import Trace
 
 
 @dataclass
 class RevolutionProfile:
     """Profile curve evaluators r(s), h(s) with first derivatives, and r''(s)
-    for the Gauss curvature.
-
-    ``natural`` asserts arc-length parametrization, r'^2 + h'^2 = 1.
+    for the Gauss curvature, in arc-length parametrization: r'^2 + h'^2 = 1.
     """
 
     r: Callable[[float], float]
@@ -37,7 +37,6 @@ class RevolutionProfile:
     dh: Callable[[float], float]
     s_domain: tuple[float, float]
     d2r: Callable[[float], float]
-    natural: bool = True
 
     def natural_residual(self, samples: np.ndarray) -> float:
         """Max |r'^2 + h'^2 - 1| over sample arc lengths."""
@@ -63,57 +62,32 @@ class CatalogSurface:
     mercator_inv: Callable[[np.ndarray], np.ndarray]
 
 
-def _revolution_chart(name: str, profile: RevolutionProfile,
-                      phi_sample: tuple[float, float] = (-math.pi, math.pi)) -> ChartGeometry:
-    r = profile.r
-    dr = profile.dr
-    s0, s1 = profile.s_domain
-
-    def metric(u: float, v: float):
-        rr = r(u)
-        return (1.0, 0.0, rr * rr)
-
-    def gamma(u: float, v: float):
-        rr = r(u)
-        rp = dr(u)
-        return ((0.0, 0.0, -rr * rp), (0.0, rp / rr, 0.0))
-
-    span = s1 - s0
-    return ChartGeometry(
-        name=name,
-        metric=metric,
-        bounds=(s0, s1, -math.inf, math.inf),
-        christoffel_analytic=gamma,
-        coord_names=("s", "phi"),
-        sample_box=(s0 + 0.01 * span, s1 - 0.01 * span, phi_sample[0], phi_sample[1]),
-    )
-
-
-def _surface(name: str, profile: RevolutionProfile,
+def _surface(name: str, r: str, s_domain: tuple[float, float], h: Callable[[float], float],
+             dh: Callable[[float], float], d2r: Callable[[float], float],
              mercator: Callable[[np.ndarray], np.ndarray],
              mercator_inv: Callable[[np.ndarray], np.ndarray]) -> CatalogSurface:
-    if not profile.natural:
+    """The surface of the natural profile with radius source ``r`` in s = x.
+
+    The metric diag(1, r^2) and the potential sigma = -log r of the field
+    (r'/r) e1 are composed from ``r`` as text, and compiled with the
+    profile's r and r' from the same source.
+    """
+    r_fn, dr_fn = _compile((r,), "return v0", "return v0x")
+    profile = RevolutionProfile(r=r_fn, dr=dr_fn, h=h, dh=dh, s_domain=s_domain, d2r=d2r)
+    s0, s1 = s_domain
+    if profile.natural_residual(np.linspace(s0, s1, 11)[1:-1]) > 1e-9:
         raise ValueError(
             "surface construction needs a natural (arc-length) profile, "
             "with r'^2 + h'^2 = 1"
         )
-    chart = _revolution_chart(name, profile)
-    r = profile.r
-    dr = profile.dr
-
-    def components(u: float, v: float):
-        return (dr(u) / r(u), 0.0)
-
-    def sigma(u: float, v: float) -> float:
-        return -math.log(r(u))
-
-    def sigma_grad(u: float, v: float):
-        return (-dr(u) / r(u), 0.0)
-
-    fld = VectorFieldSpec(name=f"{name}-flat", components=components,
-                          sigma=sigma, sigma_grad=sigma_grad)
+    span = s1 - s0
+    chart, fld = compile_runtime(
+        ChartSource(name, ("1", "0", f"({r})*({r})"), bounds=(s0, s1, -math.inf, math.inf),
+                    coord_names=("s", "phi"),
+                    sample_box=(s0 + 0.01 * span, s1 - 0.01 * span, -math.pi, math.pi)),
+        FieldSource(f"{name}-flat", "sigma", (f"-log({r})",)))
     frame = OrthoFrame(e1=lambda u, v: (1.0, 0.0),
-                       e2=lambda u, v: (0.0, 1.0 / r(u)))
+                       e2=lambda u, v: (0.0, 1.0 / r_fn(u)))
     return CatalogSurface(name=name, profile=profile, chart=chart, field=fld,
                           frame=frame, mercator=mercator, mercator_inv=mercator_inv)
 
@@ -133,11 +107,8 @@ def make_sphere(eps: float = SPHERE_EPS) -> CatalogSurface:
     integration stops with a boundary event instead of hitting the chart
     singularity.  Mercator map y = log tan(s/2), anchored at the equator.
     """
-    profile = RevolutionProfile(
-        r=math.sin, dr=math.cos, h=math.cos, dh=lambda s: -math.sin(s),
-        s_domain=(eps, math.pi - eps), d2r=lambda s: -math.sin(s),
-    )
-    return _surface("sphere", profile,
+    return _surface("sphere", "sin(x)", (eps, math.pi - eps), h=math.cos,
+                    dh=lambda s: -math.sin(s), d2r=lambda s: -math.sin(s),
                     mercator=lambda s: np.log(np.tan(s / 2.0)),
                     mercator_inv=lambda y: 2.0 * np.arctan(np.exp(y)))
 
@@ -155,12 +126,9 @@ def make_pseudosphere(s_min: float = 1e-3, s_max: float = 6.0) -> CatalogSurface
         w = math.sqrt(1.0 - math.exp(-2.0 * s))
         return math.atanh(w) - w
 
-    profile = RevolutionProfile(
-        r=lambda s: math.exp(-s), dr=lambda s: -math.exp(-s),
-        h=h, dh=lambda s: math.sqrt(1.0 - math.exp(-2.0 * s)),
-        s_domain=(s_min, s_max), d2r=lambda s: math.exp(-s),
-    )
-    return _surface("pseudosphere", profile,
+    return _surface("pseudosphere", "exp(-x)", (s_min, s_max), h=h,
+                    dh=lambda s: math.sqrt(1.0 - math.exp(-2.0 * s)),
+                    d2r=lambda s: math.exp(-s),
                     mercator=lambda s: np.exp(s) - shift,
                     mercator_inv=lambda y: np.log(y + shift))
 
@@ -173,15 +141,10 @@ def make_catenoid(s_extent: float = 16.0) -> CatalogSurface:
     curvature; its Gauss map is conformal, so flat-connection geodesics map
     to sphere loxodromes.  Mercator map y = asinh s, anchored at the waist.
     """
-
-    def r(s: float) -> float:
-        return math.sqrt(1.0 + s * s)
-
-    profile = RevolutionProfile(
-        r=r, dr=lambda s: s / r(s), h=math.asinh, dh=lambda s: 1.0 / r(s),
-        s_domain=(-s_extent, s_extent), d2r=lambda s: (1.0 + s * s) ** -1.5,
-    )
-    return _surface("catenoid", profile, mercator=np.arcsinh, mercator_inv=np.sinh)
+    return _surface("catenoid", "sqrt(1 + x*x)", (-s_extent, s_extent), h=math.asinh,
+                    dh=lambda s: 1.0 / math.sqrt(1.0 + s * s),
+                    d2r=lambda s: (1.0 + s * s) ** -1.5,
+                    mercator=np.arcsinh, mercator_inv=np.sinh)
 
 
 CATALOG_BUILDERS = {

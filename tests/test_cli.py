@@ -101,6 +101,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         dict(CONFIG, span=[float("-inf"), 1.0], integrator={"method": "rk45"}),
         dict(CONFIG, initial={"position": [float("nan"), 2.0], "velocity": [1.0, 0.0]}),
         dict(CONFIG, initial={"position": [0.0, 2.0], "velocity": [float("inf"), 0.0]}),
+        # a span whose step count, or a launch whose speed, overflows
+        dict(CONFIG, span=[-1e308, 1e308]),
+        dict(CONFIG, initial={"position": [0.0, 2.0], "velocity": [1e200, 1e200]}),
     ]):
         path = tmp_path / f"shape-{i}.json"
         path.write_text(json.dumps(cfg))

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from torsiongeo.errors import ChartDomainError, MetricDegeneracyError
-from torsiongeo.geometry import (ChartGeometry, OrthoFrame, VectorFieldSpec,
-                                 check_christoffel_consistency, check_frame_orthonormal,
-                                 check_gradient_relation, check_killing, check_metric_spd,
-                                 christoffel, covariant_derivative, euclidean_plane, grad,
-                                 half_plane, inner, interior_grid, norm, sample_interior)
+from torsiongeo.geometry import (ChartGeometry, FieldSource, christoffel, compile_runtime,
+                                 euclidean_plane, grad, half_plane, half_plane_source, inner, norm)
 from torsiongeo.plane import shear_field, winding_field
 from torsiongeo.surfaces import make_catenoid, make_pseudosphere, make_sphere
+
+from geometry_checks import (check_christoffel_consistency, check_frame_orthonormal,
+                             check_gradient_relation, check_killing, check_metric_spd,
+                             covariant_derivative, gram_schmidt, interior_grid, sample_interior)
 
 
 def fd_christoffel_oracle(metric_matrix_fn, u, v, h=1e-6):
@@ -168,7 +169,7 @@ def test_gram_schmidt_frame_on_skewed_metric():
         metric=lambda u, v: (2.0, 0.5, 1.5),
         bounds=(-2.0, 2.0, -2.0, 2.0),
     )
-    frame = OrthoFrame.gram_schmidt(chart)
+    frame = gram_schmidt(chart)
     pts = sample_interior(chart, 10)
     assert check_frame_orthonormal(chart, frame, pts) < 1e-10
 
@@ -196,7 +197,8 @@ def test_covariant_derivative_flat_plane():
     assert np.allclose(out, [0.0, 1.0], atol=1e-8)
 
 
-def test_vectorfield_minus_grad_constructor():
-    chart = half_plane(0.05)
-    field = VectorFieldSpec.minus_grad("log-height", lambda u, v: -math.log(v), chart)
-    assert np.allclose(field.components(0.0, 2.0), [0.0, 0.5], atol=1e-8)
+def test_sigma_field_source_is_minus_grad():
+    _, field = compile_runtime(half_plane_source(0.05),
+                               FieldSource("log-height", "sigma", ("-log(y)",)))
+    assert field.components(0.0, 2.0) == (0.0, 0.5)
+    assert field.sigma(0.0, 2.0) == -math.log(2.0)

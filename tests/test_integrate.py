@@ -16,9 +16,16 @@ from torsiongeo.plane import winding_field
 from torsiongeo.scenarios import CATALOG, build_runtime, run_scenario
 from torsiongeo.surfaces import make_sphere
 
+from test_runtimes import CONFIG_RUNTIMES, config_runtime
+
 
 RUNTIMES = ["plane-zero", "plane-winding", "plane-shear", "halfplane-sigma", "sphere",
             "pseudosphere", "catenoid"]
+
+
+def runtime(key):
+    """A built-in runtime, or one of the config runtimes of test_runtimes."""
+    return config_runtime(key) if key in CONFIG_RUNTIMES else build_runtime(key)
 
 
 def settings(t1, h=1e-3, **kw):
@@ -81,14 +88,14 @@ def test_rhs_orthogonal_to_velocity(rng):
         assert lc_u * du + g22 * lc_v * dv == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("key", RUNTIMES)
+@pytest.mark.parametrize("key", RUNTIMES + list(CONFIG_RUNTIMES))
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
        st.floats(0.01, 10.0))
 @hsettings(max_examples=50, deadline=None)
 def test_rhs_is_exactly_even_in_velocity(key, fu, fv, du, dv, E2):
     # backward runs and the two-sided sweep reflect forward runs from -v;
     # that is exact only while the acceleration is bitwise even in v
-    rt = build_runtime(key)
+    rt = runtime(key)
     u0, u1, v0, v1 = rt.chart.sample_box
     u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
     rhs = _make_rhs(rt.chart, rt.field, E2)
@@ -159,21 +166,25 @@ def oracle_rkf45_step(rhs, contains, y, h):
 
 
 def bits(call):
-    """The float bits of a step's flattened result, or the exception it raised."""
+    """The float bits of a step's flattened result, or the exception it raised.
+
+    A zero reads as +0.0: the oracles add the zero-coefficient terms that the
+    compiled kernels skip, and sum() starts from the int 0, so a combination
+    that is exactly zero may carry either sign."""
     try:
         out = call()
     except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
         return type(exc)
     flat = np.ravel(np.array(out, dtype=object))
-    return [float.hex(float(x)) for x in flat]
+    return [float.hex(float(x) + 0.0) for x in flat]
 
 
-@pytest.mark.parametrize("key", RUNTIMES)
+@pytest.mark.parametrize("key", RUNTIMES + list(CONFIG_RUNTIMES))
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
        st.floats(0.5, 3.0), st.floats(1e-4, 1.0))
 @hsettings(max_examples=150, deadline=None)
 def test_compiled_kernels_equal_the_hand_written_ones(key, fu, fv, du, dv, E, h):
-    rt = build_runtime(key)
+    rt = runtime(key)
     u0, u1, v0, v1 = rt.chart.sample_box
     u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
     rhs, inside = _make_rhs(rt.chart, rt.field, E * E), rt.chart.contains
@@ -185,6 +196,14 @@ def test_compiled_kernels_equal_the_hand_written_ones(key, fu, fv, du, dv, E, h)
     if all(x == 0.0 or abs(x) >= 1e-300 for x in (du, dv)):
         assert bits(lambda: _rkf45_step(rhs, inside, u, v, du, dv, h)) == \
             bits(lambda: oracle_rkf45_step(rhs, inside, (u, v, du, dv), h))
+
+
+def test_launches_that_overflow_the_speed_or_the_step_count_fail():
+    with pytest.raises(ValueError, match=r"with a finite speed: E\^2 = inf"):
+        integrate(euclidean_plane(), VectorFieldSpec.zero(),
+                  GeodesicState(0.0, 0.0, 0.0, 1e200, 1e200), settings(1.0))
+    with pytest.raises(ValueError, match="overflows the step count"):
+        IntegratorSettings(t0=0.0, t1=1e308, h=1e-3)
 
 
 def test_sphere_meridian_rhs_cancels():

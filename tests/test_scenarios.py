@@ -13,8 +13,9 @@ from torsiongeo import geometry
 from torsiongeo.audit import uniform_step
 from torsiongeo.errors import ConfigError, MetricDegeneracyError
 from torsiongeo.geometry import ChartGeometry, norm
-from torsiongeo.scenarios import (_SAFE_NAMES, CATALOG, CATALOG_IDS, ScenarioConfig, _compile,
-                                  build_runtime, compile_expr, run_config, run_scenario)
+from torsiongeo.expr import _SAFE_NAMES, _compile
+from torsiongeo.scenarios import (CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime,
+                                  compile_expr, run_config, run_scenario)
 
 
 def test_catalog_has_twelve_scenarios():
@@ -497,6 +498,10 @@ def test_nonpositive_launch_speed_fails_at_parse_time(E):
 @pytest.mark.parametrize("raw", [
     {},
     {"version": 2, "id": "x", "chart": "plane",
+     "initial": {"position": [0, 0], "velocity": [1, 0]}, "span": [0, 1]},
+    {"version": True, "id": "x", "chart": "plane",
+     "initial": {"position": [0, 0], "velocity": [1, 0]}, "span": [0, 1]},
+    {"version": 1.0, "id": "x", "chart": "plane",
      "initial": {"position": [0, 0], "velocity": [1, 0]}, "span": [0, 1]},
     {"version": 1, "chart": "plane",
      "initial": {"position": [0, 0], "velocity": [1, 0]}, "span": [0, 1]},

@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from torsiongeo.errors import ChartDomainError
 from torsiongeo.scenarios import CATALOG, build_runtime, run_scenario
-from torsiongeo.surfaces import (RevolutionProfile, embed,
-                                 gauss_map, gauss_map_trace, gaussian_curvature,
+from torsiongeo.surfaces import (embed, gauss_map, gauss_map_trace, gaussian_curvature,
                                  loxodrome_check, make_catenoid, make_pseudosphere,
                                  make_sphere, mercator_inverse, mercator_map,
                                  sphere_angle_cosines)
@@ -264,8 +263,7 @@ def test_gaussian_curvature_closed_forms():
 def test_surface_rejects_non_natural_profile():
     from torsiongeo.surfaces import _surface
 
-    profile = RevolutionProfile(
-        r=lambda s: 2.0, dr=lambda s: 0.0, h=lambda s: 2.0 * s,
-        dh=lambda s: 2.0, s_domain=(0.0, 1.0), d2r=lambda s: 0.0, natural=False)
-    with pytest.raises(ValueError):
-        _surface("cylinder", profile, lambda s: 0.5 * s, lambda y: 2.0 * y)
+    # r = 2, h = 2 s: r'^2 + h'^2 = 4
+    with pytest.raises(ValueError, match="natural"):
+        _surface("cylinder", "2", (0.0, 1.0), h=lambda s: 2.0 * s, dh=lambda s: 2.0,
+                 d2r=lambda s: 0.0, mercator=lambda s: 0.5 * s, mercator_inv=lambda y: 2.0 * y)
