@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,14 +57,15 @@ class ChartGeometry:
     bounds:
         ``(u_min, u_max, v_min, v_max)``; entries may be infinite.
     christoffel_analytic:
-        Optional ``(u, v) -> ((G^u_uu, G^u_uv, G^u_vv), (G^v_uu, ...))``,
-        which must agree with central differences of the metric.
+        Optional ``(u, v) -> ((G^u_uu, G^u_uv, G^u_vv), (G^v_uu, ...))``.
+        Must agree with central differences of the metric; see
+        :func:`check_christoffel_consistency`.
     sample_box:
         Finite box used for sampled validation when ``bounds`` has infinite
         sides.
     source:
-        The :class:`ChartSource` a compiled chart was built from, so that
-        it can be compiled again with another field.
+        The :class:`ChartSource` a compiled chart was built from; a field
+        compiled with the same source steps on this chart with its fused RHS.
     """
 
     name: str
@@ -246,6 +248,29 @@ class OrthoFrame:
     e1: Callable[[float, float], VectorComponents]
     e2: Callable[[float, float], VectorComponents]
 
+    @classmethod
+    def gram_schmidt(cls, chart: ChartGeometry) -> "OrthoFrame":
+        """Orthonormalize the coordinate frame (du first, then dv)."""
+
+        def e1(u: float, v: float) -> VectorComponents:
+            g11, _, _ = chart.metric(u, v)
+            return (1.0 / math.sqrt(g11), 0.0)
+
+        def e2(u: float, v: float) -> VectorComponents:
+            g11, g12, g22 = chart.metric(u, v)
+            # dv minus its projection on du, normalized
+            a = -g12 / g11
+            nrm = math.sqrt(g22 + 2.0 * a * g12 + a * a * g11)
+            return (a / nrm, 1.0 / nrm)
+
+        return cls(e1, e2)
+
+    def matrix(self, u: float, v: float) -> np.ndarray:
+        """Frame vectors as columns of a 2x2 array."""
+        c1 = self.e1(u, v)
+        c2 = self.e2(u, v)
+        return np.array([[c1[0], c2[0]], [c1[1], c2[1]]])
+
 
 # ---------------------------------------------------------------------------
 # Vector fields
@@ -260,8 +285,8 @@ class VectorFieldSpec:
     declares the plane relation (V_u, V_v) = (d_y p, -d_x p).  Both are
     assertions by the scenario author, verified numerically by the checks
     below.  ``killing`` flags fields whose flow consists of isometries.
-    ``fused`` pairs the chart this field was compiled with and the factory
-    ``E2 -> rhs(u, v, du, dv)`` of their fused geodesic RHS.
+    ``fused`` pairs the source of the chart this field was compiled with and
+    the factory ``E2 -> rhs(u, v, du, dv)`` of their fused geodesic RHS.
     """
 
     name: str
@@ -270,8 +295,8 @@ class VectorFieldSpec:
     sigma_grad: Callable[[float, float], VectorComponents] | None = None
     flat_potential: Callable[[float, float], float] | None = None
     killing: bool = False
-    fused: tuple[ChartGeometry, Callable] | None = dc_field(default=None, repr=False,
-                                                         compare=False)
+    fused: tuple[ChartSource, Callable] | None = dc_field(default=None, repr=False,
+                                                        compare=False)
 
     def __call__(self, u: float, v: float) -> VectorComponents:
         return self.components(u, v)
@@ -279,6 +304,136 @@ class VectorFieldSpec:
     @classmethod
     def zero(cls) -> "VectorFieldSpec":
         return cls(name="zero", components=lambda u, v: (0.0, 0.0), killing=True)
+
+
+def covariant_derivative(chart: ChartGeometry, field: VectorFieldSpec,
+                         point: Sequence[float], X: Sequence[float]) -> np.ndarray:
+    """Levi-Civita covariant derivative (nabla_X V) in chart components."""
+    u, v = float(point[0]), float(point[1])
+    chart.require_inside(u, v)
+    hu = fd_step(u)
+    hv = fd_step(v)
+    Vpu = field.components(u + hu, v)
+    Vmu = field.components(u - hu, v)
+    Vpv = field.components(u, v + hv)
+    Vmv = field.components(u, v - hv)
+    dV = np.array([
+        [(Vpu[0] - Vmu[0]) / (2 * hu), (Vpu[1] - Vmu[1]) / (2 * hu)],
+        [(Vpv[0] - Vmv[0]) / (2 * hv), (Vpv[1] - Vmv[1]) / (2 * hv)],
+    ])  # dV[i][k] = partial_i V^k
+    G = christoffel(chart, (u, v))
+    V = np.array(field.components(u, v))
+    Xa = np.asarray(X, dtype=float)
+    out = np.empty(2)
+    for k in (0, 1):
+        out[k] = Xa[0] * dV[0][k] + Xa[1] * dV[1][k] + Xa @ G[k] @ V
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Sampled validation
+# ---------------------------------------------------------------------------
+
+
+def _validation_box(chart: ChartGeometry, margin: float = 0.01) -> tuple[float, float, float, float]:
+    u0, u1, v0, v1 = chart.bounds
+    box = chart.sample_box
+    if not all(map(math.isfinite, (u0, u1, v0, v1))):
+        if box is None:
+            raise ValueError(
+                f"chart {chart.name!r} has an unbounded domain and no sample_box"
+            )
+        return box
+    du = (u1 - u0) * margin
+    dv = (v1 - v0) * margin
+    return (u0 + du, u1 - du, v0 + dv, v1 - dv)
+
+
+def sample_interior(chart: ChartGeometry, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Uniform random interior points, shape (n, 2)."""
+    rng = rng or np.random.default_rng(0)
+    u0, u1, v0, v1 = _validation_box(chart)
+    pts = np.empty((n, 2))
+    pts[:, 0] = rng.uniform(u0, u1, n)
+    pts[:, 1] = rng.uniform(v0, v1, n)
+    return pts
+
+
+def interior_grid(chart: ChartGeometry, n: int = 20) -> np.ndarray:
+    """A regular n x n interior sample grid, shape (n*n, 2)."""
+    u0, u1, v0, v1 = _validation_box(chart)
+    us = np.linspace(u0, u1, n)
+    vs = np.linspace(v0, v1, n)
+    uu, vv = np.meshgrid(us, vs)
+    return np.column_stack([uu.ravel(), vv.ravel()])
+
+
+def check_metric_spd(chart: ChartGeometry, points: np.ndarray) -> float:
+    """Verify SPD at every point; returns the smallest eigenvalue seen."""
+    smallest = math.inf
+    for u, v in points:
+        w = np.linalg.eigvalsh(chart.metric_matrix(u, v))
+        smallest = min(smallest, float(w[0]))
+        if w[0] <= 0.0:
+            raise MetricDegeneracyError(
+                f"metric of chart {chart.name!r} has eigenvalue {w[0]} at ({u}, {v})"
+            )
+    return smallest
+
+
+def check_christoffel_consistency(chart: ChartGeometry, points: np.ndarray) -> float:
+    """Max |analytic - central difference| over Christoffel components."""
+    if chart.christoffel_analytic is None:
+        return 0.0
+    worst = 0.0
+    for u, v in points:
+        ana = np.array(chart.christoffel_analytic(u, v))
+        num = np.array(chart.christoffel_fd(u, v))
+        worst = max(worst, float(np.max(np.abs(ana - num))))
+    return worst
+
+
+def check_frame_orthonormal(chart: ChartGeometry, frame: OrthoFrame, points: np.ndarray) -> float:
+    """Max |g(e_i, e_j) - delta_ij| over the sample points."""
+    worst = 0.0
+    for u, v in points:
+        e1 = frame.e1(u, v)
+        e2 = frame.e2(u, v)
+        worst = max(
+            worst,
+            abs(inner(chart, (u, v), e1, e1) - 1.0),
+            abs(inner(chart, (u, v), e2, e2) - 1.0),
+            abs(inner(chart, (u, v), e1, e2)),
+        )
+    return worst
+
+
+def check_gradient_relation(chart: ChartGeometry, field: VectorFieldSpec, points: np.ndarray) -> float:
+    """Max norm of V + grad(sigma) over the sample points."""
+    if field.sigma is None:
+        raise ValueError(f"field {field.name!r} declares no scalar potential")
+    worst = 0.0
+    for u, v in points:
+        g = grad(chart, field.sigma, (u, v), partials=field.sigma_grad)
+        V = np.array(field.components(u, v))
+        worst = max(worst, float(np.max(np.abs(V + g))))
+    return worst
+
+
+def check_killing(chart: ChartGeometry, field: VectorFieldSpec, points: np.ndarray,
+                  rng: np.random.Generator | None = None) -> float:
+    """Max |g(nabla_X V, Y) + g(nabla_Y V, X)| over random unit X, Y."""
+    rng = rng or np.random.default_rng(1)
+    worst = 0.0
+    for u, v in points:
+        X = rng.normal(size=2)
+        Y = rng.normal(size=2)
+        X /= np.linalg.norm(X)
+        Y /= np.linalg.norm(Y)
+        nxv = covariant_derivative(chart, field, (u, v), X)
+        nyv = covariant_derivative(chart, field, (u, v), Y)
+        worst = max(worst, abs(inner(chart, (u, v), nxv, Y) + inner(chart, (u, v), nyv, X)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +502,19 @@ def compile_runtime(chart: ChartSource,
     return compiled, VectorFieldSpec(
         name=field.name, components=fns["components"], sigma=fns.get("sigma"),
         sigma_grad=fns.get("sigma_grad"), flat_potential=fns.get("p"),
-        killing=field.killing, fused=(compiled, fns["rhs"]))
+        killing=field.killing, fused=(chart, fns["rhs"]))
+
+
+#: compile_runtime once per process for each built-in source pair; the chart
+#: and field factories and scenarios.build_runtime share its runtimes
+built_in_runtime = lru_cache(maxsize=None)(compile_runtime)
 
 
 def euclidean_plane() -> ChartGeometry:
     """The euclidean plane with identity metric and vanishing Christoffels."""
-    return compile_runtime(PLANE, ZERO_FIELD)[0]
+    return built_in_runtime(PLANE, ZERO_FIELD)[0]
 
 
 def half_plane(v_min: float = 0.05) -> ChartGeometry:
     """The euclidean metric restricted to the open strip v > v_min."""
-    return compile_runtime(half_plane_source(v_min), ZERO_FIELD)[0]
+    return built_in_runtime(half_plane_source(v_min), ZERO_FIELD)[0]

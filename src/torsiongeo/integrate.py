@@ -131,10 +131,10 @@ class _BoundaryHit(Exception):
 
 def _make_rhs(chart: ChartGeometry, field: VectorFieldSpec, E2: float) -> Callable:
     """The acceleration (u, v, du, dv) -> (ddu, ddv) at launch speed E2: the
-    fused RHS when ``field`` was compiled together with ``chart``, else a
-    closure over their evaluators, the only RHS of a chart built in code
-    (such as conformal_metric's)."""
-    if field.fused is not None and field.fused[0] is chart:
+    fused RHS when ``field`` was compiled with a chart of ``chart``'s
+    source, else a closure over their evaluators, the only RHS of a chart
+    built in code (such as conformal_metric's)."""
+    if field.fused is not None and field.fused[0] == chart.source:
         return field.fused[1](E2)
     return _closure_rhs(chart, field, E2)
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .audit import InvariantReport, SegmentStat, make_report
-from .geometry import PLANE, FieldSource, VectorFieldSpec, along, compile_runtime
+from .geometry import PLANE, FieldSource, VectorFieldSpec, along, built_in_runtime
 from .integrate import GeodesicState, Trace, _rk4_step
 
 #: A branch segment of the arcsin invariant ends when |x'| drops below this.
@@ -34,12 +34,12 @@ SHEAR = FieldSource("shear", "p", ("0.5*y*y",))
 
 def winding_field() -> VectorFieldSpec:
     """V = -y dx + x dy, the rotation generator; flat potential -(x^2+y^2)/2."""
-    return compile_runtime(PLANE, WINDING)[1]
+    return built_in_runtime(PLANE, WINDING)[1]
 
 
 def shear_field() -> VectorFieldSpec:
     """V = y dx; flat potential y^2/2.  Not Killing, but commutes with dx."""
-    return compile_runtime(PLANE, SHEAR)[1]
+    return built_in_runtime(PLANE, SHEAR)[1]
 
 
 def constant_field(a: float, b: float) -> VectorFieldSpec:

@@ -20,7 +20,7 @@ from .audit import InvariantReport, conformal_constant, killing_curvature_check,
 from .errors import ConfigError
 from .expr import compile_expr  # noqa: F401  the name perfbench's tracer binds
 from .geometry import (PLANE, ZERO_FIELD, ChartGeometry, ChartSource, FieldSource,
-                       VectorFieldSpec, compile_runtime, half_plane_source)
+                       VectorFieldSpec, built_in_runtime, compile_runtime, half_plane_source)
 from .integrate import GeodesicState, Trace, integrate_two_sided
 from .plane import SHEAR, WINDING, arcsin_invariant, flat_invariant
 from .surfaces import CATALOG_BUILDERS, CatalogSurface, loxodrome_check
@@ -50,7 +50,7 @@ _SOURCE_RUNTIMES = {
 def build_runtime(key: str) -> Runtime:
     """Construct (and cache) one of the named chart/field pairings."""
     if key in _SOURCE_RUNTIMES:
-        chart, field = compile_runtime(*_SOURCE_RUNTIMES[key])
+        chart, field = built_in_runtime(*_SOURCE_RUNTIMES[key])
         return Runtime(chart=chart, field=field)
     if key in CATALOG_BUILDERS:
         surf = CATALOG_BUILDERS[key]()

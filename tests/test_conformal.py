@@ -6,13 +6,12 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from torsiongeo.conformal import (chordal_lengths, compare_point_sets, conformal_metric,
                                   geodesic_residual, reparametrize, resample_by_arclength)
-from torsiongeo.geometry import euclidean_plane, half_plane
+from torsiongeo.geometry import (check_christoffel_consistency, euclidean_plane, half_plane,
+                                 sample_interior)
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, levi_civita_integrate
 from torsiongeo.scenarios import CATALOG, Scenario, build_runtime, run_scenario
 from torsiongeo.suite import _conformal_pair_distance
 from torsiongeo.surfaces import make_sphere, mercator_map
-
-from geometry_checks import check_christoffel_consistency, sample_interior
 
 
 def test_identity_rescale_keeps_metric():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from torsiongeo.errors import ChartDomainError, MetricDegeneracyError
-from torsiongeo.geometry import (ChartGeometry, FieldSource, christoffel, compile_runtime,
-                                 euclidean_plane, grad, half_plane, half_plane_source, inner, norm)
+from torsiongeo.geometry import (ChartGeometry, FieldSource, OrthoFrame,
+                                 check_christoffel_consistency, check_frame_orthonormal,
+                                 check_gradient_relation, check_killing, check_metric_spd,
+                                 christoffel, compile_runtime, covariant_derivative,
+                                 euclidean_plane, grad, half_plane, half_plane_source, inner,
+                                 interior_grid, norm, sample_interior)
 from torsiongeo.plane import shear_field, winding_field
 from torsiongeo.surfaces import make_catenoid, make_pseudosphere, make_sphere
-
-from geometry_checks import (check_christoffel_consistency, check_frame_orthonormal,
-                             check_gradient_relation, check_killing, check_metric_spd,
-                             covariant_derivative, gram_schmidt, interior_grid, sample_interior)
 
 
 def fd_christoffel_oracle(metric_matrix_fn, u, v, h=1e-6):
@@ -169,7 +169,7 @@ def test_gram_schmidt_frame_on_skewed_metric():
         metric=lambda u, v: (2.0, 0.5, 1.5),
         bounds=(-2.0, 2.0, -2.0, 2.0),
     )
-    frame = gram_schmidt(chart)
+    frame = OrthoFrame.gram_schmidt(chart)
     pts = sample_interior(chart, 10)
     assert check_frame_orthonormal(chart, frame, pts) < 1e-10
 

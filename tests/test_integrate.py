@@ -149,34 +149,36 @@ F_ERR = tuple(b5 - b4 for b4, b5 in zip(F_B4, F_B5))
 
 def oracle_rkf45_step(rhs, contains, y, h):
     # the generic Fehlberg 4(5) loop the tableau compiler replaced
+    def dot(weights, ks, i):
+        # zero weights skipped and the sum started from its first term, as the
+        # compiled kernel does, so that an exactly zero result keeps its sign
+        terms = [w * k[i] for w, k in zip(weights, ks) if w != 0.0]
+        return sum(terms[1:], terms[0])
+
     ks = []
     f = rhs(y[0], y[1], y[2], y[3])
     ks.append((y[2], y[3], f[0], f[1]))
     for row in F_A:
-        z = [y[i] + h * sum(a * k[i] for a, k in zip(row, ks)) for i in range(4)]
+        z = [y[i] + h * dot(row, ks, i) for i in range(4)]
         if not contains(z[0], z[1]):
             raise _BoundaryHit
         f = rhs(z[0], z[1], z[2], z[3])
         ks.append((z[2], z[3], f[0], f[1]))
-    y4 = [y[i] + h * sum(b * k[i] for b, k in zip(F_B4, ks)) for i in range(4)]
+    y4 = [y[i] + h * dot(F_B4, ks, i) for i in range(4)]
     if not contains(y4[0], y4[1]):
         raise _BoundaryHit
-    err = [h * sum(e * k[i] for e, k in zip(F_ERR, ks)) for i in range(4)]
+    err = [h * dot(F_ERR, ks, i) for i in range(4)]
     return y4, err
 
 
 def bits(call):
-    """The float bits of a step's flattened result, or the exception it raised.
-
-    A zero reads as +0.0: the oracles add the zero-coefficient terms that the
-    compiled kernels skip, and sum() starts from the int 0, so a combination
-    that is exactly zero may carry either sign."""
+    """The float bits of a step's flattened result, or the exception it raised."""
     try:
         out = call()
     except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
         return type(exc)
     flat = np.ravel(np.array(out, dtype=object))
-    return [float.hex(float(x) + 0.0) for x in flat]
+    return [float.hex(float(x)) for x in flat]
 
 
 @pytest.mark.parametrize("key", RUNTIMES + list(CONFIG_RUNTIMES))

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsiongeo.errors import ConfigError
-from torsiongeo.geometry import ChartGeometry, VectorFieldSpec
-from torsiongeo.integrate import _make_rhs
+from torsiongeo.geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, half_plane
+from torsiongeo.integrate import GeodesicState, IntegratorSettings, _make_rhs, integrate
+from torsiongeo.plane import shear_field, winding_field
 from torsiongeo.scenarios import CATALOG, ScenarioConfig, build_runtime, run_config, run_scenario
 
 FLAT = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -77,7 +78,7 @@ def test_compiled_runtimes_equal_the_hand_written_closures(key, fu, fv, du, dv, 
     compiled = {"metric": rt.chart.metric, "christoffel": rt.chart.christoffel_analytic,
                 "components": rt.field.components, "sigma": rt.field.sigma,
                 "sigma_grad": rt.field.sigma_grad, "p": rt.field.flat_potential}
-    assert rt.field.fused[0] is rt.chart
+    assert rt.field.fused[0] is rt.chart.source
     pairs = [(name, compiled[name](u, v), oracle[name](u, v))
              for name in compiled if oracle[name] is not None]
     assert [name for name, _, _ in pairs] == [name for name in compiled if compiled[name]]
@@ -116,7 +117,7 @@ def config_runtime(key):
     rt = ScenarioConfig.from_dict({"version": 1, "id": key, "chart": chart, "field": field,
                                    "initial": {"position": [0.3, 1.2],
                                                "velocity": [0.6, 0.8]}}).runtime
-    assert rt.field.fused[0] is rt.chart
+    assert rt.field.fused[0] is rt.chart.source
     return rt
 
 
@@ -144,6 +145,15 @@ def test_runs_step_with_the_fused_rhs(monkeypatch):
             "initial": {"position": [0.3, 1.2], "velocity": [0.6, 0.8]}, "reports": ["speed"]}))
         assert len(trace) == 401 and reports[0].passed
     assert run_scenario(CATALOG["sphere-loxodrome-45"], span=(-0.1, 0.1)).stop_reason == "t1/t1"
+    # a chart and a field from the factories share the built-in runtimes, and
+    # step fused when compiled from the same chart source
+    assert euclidean_plane() is build_runtime("plane-zero").chart
+    assert winding_field() is build_runtime("plane-winding").field
+    for chart, field in [(euclidean_plane(), winding_field()), (euclidean_plane(), shear_field()),
+                         (half_plane(0.05), build_runtime("halfplane-sigma").field)]:
+        trace = integrate(chart, field, GeodesicState(0.0, 0.3, 1.2, 0.6, 0.8),
+                          IntegratorSettings(t0=0.0, t1=0.2, h=1e-3))
+        assert len(trace) == 201
 
 
 def test_fused_rhs_failures_name_the_expression_and_the_point():
