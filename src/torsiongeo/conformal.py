@@ -9,63 +9,33 @@ compares point sets of independently integrated curves.
 
 from __future__ import annotations
 
-import math
-from typing import Callable
+from dataclasses import replace
 
 import numpy as np
 
 from .audit import geodesic_defect, interior_slice
-from .geometry import ChartGeometry, VectorFieldSpec, VectorComponents, along
+from .geometry import (ZERO_FIELD, ChartGeometry, ChartSource, VectorFieldSpec, along,
+                       built_in_runtime)
 from .integrate import Trace, diagnostics
 
-Scalar = Callable[[float, float], float]
+
+def conformal_source(chart: ChartSource, sigma: str) -> ChartSource:
+    """The chart source with its metric sources multiplied by exp(2 sigma),
+    composed as text: a "0" entry stays "0", so its Christoffel terms still
+    fold away, and a "1" entry becomes the bare factor."""
+    factor = f"exp(2.0*({sigma}))"
+    metric = tuple(g if g == "0" else factor if g == "1" else f"{factor}*({g})"
+                   for g in chart.metric)
+    return replace(chart, name=f"{chart.name}~conformal", metric=metric)
 
 
-def conformal_metric(chart: ChartGeometry, sigma: Scalar,
-                     sigma_grad: Callable[[float, float], VectorComponents] | None = None,
-                     name: str | None = None) -> ChartGeometry:
-    """The chart with metric rescaled by exp(2 sigma).
-
-    When the base chart has analytic Christoffels and analytic partials of
-    sigma are supplied, the derived chart gets analytic Christoffels via
-    the standard conformal transformation rule; otherwise it falls back to
-    finite differences of the rescaled metric.
-    """
-    base_metric = chart.metric
-
-    def metric(u: float, v: float) -> tuple[float, float, float]:
-        f = math.exp(2.0 * sigma(u, v))
-        g11, g12, g22 = base_metric(u, v)
-        return (f * g11, f * g12, f * g22)
-
-    gamma = None
-    if chart.christoffel_analytic is not None and sigma_grad is not None:
-        base_gamma = chart.christoffel_analytic
-
-        def gamma(u: float, v: float):
-            (a0, a1, a2), (b0, b1, b2) = base_gamma(u, v)
-            su, sv = sigma_grad(u, v)
-            g11, g12, g22 = base_metric(u, v)
-            det = g11 * g22 - g12 * g12
-            gu = (g22 * su - g12 * sv) / det   # (grad sigma)^u
-            gv = (-g12 * su + g11 * sv) / det
-            return (
-                (a0 + 2.0 * su - g11 * gu,
-                 a1 + sv - g12 * gu,
-                 a2 - g22 * gu),
-                (b0 - g11 * gv,
-                 b1 + su - g12 * gv,
-                 b2 + 2.0 * sv - g22 * gv),
-            )
-
-    return ChartGeometry(
-        name=name or f"{chart.name}~conformal",
-        metric=metric,
-        bounds=chart.bounds,
-        christoffel_analytic=gamma,
-        coord_names=chart.coord_names,
-        sample_box=chart.sample_box,
-    )
+def conformal_metric(chart: ChartGeometry, field: VectorFieldSpec) -> ChartGeometry:
+    """The chart with metric rescaled by exp(2 sigma), for the potential
+    sigma of ``field``: compiled from the chart's and sigma's sources, with
+    exact Christoffel symbols, once per process for each pair."""
+    if field.source is None or field.source.kind != "sigma":
+        raise ValueError(f"field {field.name!r} declares no scalar potential sigma")
+    return built_in_runtime(conformal_source(chart.source, field.source.srcs[0]), ZERO_FIELD)[0]
 
 
 def reparametrize(trace: Trace) -> Trace:
@@ -79,17 +49,14 @@ def reparametrize(trace: Trace) -> Trace:
     the output has constant speed for the rescaled metric and satisfies
     its classical geodesic equation.
     """
-    sigma = getattr(trace.field, "sigma", None)
-    if sigma is None:
-        raise ValueError("trace's field declares no scalar potential sigma")
-    if trace.chart is None:
-        raise ValueError("trace carries no chart")
+    if trace.chart is None or trace.field is None:
+        raise ValueError("trace carries no chart and field")
+    derived_chart = conformal_metric(trace.chart, trace.field)
     launch = trace.index_at(0.0)
     if trace.t[launch] != 0.0:
         raise ValueError("reparametrization anchors t~ = 0 on the trace's t = 0 sample")
-    derived_chart = conformal_metric(trace.chart, sigma, trace.field.sigma_grad)
 
-    f = np.exp(along(sigma, trace.u, trace.v))
+    f = np.exp(along(trace.field.sigma, trace.u, trace.v))
     df = -f * trace.g_v
     h = np.diff(trace.t)
     steps = 0.5 * h * (f[:-1] + f[1:]) + h * h / 12.0 * (df[:-1] - df[1:])

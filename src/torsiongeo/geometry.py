@@ -6,10 +6,10 @@ charts and fields are safe for concurrent read-only use.
 
 Metric evaluators return the three independent components (g11, g12, g22)
 of the symmetric matrix; ``metric_matrix`` assembles the 2x2 array when a
-dense form is needed.  Christoffel symbols come either from an analytic
-evaluator supplied at construction or from central differences of the
-metric.  A chart and a field described by expression sources are compiled
-together by :func:`compile_runtime`, with exact derivatives throughout.
+dense form is needed.  Every chart and field the integrator steps is
+described by expression sources and compiled by :func:`compile_runtime`,
+with exact derivatives throughout; central differences of the metric
+(``ChartGeometry.christoffel_fd``) remain as a test oracle.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ class ChartGeometry:
         Identifier used in traces, reports and error messages.
     metric:
         ``(u, v) -> (g11, g12, g22)``, dimensionless, SPD on the domain.
+    christoffel_analytic:
+        ``(u, v) -> ((G^u_uu, G^u_uv, G^u_vv), (G^v_uu, ...))``, the exact
+        Levi-Civita symbols of the metric; see
+        :func:`check_christoffel_consistency`.
     bounds:
         ``(u_min, u_max, v_min, v_max)``; entries may be infinite.
-    christoffel_analytic:
-        Optional ``(u, v) -> ((G^u_uu, G^u_uv, G^u_vv), (G^v_uu, ...))``.
-        Must agree with central differences of the metric; see
-        :func:`check_christoffel_consistency`.
     sample_box:
         Finite box used for sampled validation when ``bounds`` has infinite
         sides.
@@ -70,8 +70,8 @@ class ChartGeometry:
 
     name: str
     metric: Callable[[float, float], MetricComponents]
+    christoffel_analytic: Callable[[float, float], ChristoffelComponents]
     bounds: tuple[float, float, float, float] = (-math.inf, math.inf, -math.inf, math.inf)
-    christoffel_analytic: Callable[[float, float], ChristoffelComponents] | None = None
     coord_names: tuple[str, str] = ("u", "v")
     sample_box: tuple[float, float, float, float] | None = None
     source: ChartSource | None = None
@@ -113,9 +113,7 @@ class ChartGeometry:
 
     def christoffel_raw(self, u: float, v: float) -> ChristoffelComponents:
         """Christoffel components without the domain check (integrator path)."""
-        if self.christoffel_analytic is not None:
-            return self.christoffel_analytic(u, v)
-        return self.christoffel_fd(u, v)
+        return self.christoffel_analytic(u, v)
 
     def christoffel_fd(self, u: float, v: float) -> ChristoffelComponents:
         """Levi-Civita coefficients from central differences of the metric."""
@@ -265,12 +263,6 @@ class OrthoFrame:
 
         return cls(e1, e2)
 
-    def matrix(self, u: float, v: float) -> np.ndarray:
-        """Frame vectors as columns of a 2x2 array."""
-        c1 = self.e1(u, v)
-        c2 = self.e2(u, v)
-        return np.array([[c1[0], c2[0]], [c1[1], c2[1]]])
-
 
 # ---------------------------------------------------------------------------
 # Vector fields
@@ -285,8 +277,9 @@ class VectorFieldSpec:
     declares the plane relation (V_u, V_v) = (d_y p, -d_x p).  Both are
     assertions by the scenario author, verified numerically by the checks
     below.  ``killing`` flags fields whose flow consists of isometries.
-    ``fused`` pairs the source of the chart this field was compiled with and
-    the factory ``E2 -> rhs(u, v, du, dv)`` of their fused geodesic RHS.
+    ``source`` is the :class:`FieldSource` the field was compiled from, and
+    ``fused`` pairs the source of the chart it was compiled with and the
+    factory ``E2 -> rhs(u, v, du, dv)`` of their fused geodesic RHS.
     """
 
     name: str
@@ -295,6 +288,7 @@ class VectorFieldSpec:
     sigma_grad: Callable[[float, float], VectorComponents] | None = None
     flat_potential: Callable[[float, float], float] | None = None
     killing: bool = False
+    source: FieldSource | None = None
     fused: tuple[ChartSource, Callable] | None = dc_field(default=None, repr=False,
                                                         compare=False)
 
@@ -303,7 +297,8 @@ class VectorFieldSpec:
 
     @classmethod
     def zero(cls) -> "VectorFieldSpec":
-        return cls(name="zero", components=lambda u, v: (0.0, 0.0), killing=True)
+        """The compiled zero field; it steps fused on any compiled chart."""
+        return built_in_runtime(PLANE, ZERO_FIELD)[1]
 
 
 def covariant_derivative(chart: ChartGeometry, field: VectorFieldSpec,
@@ -383,8 +378,6 @@ def check_metric_spd(chart: ChartGeometry, points: np.ndarray) -> float:
 
 def check_christoffel_consistency(chart: ChartGeometry, points: np.ndarray) -> float:
     """Max |analytic - central difference| over Christoffel components."""
-    if chart.christoffel_analytic is None:
-        return 0.0
     worst = 0.0
     for u, v in points:
         ana = np.array(chart.christoffel_analytic(u, v))
@@ -502,11 +495,12 @@ def compile_runtime(chart: ChartSource,
     return compiled, VectorFieldSpec(
         name=field.name, components=fns["components"], sigma=fns.get("sigma"),
         sigma_grad=fns.get("sigma_grad"), flat_potential=fns.get("p"),
-        killing=field.killing, fused=(chart, fns["rhs"]))
+        killing=field.killing, source=field, fused=(chart, fns["rhs"]))
 
 
 #: compile_runtime once per process for each built-in source pair; the chart
-#: and field factories and scenarios.build_runtime share its runtimes
+#: and field factories, scenarios.build_runtime, conformal_metric and the
+#: RHS of a chart and a field compiled apart share its runtimes
 built_in_runtime = lru_cache(maxsize=None)(compile_runtime)
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ChartGeometry, VectorFieldSpec, along, positive_part
+from .geometry import ChartGeometry, VectorFieldSpec, along, built_in_runtime, positive_part
 
 STOP_TIME = "t1"
 STOP_BOUNDARY = "boundary"
@@ -130,30 +130,18 @@ class _BoundaryHit(Exception):
 
 
 def _make_rhs(chart: ChartGeometry, field: VectorFieldSpec, E2: float) -> Callable:
-    """The acceleration (u, v, du, dv) -> (ddu, ddv) at launch speed E2: the
-    fused RHS when ``field`` was compiled with a chart of ``chart``'s
-    source, else a closure over their evaluators, the only RHS of a chart
-    built in code (such as conformal_metric's)."""
+    """The fused acceleration (u, v, du, dv) -> (ddu, ddv) at launch speed E2:
+    the field's own when it was compiled with ``chart``'s source, else the one
+    compiled once per process for the pair of their sources."""
     if field.fused is not None and field.fused[0] == chart.source:
         return field.fused[1](E2)
-    return _closure_rhs(chart, field, E2)
-
-
-def _closure_rhs(chart: ChartGeometry, field: VectorFieldSpec, E2: float) -> Callable:
-    metric = chart.metric
-    gamma = chart.christoffel_analytic or chart.christoffel_fd
-    comp = field.components
-
-    def rhs(u: float, v: float, du: float, dv: float) -> tuple[float, float]:
-        (a0, a1, a2), (b0, b1, b2) = gamma(u, v)
-        Vu, Vv = comp(u, v)
-        g11, g12, g22 = metric(u, v)
-        gV = Vu * (g11 * du + g12 * dv) + Vv * (g12 * du + g22 * dv)
-        ddu = -(a0 * du * du + 2.0 * a1 * du * dv + a2 * dv * dv) - E2 * Vu + gV * du
-        ddv = -(b0 * du * du + 2.0 * b1 * du * dv + b2 * dv * dv) - E2 * Vv + gV * dv
-        return ddu, ddv
-
-    return rhs
+    if chart.source is None or field.source is None:
+        raise ValueError(f"chart {chart.name!r} and field {field.name!r} step only when "
+                         f"built by compile_runtime")
+    if field.source.kind == "sigma":
+        raise ValueError(f"field {field.name!r} is -grad sigma for the metric of chart "
+                         f"{field.fused[0].name!r}, not of {chart.name!r}")
+    return built_in_runtime(chart.source, field.source)[1].fused[1](E2)
 
 
 def geodesic_rhs(chart: ChartGeometry, field: VectorFieldSpec,

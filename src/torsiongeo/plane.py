@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .audit import InvariantReport, SegmentStat, make_report
-from .geometry import PLANE, FieldSource, VectorFieldSpec, along, built_in_runtime
+from .geometry import PLANE, FieldSource, VectorFieldSpec, along, built_in_runtime, compile_runtime
 from .integrate import GeodesicState, Trace, _rk4_step
 
 #: A branch segment of the arcsin invariant ends when |x'| drops below this.
@@ -43,13 +43,10 @@ def shear_field() -> VectorFieldSpec:
 
 
 def constant_field(a: float, b: float) -> VectorFieldSpec:
-    """A constant field a dx + b dy; flat potential a y - b x, Killing."""
-    return VectorFieldSpec(
-        name=f"constant({a:.6g},{b:.6g})",
-        components=lambda x, y: (a, b),
-        flat_potential=lambda x, y: a * y - b * x,
-        killing=True,
-    )
+    """A constant field a dx + b dy; flat potential a y - b x, Killing.
+    Compiled on each call, not cached: its constants are the caller's."""
+    return compile_runtime(PLANE, FieldSource(f"constant({a:.6g},{b:.6g})", "p",
+                                              (f"({a!r})*y - ({b!r})*x",), killing=True))[1]
 
 
 def plane_curvature(field: VectorFieldSpec, state) -> float:

@@ -316,11 +316,14 @@ def _resolve_launch(sid: str, raw: dict, rt: Runtime, h: float) -> Scenario:
 
 
 def _number(value, what: str, finite: bool = True) -> float:
-    """A JSON number as a float, or ConfigError naming ``what``; unless ``finite``
-    is off, Infinity and NaN, which Python's JSON admits, fail too."""
+    """A JSON number as a float, or ConfigError naming ``what``: booleans and
+    strings fail, and unless ``finite`` is off, Infinity and NaN, which
+    Python's JSON admits, fail too."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
     if finite and not math.isfinite(x):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")

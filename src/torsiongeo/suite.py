@@ -106,8 +106,7 @@ def criterion_speed_conservation(ctx: SuiteContext) -> CriterionResult:
 
 def _conformal_pair_distance(rt: Runtime, base_trace: Trace, lc_span: float,
                              perturb_angle: float = 0.0) -> float:
-    sigma = rt.field.sigma
-    derived = conformal_metric(rt.chart, sigma, rt.field.sigma_grad)
+    derived = conformal_metric(rt.chart, rt.field)
     i0 = base_trace.index_at(0.0)
     p0 = (float(base_trace.u[i0]), float(base_trace.v[i0]))
     w = np.array([base_trace.du[i0], base_trace.dv[i0]])

@@ -104,6 +104,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         # a span whose step count, or a launch whose speed, overflows
         dict(CONFIG, span=[-1e308, 1e308]),
         dict(CONFIG, initial={"position": [0.0, 2.0], "velocity": [1e200, 1e200]}),
+        # booleans and strings are not numbers, though float() takes them
+        dict(CONFIG, initial={"position": ["0.5", True], "velocity": [1.0, 0.0]}),
+        dict(CONFIG, initial={"position": [0.0, 2.0], "velocity": [True, "0"]}),
+        dict(CONFIG, integrator={"h": "1e-2"}),
+        dict(CONFIG, integrator={"h": True}),
+        dict(CONFIG, span=[False, "1"]),
+        dict(CONFIG, span=[False, 1.0]),
+        {"version": 1, "id": "short", "scenario": "plane-straight", "span": [False, True]},
+        dict(CONFIG, initial={"position": ["0.5", True], "velocity": [True, "0"]},
+             integrator={"h": "1e-2"}, span=[False, "1"]),
+        dict(CONFIG, chart="sphere", field="catalog", reports=["speed"],
+             initial={"position": [1.0, 0.0], "angle": True}),
+        dict(CONFIG, initial={"position": [0.0, 2.0], "velocity": [1.0, 0.0], "E": "2"}),
+        dict(CONFIG, chart="half-plane", y_min=False),
+        dict(CONFIG, chart={"metric": {"g11": "1", "g22": "1"}, "bounds": [-1, 1, True, 3]}),
     ]):
         path = tmp_path / f"shape-{i}.json"
         path.write_text(json.dumps(cfg))

@@ -6,8 +6,8 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from torsiongeo.conformal import (chordal_lengths, compare_point_sets, conformal_metric,
                                   geodesic_residual, reparametrize, resample_by_arclength)
-from torsiongeo.geometry import (check_christoffel_consistency, euclidean_plane, half_plane,
-                                 sample_interior)
+from torsiongeo.geometry import (PLANE, FieldSource, check_christoffel_consistency,
+                                 compile_runtime, sample_interior)
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, levi_civita_integrate
 from torsiongeo.scenarios import CATALOG, Scenario, build_runtime, run_scenario
 from torsiongeo.suite import _conformal_pair_distance
@@ -15,14 +15,14 @@ from torsiongeo.surfaces import make_sphere, mercator_map
 
 
 def test_identity_rescale_keeps_metric():
-    chart = euclidean_plane()
-    derived = conformal_metric(chart, lambda u, v: 0.0, lambda u, v: (0.0, 0.0))
+    chart, field = compile_runtime(PLANE, FieldSource("flat-sigma", "sigma", ("0",)))
+    derived = conformal_metric(chart, field)
     assert derived.metric(0.3, 0.4) == (1.0, 0.0, 1.0)
 
 
 def test_surface_rescale_gives_inverse_square_metric():
     surf = make_sphere()
-    derived = conformal_metric(surf.chart, surf.field.sigma, surf.field.sigma_grad)
+    derived = conformal_metric(surf.chart, surf.field)
     s = 1.1
     r2 = math.sin(s) ** 2
     g11, g12, g22 = derived.metric(s, 0.0)
@@ -32,9 +32,8 @@ def test_surface_rescale_gives_inverse_square_metric():
 
 
 def test_halfplane_rescale_is_hyperbolic():
-    chart = half_plane(0.05)
-    derived = conformal_metric(chart, lambda u, v: -math.log(v),
-                               lambda u, v: (0.0, -1.0 / v))
+    rt = build_runtime("halfplane-sigma")  # sigma = -log(y) on y > 0.05
+    derived = conformal_metric(rt.chart, rt.field)
     g11, g12, g22 = derived.metric(0.0, 2.0)
     assert g11 == pytest.approx(0.25)
     assert g22 == pytest.approx(0.25)
@@ -46,26 +45,16 @@ def test_halfplane_rescale_is_hyperbolic():
 
 @pytest.mark.parametrize("case", ["sphere", "pseudosphere", "catenoid", "halfplane"])
 def test_connection_identity_residual(case, rng):
-    # the analytic conformal Christoffel rule against central differences
+    # the compiled conformal Christoffel symbols against central differences
     # of the rescaled metric
-    if case == "halfplane":
-        base = half_plane(0.05)
-        sigma, sigma_grad = (lambda u, v: -math.log(v)), (lambda u, v: (0.0, -1.0 / v))
-    else:
-        surf = build_runtime(case).surface
-        base, sigma, sigma_grad = surf.chart, surf.field.sigma, surf.field.sigma_grad
-    pts = sample_interior(base, 100, rng)
-    assert check_christoffel_consistency(conformal_metric(base, sigma, sigma_grad), pts) < 1e-6
+    rt = build_runtime("halfplane-sigma" if case == "halfplane" else case)
+    pts = sample_interior(rt.chart, 100, rng)
+    assert check_christoffel_consistency(conformal_metric(rt.chart, rt.field), pts) < 1e-6
 
 
 def test_reparametrize_constant_sigma_rescales_time():
-    chart = euclidean_plane()
     sigma_value = 0.7
-    from torsiongeo.geometry import VectorFieldSpec
-
-    field = VectorFieldSpec(name="flat-sigma", components=lambda u, v: (0.0, 0.0),
-                            sigma=lambda u, v: sigma_value,
-                            sigma_grad=lambda u, v: (0.0, 0.0))
+    chart, field = compile_runtime(PLANE, FieldSource("flat-sigma", "sigma", ("0.7",)))
     tr = integrate(chart, field, GeodesicState(0.0, 0.0, 0.0, 1.0, 0.0),
                    IntegratorSettings(t0=0.0, t1=2.0, h=1e-3))
     rep = reparametrize(tr)
@@ -125,7 +114,7 @@ def test_reparametrize_requires_potential(winding_trace):
 def test_meridian_maps_to_same_point_set():
     surf = make_sphere()
     tr = run_scenario(CATALOG["sphere-meridian"], span=(0.0, 1.0))
-    derived = conformal_metric(surf.chart, surf.field.sigma, surf.field.sigma_grad)
+    derived = conformal_metric(surf.chart, surf.field)
     w = 1.0 / math.sqrt(derived.metric(math.pi / 2, 0.0)[0])
     lc = levi_civita_integrate(derived, GeodesicState(0.0, math.pi / 2, 0.0, w, 0.0),
                                IntegratorSettings(t0=0.0, t1=2.0, h=1e-3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torsiongeo.errors import ChartDomainError, MetricDegeneracyError
-from torsiongeo.geometry import (ChartGeometry, FieldSource, OrthoFrame,
+from torsiongeo.geometry import (ZERO_FIELD, ChartSource, FieldSource, OrthoFrame,
                                  check_christoffel_consistency, check_frame_orthonormal,
                                  check_gradient_relation, check_killing, check_metric_spd,
                                  christoffel, compile_runtime, covariant_derivative,
@@ -50,13 +50,11 @@ def test_sphere_christoffels_closed_form_and_fd_oracle():
 
 def test_mercator_image_metric_matches_fd_oracle():
     # diag(1/sin^2 s, 1): the image of the sphere metric under the
-    # Mercator-type change of variables, exercising the FD chart path.
-    chart = ChartGeometry(
-        name="mercator-image",
-        metric=lambda u, v: (1.0 / math.sin(u) ** 2, 0.0, 1.0),
+    # Mercator-type change of variables, a chart with a non-constant g11.
+    chart = compile_runtime(ChartSource(
+        "mercator-image", ("1/sin(u)**2", "0", "1"),
         bounds=(1e-3, math.pi - 1e-3, -math.inf, math.inf),
-        sample_box=(0.3, math.pi - 0.3, -3.0, 3.0),
-    )
+        sample_box=(0.3, math.pi - 0.3, -3.0, 3.0)), ZERO_FIELD)[0]
     for s in (0.7, 1.3, 2.2):
         got = christoffel(chart, (s, 0.0))
         oracle = fd_christoffel_oracle(
@@ -102,11 +100,8 @@ def test_domain_box_is_open():
 
 
 def test_singular_metric_raises_degeneracy():
-    chart = ChartGeometry(
-        name="degenerate",
-        metric=lambda u, v: (u, 0.0, 1.0),  # singular at u <= 0
-        bounds=(-1.0, 1.0, -1.0, 1.0),
-    )
+    chart = compile_runtime(ChartSource("degenerate", ("u", "0", "1"),  # singular at u <= 0
+                                        bounds=(-1.0, 1.0, -1.0, 1.0)), ZERO_FIELD)[0]
     with pytest.raises(MetricDegeneracyError):
         christoffel(chart, (-0.5, 0.0))
 
@@ -164,11 +159,8 @@ def test_frames_orthonormal_on_catalog():
 
 
 def test_gram_schmidt_frame_on_skewed_metric():
-    chart = ChartGeometry(
-        name="skewed",
-        metric=lambda u, v: (2.0, 0.5, 1.5),
-        bounds=(-2.0, 2.0, -2.0, 2.0),
-    )
+    chart = compile_runtime(ChartSource("skewed", ("2.0", "0.5", "1.5"),
+                                        bounds=(-2.0, 2.0, -2.0, 2.0)), ZERO_FIELD)[0]
     frame = OrthoFrame.gram_schmidt(chart)
     pts = sample_interior(chart, 10)
     assert check_frame_orthonormal(chart, frame, pts) < 1e-10

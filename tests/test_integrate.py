@@ -7,7 +7,8 @@ from scipy.interpolate import CubicSpline
 
 from torsiongeo.audit import Isometry, killing_flow_symmetry, uniform_step
 from torsiongeo.errors import ChartDomainError
-from torsiongeo.geometry import VectorFieldSpec, euclidean_plane
+from torsiongeo.geometry import (PLANE, ZERO_FIELD, ChartSource, FieldSource, VectorFieldSpec,
+                                 compile_runtime, euclidean_plane)
 from torsiongeo.integrate import (GeodesicState, IntegratorSettings, _BoundaryHit,
                                   _make_rhs, _rk4_step, _rkf45_step, geodesic_rhs,
                                   integrate, integrate_adaptive, integrate_two_sided,
@@ -373,14 +374,10 @@ def test_levi_civita_straight_lines_in_mercator_image_chart():
     # geodesics have constant velocity in the (y, phi) coordinates, which
     # here shows as a loxodrome when pulled back.  Spot check: the chart's
     # classical geodesic launched along phi keeps du/dv constant ratio.
-    import torsiongeo.geometry as geo
-
-    chart = geo.ChartGeometry(
-        name="mercator-image",
-        metric=lambda u, v: (1.0 / math.sin(u) ** 2, 0.0, 1.0),
+    chart = compile_runtime(ChartSource(
+        "mercator-image", ("1/sin(u)**2", "0", "1"),
         bounds=(0.3, math.pi - 0.3, -math.inf, math.inf),
-        sample_box=(0.4, math.pi - 0.4, -3.0, 3.0),
-    )
+        sample_box=(0.4, math.pi - 0.4, -3.0, 3.0)), ZERO_FIELD)[0]
     state = GeodesicState(0.0, math.pi / 2, 0.0, math.sin(math.pi / 2), 1.0)
     tr = levi_civita_integrate(chart, state, settings(0.8))
     # Mercator image y = log tan(s/2) advances linearly in time
@@ -409,7 +406,7 @@ def test_trace_records_the_method_that_ran(run, asked, ran):
 
 def test_adaptive_underflow_is_a_stop_reason():
     # the field jumps by 1e12 at x = 1, so no step across it meets the tolerance
-    field = VectorFieldSpec("jump", lambda x, y: (1e12 * (x // 1), 0.0))
+    field = compile_runtime(PLANE, FieldSource("jump", "fg", ("1e12*(x//1)", "0")))[1]
     tr = integrate_adaptive(euclidean_plane(), field, GeodesicState(0.0, 0.9, 0.0, 1.0, 0.1),
                             settings(1.0))
     assert tr.stop_reason == "underflow"

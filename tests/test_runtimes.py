@@ -3,9 +3,10 @@ hand-written closures they replaced.
 
 Each built-in runtime used to be a set of closures for its metric,
 Christoffel symbols, field components, potential and gradient, and the RHS
-called them one by one.  Those closures are kept here as the oracle.  Every
-compiled evaluator and the fused RHS equal them bitwise, except on the
-surfaces G^v_uv = r'/r, which the generic rule computes as
+called them one by one.  Those closures, the RHS that called them, and the
+conformal Christoffel rule that rescaled charts used are kept here as the
+oracle.  Every compiled evaluator and the fused RHS equal them bitwise,
+except on the surfaces G^v_uv = r'/r, which the generic rule computes as
 (1/g22) * (1/2) d g22, and the acceleration ddv that reads it.  G^v_uv stays
 within 4 ulp, and ddv within 4 ulp of its term 2 G^v_uv du dv, about half
 of which it cancels.  A zero equals a zero of either sign, since folding an
@@ -19,11 +20,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torsiongeo.conformal import conformal_metric
 from torsiongeo.errors import ConfigError
 from torsiongeo.geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, half_plane
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, _make_rhs, integrate
 from torsiongeo.plane import shear_field, winding_field
 from torsiongeo.scenarios import CATALOG, ScenarioConfig, build_runtime, run_config, run_scenario
+from torsiongeo.suite import criterion_conformal_equivalence
 
 FLAT = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -56,11 +59,38 @@ ORACLES = {
 }
 
 
-
 def oracle_rhs(oracle, E2):
     """The closure RHS over the oracle's evaluators."""
-    chart = ChartGeometry("oracle", oracle["metric"], christoffel_analytic=oracle["christoffel"])
-    return _make_rhs(chart, VectorFieldSpec("oracle", oracle["components"]), E2)
+    metric, gamma, comp = oracle["metric"], oracle["christoffel"], oracle["components"]
+
+    def rhs(u, v, du, dv):
+        (a0, a1, a2), (b0, b1, b2) = gamma(u, v)
+        Vu, Vv = comp(u, v)
+        g11, g12, g22 = metric(u, v)
+        gV = Vu * (g11 * du + g12 * dv) + Vv * (g12 * du + g22 * dv)
+        ddu = -(a0 * du * du + 2.0 * a1 * du * dv + a2 * dv * dv) - E2 * Vu + gV * du
+        ddv = -(b0 * du * du + 2.0 * b1 * du * dv + b2 * dv * dv) - E2 * Vv + gV * dv
+        return ddu, ddv
+
+    return rhs
+
+
+def conformal_christoffel_oracle(oracle, u, v):
+    """The conformal rule that rescaled charts used, for the metric
+    exp(2 sigma) g: G~^k_ij = G^k_ij + d_i sigma delta^k_j + d_j sigma delta^k_i
+    - g_ij (grad sigma)^k.  Returns the symbols and, per symbol, the largest
+    magnitude among its terms."""
+    (a0, a1, a2), (b0, b1, b2) = oracle["christoffel"](u, v)
+    su, sv = oracle["sigma_grad"](u, v)
+    g11, g12, g22 = oracle["metric"](u, v)
+    det = g11 * g22 - g12 * g12
+    gu = (g22 * su - g12 * sv) / det   # (grad sigma)^u
+    gv = (-g12 * su + g11 * sv) / det
+    gamma = ((a0 + 2.0 * su - g11 * gu, a1 + sv - g12 * gu, a2 - g22 * gu),
+             (b0 - g11 * gv, b1 + su - g12 * gv, b2 + 2.0 * sv - g22 * gv))
+    terms = ((a0, 2.0 * su, g11 * gu), (a1, sv, g12 * gu), (a2, g22 * gu),
+             (b0, g11 * gv), (b1, su, g12 * gv), (b2, 2.0 * sv, g22 * gv))
+    return gamma, [max(map(abs, t)) for t in terms]
 
 
 def flat(value):
@@ -100,6 +130,28 @@ def test_compiled_runtimes_equal_the_hand_written_closures(key, fu, fv, du, dv, 
                 assert a == b, (name, i, a, b)
 
 
+@pytest.mark.parametrize("key", ["sphere", "pseudosphere", "catenoid", "halfplane-sigma"])
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.floats(0.01, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_conformal_charts_equal_the_conformal_rule(key, fu, fv, du, dv, E2):
+    # a symbol whose terms cancel, such as G~^u_vv = 0 on a surface, is
+    # compared in ulps of its largest term
+    rt, oracle = build_runtime(key), ORACLES[key]
+    u0, u1, v0, v1 = rt.chart.sample_box
+    u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
+    derived = conformal_metric(rt.chart, rt.field)
+    want, scales = conformal_christoffel_oracle(oracle, u, v)
+    for a, b, scale in zip(flat(derived.christoffel_analytic(u, v)), flat(want), scales,
+                           strict=True):
+        assert abs(a - b) <= 4.0 * math.ulp(max(abs(a), abs(b), scale)), (a, b)
+    # the Levi-Civita RHS of the rescaled chart is the closure RHS's formula
+    lc = {"metric": derived.metric, "christoffel": derived.christoffel_analytic,
+          "components": lambda u, v: (0.0, 0.0)}
+    assert _make_rhs(derived, VectorFieldSpec.zero(), E2)(u, v, du, dv) == \
+        oracle_rhs(lc, E2)(u, v, du, dv)
+
+
 #: Config-built runtimes that step with their fused RHS, one per field kind,
 #: plus an inline metric
 CONFIG_RUNTIMES = {
@@ -132,12 +184,29 @@ def test_built_in_config_selectors_resolve_to_the_cached_runtimes():
         assert rt is build_runtime(key)
 
 
-def test_runs_step_with_the_fused_rhs(monkeypatch):
-    def closure(*args):
-        raise AssertionError("a compiled runtime stepped with the closure RHS")
+def test_runs_step_with_the_fused_rhs(monkeypatch, suite_ctx):
+    # a chart or a field built in code has no sources to compile an RHS from
+    launch = GeodesicState(0.0, 0.3, 1.2, 0.6, 0.8)
+    span = IntegratorSettings(t0=0.0, t1=0.2, h=1e-3)
+    for chart, field in [
+            (ChartGeometry("bare", lambda u, v: (1.0, 0.0, 1.0), lambda u, v: FLAT),
+             VectorFieldSpec.zero()),
+            (euclidean_plane(), VectorFieldSpec("bare", lambda u, v: (0.0, 0.0)))]:
+        with pytest.raises(ValueError, match="compile_runtime"):
+            integrate(chart, field, launch, span)
+    # a gradient field steps only on the chart whose metric it is the gradient for
+    with pytest.raises(ValueError, match="-grad sigma for the metric of chart 'half-plane'"):
+        integrate(build_runtime("sphere").chart, build_runtime("halfplane-sigma").field,
+                  launch, span)
 
-    # the package exports the function integrate under the module's name
-    monkeypatch.setattr(importlib.import_module("torsiongeo.integrate"), "_closure_rhs", closure)
+    mod = importlib.import_module("torsiongeo.integrate")
+    make_rhs, steps = mod._make_rhs, []
+
+    def spy(chart, field, E2):
+        steps.append((chart, make_rhs(chart, field, E2)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(mod, "_make_rhs", spy)
     for key in CONFIG_RUNTIMES:
         chart, field = CONFIG_RUNTIMES[key]
         trace, reports = run_config(ScenarioConfig.from_dict({
@@ -151,9 +220,16 @@ def test_runs_step_with_the_fused_rhs(monkeypatch):
     assert winding_field() is build_runtime("plane-winding").field
     for chart, field in [(euclidean_plane(), winding_field()), (euclidean_plane(), shear_field()),
                          (half_plane(0.05), build_runtime("halfplane-sigma").field)]:
-        trace = integrate(chart, field, GeodesicState(0.0, 0.3, 1.2, 0.6, 0.8),
-                          IntegratorSettings(t0=0.0, t1=0.2, h=1e-3))
+        trace = integrate(chart, field, launch, span)
         assert len(trace) == 201
+    # criterion 2's Levi-Civita runs, of the zero field on a rescaled chart,
+    # step with the module their rescaled chart was compiled in
+    steps.clear()
+    assert criterion_conformal_equivalence(suite_ctx).passed
+    lc_runs = [(chart, rhs) for chart, rhs in steps if chart.name.endswith("~conformal")]
+    assert len(lc_runs) == 5
+    for chart, rhs in lc_runs:
+        assert rhs.__globals__ is chart.metric.__globals__
 
 
 def test_fused_rhs_failures_name_the_expression_and_the_point():
