@@ -73,10 +73,6 @@ class Decomposition:
     remainder: np.ndarray
     triples: list[tuple[int, int, int]] = field(repr=False, default_factory=list)
 
-    @property
-    def n(self) -> int:
-        return self.remainder.shape[0]
-
     def vector_tensor(self) -> np.ndarray:
         return vectorial_tensor(self.vector).values
 

@@ -148,15 +148,14 @@ def interior_slice(n: int, margin: int = 2) -> slice:
 # ---------------------------------------------------------------------------
 
 
-def curvature_general(trace: Trace, field: VectorFieldSpec | None = None) -> np.ndarray:
+def curvature_general(trace: Trace) -> np.ndarray:
     """Per-sample geodesic curvature sqrt(max(0, |V|^2 - g(V, v)^2 / E^2)).
 
     Nonnegative; vanishes where the velocity is parallel to V, where the
     curve locally coincides with a classical geodesic.  This is the trace's
-    own ``kappa`` column, which the integrator computes with this formula;
-    ``field``, when given, must be the trace's field.
+    own ``kappa`` column, which the integrator computes with this formula.
     """
-    _resolve_field(trace, field)
+    _require_field(trace)
     return trace.kappa
 
 
@@ -166,7 +165,7 @@ def geodesic_defect(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     chart = _require_chart(trace)
     ddu = series_derivative(trace.t, trace.du)
     ddv = series_derivative(trace.t, trace.dv)
-    (a0, a1, a2), (b0, b1, b2) = along(chart.christoffel_raw, trace.u, trace.v, (2, 3))
+    (a0, a1, a2), (b0, b1, b2) = along(chart.christoffel_analytic, trace.u, trace.v, (2, 3))
     du, dv = trace.du, trace.dv
     wu = ddu + a0 * du * du + 2.0 * a1 * du * dv + a2 * dv * dv
     wv = ddv + b0 * du * du + 2.0 * b1 * du * dv + b2 * dv * dv
@@ -182,18 +181,19 @@ def kinematic_curvature(trace: Trace) -> np.ndarray:
     return np.sqrt(positive_part(n2)) / (trace.E * trace.E)
 
 
-def killing_curvature_check(trace: Trace, field: VectorFieldSpec | None = None,
-                            residual_tol: float = 1e-4) -> InvariantReport:
+def killing_curvature_check(trace: Trace) -> InvariantReport:
     """For a Killing field: d/dt g(V, v) = -E^2 kappa^2, g(V, v) non-increasing.
 
-    The derivative is finite-differenced from the stored g(V, v) series.
-    Raises ValueError for a field not flagged Killing.
+    The derivative is finite-differenced from the stored g(V, v) series, and
+    the residual must stay below 1e-4.  Raises ValueError for a field not
+    flagged Killing.
     """
-    field = _resolve_field(trace, field)
+    residual_tol = 1e-4
+    field = _require_field(trace)
     if not field.killing:
         raise ValueError(f"field {field.name!r} is not flagged as a Killing field")
     gv = trace.g_v
-    kappa = curvature_general(trace, field)
+    kappa = curvature_general(trace)
     dgv = series_derivative(trace.t, gv)
     residual = dgv + trace.E ** 2 * kappa ** 2
     core = interior_slice(len(trace))
@@ -212,21 +212,21 @@ def killing_curvature_check(trace: Trace, field: VectorFieldSpec | None = None,
 # ---------------------------------------------------------------------------
 
 
-def conformal_constant(trace: Trace, sigma: Callable[[float, float], float] | None = None,
-                       X: Callable[[float, float], tuple[float, float]] | Sequence[float] = (0.0, 1.0),
-                       threshold: float = 1e-6) -> InvariantReport:
-    """Report on exp(sigma) * g(velocity, X) along the trace.
+def conformal_constant(trace: Trace,
+                       X: Callable[[float, float], tuple[float, float]] | Sequence[float] = (0.0, 1.0)
+                       ) -> InvariantReport:
+    """Report on exp(sigma) * g(velocity, X) along the trace, for the
+    potential sigma of the trace's vector field; it passes with a standard
+    deviation below 1e-6.
 
     ``X`` is a Killing field of the conformally rescaled metric, given in
-    chart components (callable or constant pair).  With ``sigma`` omitted,
-    the potential attached to the trace's vector field is used.
+    chart components (callable or constant pair).
     """
-    if sigma is None:
-        sigma = getattr(trace.field, "sigma", None)
+    sigma = getattr(trace.field, "sigma", None)
     if sigma is None:
         raise ValueError("no scalar potential available for the conformal constant")
     vals = along(lambda u, v: math.exp(sigma(u, v)), trace.u, trace.v) * naive_momentum(trace, X)
-    return make_report("conformal-constant", trace.t, vals, threshold=threshold, use_std=True)
+    return make_report("conformal-constant", trace.t, vals, threshold=1e-6, use_std=True)
 
 
 def naive_momentum(trace: Trace,
@@ -257,16 +257,12 @@ class Isometry:
         return cls("identity", lambda u, v: (u, v), lambda u, v: np.eye(2))
 
     @classmethod
-    def rotation(cls, angle: float, center: tuple[float, float] = (0.0, 0.0)) -> "Isometry":
+    def rotation(cls, angle: float) -> "Isometry":
+        """The rotation by ``angle`` about the origin."""
         c, s = math.cos(angle), math.sin(angle)
         R = np.array([[c, -s], [s, c]])
-        cx, cy = center
-
-        def pmap(u: float, v: float) -> tuple[float, float]:
-            x, y = u - cx, v - cy
-            return (cx + c * x - s * y, cy + s * x + c * y)
-
-        return cls(f"rotation({angle:.6g})", pmap, lambda u, v: R)
+        return cls(f"rotation({angle:.6g})", lambda u, v: (c * u - s * v, s * u + c * v),
+                   lambda u, v: R)
 
     @classmethod
     def translation(cls, dx: float, dy: float) -> "Isometry":
@@ -274,18 +270,18 @@ class Isometry:
                    lambda u, v: (u + dx, v + dy), lambda u, v: np.eye(2))
 
 
-def killing_flow_symmetry(trace: Trace, isometry: Isometry,
-                          commute_tol: float = 1e-6) -> float:
+def killing_flow_symmetry(trace: Trace, isometry: Isometry) -> float:
     """Max pointwise mismatch between the mapped trace and a re-integration.
 
     The map is applied to the launch state, the geodesic is re-integrated
     over the trace's span with its method, step and tolerances, and
-    positions are compared sample by sample.  The isometry must commute with the trace's vector field; this
-    is spot-checked at 20 sample points and violations raise ValueError.
+    positions are compared sample by sample.  The isometry must commute
+    with the trace's vector field; this is spot-checked at 20 sample points,
+    to 1e-6 relative, and violations raise ValueError.
     """
     chart = _require_chart(trace)
-    field = _resolve_field(trace, None)
-    _check_commutes(trace, isometry, field, commute_tol)
+    field = _require_field(trace)
+    _check_commutes(trace, isometry, field, 1e-6)
 
     i0 = trace.index_at(0.0)
     u0, v0 = isometry.point_map(trace.u[i0], trace.v[i0])
@@ -331,13 +327,7 @@ def _require_chart(trace: Trace) -> ChartGeometry:
     return trace.chart
 
 
-def _resolve_field(trace: Trace, field: VectorFieldSpec | None) -> VectorFieldSpec:
-    if field is None:
-        if trace.field is None:
-            raise ValueError("trace carries no vector field")
-        return trace.field
-    if trace.field is not None and field is not trace.field and field.name != trace.field.name:
-        raise ValueError(
-            f"field {field.name!r} does not match the trace's field {trace.field.name!r}"
-        )
-    return field
+def _require_field(trace: Trace) -> VectorFieldSpec:
+    if trace.field is None:
+        raise ValueError("trace carries no vector field")
+    return trace.field

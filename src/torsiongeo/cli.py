@@ -83,10 +83,7 @@ def _cmd_compare_conformal(args) -> int:
 
 
 def _cmd_mercator(args) -> int:
-    builder = CATALOG_BUILDERS.get(args.surface)
-    if builder is None:
-        raise ConfigError(f"unknown surface {args.surface!r}")
-    surf = builder()
+    surf = build_runtime(args.surface).surface
     s0, s1 = surf.profile.s_domain
     lo = args.s_min if args.s_min is not None else s0 + 0.02 * (s1 - s0)
     hi = args.s_max if args.s_max is not None else s1 - 0.02 * (s1 - s0)
@@ -160,10 +157,7 @@ def _cmd_plot(args) -> int:
     if not traces:
         raise ConfigError("nothing to plot: give --csv and/or --scenario")
     if args.embed_surface:
-        builder = CATALOG_BUILDERS.get(args.embed_surface)
-        if builder is None:
-            raise ConfigError(f"unknown surface {args.embed_surface!r}")
-        surf = builder()
+        surf = build_runtime(args.embed_surface).surface
         curves = []
         for tr in traces:
             pts = project_orthographic(embed(surf, tr))

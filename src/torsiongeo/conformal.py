@@ -96,23 +96,20 @@ def resample_by_arclength(points: np.ndarray, n: int, length: float | None = Non
                             np.interp(s, cum, points[:, 1])])
 
 
-def compare_point_sets(trace_a, trace_b, n_points: int = 512,
-                       trim_to_common: bool = True) -> float:
+def compare_point_sets(trace_a, trace_b) -> float:
     """Symmetric Hausdorff distance after chordal arc-length resampling.
 
-    Accepts traces or raw (N, 2) arrays.  With ``trim_to_common`` both
-    curves are cut to the shorter chordal length before resampling, so two
+    Accepts traces or raw (N, 2) arrays.  Both curves are cut to the
+    shorter chordal length and resampled at 512 points, so two
     parametrizations of the same point set compare near zero.
     """
     a = trace_a.positions if hasattr(trace_a, "positions") else np.asarray(trace_a, dtype=float)
     b = trace_b.positions if hasattr(trace_b, "positions") else np.asarray(trace_b, dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("point-set comparison needs at least two samples per trace")
-    length = None
-    if trim_to_common:
-        length = min(chordal_lengths(a)[-1], chordal_lengths(b)[-1])
-    ra = resample_by_arclength(a, n_points, length)
-    rb = resample_by_arclength(b, n_points, length)
+    length = min(chordal_lengths(a)[-1], chordal_lengths(b)[-1])
+    ra = resample_by_arclength(a, 512, length)
+    rb = resample_by_arclength(b, 512, length)
     d2 = ((ra[:, None, :] - rb[None, :, :]) ** 2).sum(axis=2)
     forward = np.sqrt(d2.min(axis=1)).max()
     backward = np.sqrt(d2.min(axis=0)).max()

@@ -56,13 +56,11 @@ class ChartGeometry:
         ``(u, v) -> (g11, g12, g22)``, dimensionless, SPD on the domain.
     christoffel_analytic:
         ``(u, v) -> ((G^u_uu, G^u_uv, G^u_vv), (G^v_uu, ...))``, the exact
-        Levi-Civita symbols of the metric; see
-        :func:`check_christoffel_consistency`.
+        Levi-Civita symbols of the metric.
     bounds:
         ``(u_min, u_max, v_min, v_max)``; entries may be infinite.
     sample_box:
-        Finite box used for sampled validation when ``bounds`` has infinite
-        sides.
+        Finite box to draw sample launches and points from.
     source:
         The :class:`ChartSource` a compiled chart was built from; a field
         compiled with the same source steps on this chart with its fused RHS.
@@ -72,7 +70,6 @@ class ChartGeometry:
     metric: Callable[[float, float], MetricComponents]
     christoffel_analytic: Callable[[float, float], ChristoffelComponents]
     bounds: tuple[float, float, float, float] = (-math.inf, math.inf, -math.inf, math.inf)
-    coord_names: tuple[str, str] = ("u", "v")
     sample_box: tuple[float, float, float, float] | None = None
     source: ChartSource | None = None
 
@@ -109,10 +106,6 @@ class ChartGeometry:
 
     def christoffel(self, u: float, v: float) -> ChristoffelComponents:
         self.require_inside(u, v)
-        return self.christoffel_raw(u, v)
-
-    def christoffel_raw(self, u: float, v: float) -> ChristoffelComponents:
-        """Christoffel components without the domain check (integrator path)."""
         return self.christoffel_analytic(u, v)
 
     def christoffel_fd(self, u: float, v: float) -> ChristoffelComponents:
@@ -246,23 +239,6 @@ class OrthoFrame:
     e1: Callable[[float, float], VectorComponents]
     e2: Callable[[float, float], VectorComponents]
 
-    @classmethod
-    def gram_schmidt(cls, chart: ChartGeometry) -> "OrthoFrame":
-        """Orthonormalize the coordinate frame (du first, then dv)."""
-
-        def e1(u: float, v: float) -> VectorComponents:
-            g11, _, _ = chart.metric(u, v)
-            return (1.0 / math.sqrt(g11), 0.0)
-
-        def e2(u: float, v: float) -> VectorComponents:
-            g11, g12, g22 = chart.metric(u, v)
-            # dv minus its projection on du, normalized
-            a = -g12 / g11
-            nrm = math.sqrt(g22 + 2.0 * a * g12 + a * a * g11)
-            return (a / nrm, 1.0 / nrm)
-
-        return cls(e1, e2)
-
 
 # ---------------------------------------------------------------------------
 # Vector fields
@@ -275,8 +251,8 @@ class VectorFieldSpec:
 
     ``sigma`` declares the relation V = -grad(sigma); ``flat_potential``
     declares the plane relation (V_u, V_v) = (d_y p, -d_x p).  Both are
-    assertions by the scenario author, verified numerically by the checks
-    below.  ``killing`` flags fields whose flow consists of isometries.
+    assertions by the scenario author, verified numerically by the tests.
+    ``killing`` flags fields whose flow consists of isometries.
     ``source`` is the :class:`FieldSource` the field was compiled from, and
     ``fused`` pairs the source of the chart it was compiled with and the
     factory ``E2 -> rhs(u, v, du, dv)`` of their fused geodesic RHS.
@@ -292,141 +268,10 @@ class VectorFieldSpec:
     fused: tuple[ChartSource, Callable] | None = dc_field(default=None, repr=False,
                                                         compare=False)
 
-    def __call__(self, u: float, v: float) -> VectorComponents:
-        return self.components(u, v)
-
     @classmethod
     def zero(cls) -> "VectorFieldSpec":
         """The compiled zero field; it steps fused on any compiled chart."""
         return built_in_runtime(PLANE, ZERO_FIELD)[1]
-
-
-def covariant_derivative(chart: ChartGeometry, field: VectorFieldSpec,
-                         point: Sequence[float], X: Sequence[float]) -> np.ndarray:
-    """Levi-Civita covariant derivative (nabla_X V) in chart components."""
-    u, v = float(point[0]), float(point[1])
-    chart.require_inside(u, v)
-    hu = fd_step(u)
-    hv = fd_step(v)
-    Vpu = field.components(u + hu, v)
-    Vmu = field.components(u - hu, v)
-    Vpv = field.components(u, v + hv)
-    Vmv = field.components(u, v - hv)
-    dV = np.array([
-        [(Vpu[0] - Vmu[0]) / (2 * hu), (Vpu[1] - Vmu[1]) / (2 * hu)],
-        [(Vpv[0] - Vmv[0]) / (2 * hv), (Vpv[1] - Vmv[1]) / (2 * hv)],
-    ])  # dV[i][k] = partial_i V^k
-    G = christoffel(chart, (u, v))
-    V = np.array(field.components(u, v))
-    Xa = np.asarray(X, dtype=float)
-    out = np.empty(2)
-    for k in (0, 1):
-        out[k] = Xa[0] * dV[0][k] + Xa[1] * dV[1][k] + Xa @ G[k] @ V
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Sampled validation
-# ---------------------------------------------------------------------------
-
-
-def _validation_box(chart: ChartGeometry, margin: float = 0.01) -> tuple[float, float, float, float]:
-    u0, u1, v0, v1 = chart.bounds
-    box = chart.sample_box
-    if not all(map(math.isfinite, (u0, u1, v0, v1))):
-        if box is None:
-            raise ValueError(
-                f"chart {chart.name!r} has an unbounded domain and no sample_box"
-            )
-        return box
-    du = (u1 - u0) * margin
-    dv = (v1 - v0) * margin
-    return (u0 + du, u1 - du, v0 + dv, v1 - dv)
-
-
-def sample_interior(chart: ChartGeometry, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Uniform random interior points, shape (n, 2)."""
-    rng = rng or np.random.default_rng(0)
-    u0, u1, v0, v1 = _validation_box(chart)
-    pts = np.empty((n, 2))
-    pts[:, 0] = rng.uniform(u0, u1, n)
-    pts[:, 1] = rng.uniform(v0, v1, n)
-    return pts
-
-
-def interior_grid(chart: ChartGeometry, n: int = 20) -> np.ndarray:
-    """A regular n x n interior sample grid, shape (n*n, 2)."""
-    u0, u1, v0, v1 = _validation_box(chart)
-    us = np.linspace(u0, u1, n)
-    vs = np.linspace(v0, v1, n)
-    uu, vv = np.meshgrid(us, vs)
-    return np.column_stack([uu.ravel(), vv.ravel()])
-
-
-def check_metric_spd(chart: ChartGeometry, points: np.ndarray) -> float:
-    """Verify SPD at every point; returns the smallest eigenvalue seen."""
-    smallest = math.inf
-    for u, v in points:
-        w = np.linalg.eigvalsh(chart.metric_matrix(u, v))
-        smallest = min(smallest, float(w[0]))
-        if w[0] <= 0.0:
-            raise MetricDegeneracyError(
-                f"metric of chart {chart.name!r} has eigenvalue {w[0]} at ({u}, {v})"
-            )
-    return smallest
-
-
-def check_christoffel_consistency(chart: ChartGeometry, points: np.ndarray) -> float:
-    """Max |analytic - central difference| over Christoffel components."""
-    worst = 0.0
-    for u, v in points:
-        ana = np.array(chart.christoffel_analytic(u, v))
-        num = np.array(chart.christoffel_fd(u, v))
-        worst = max(worst, float(np.max(np.abs(ana - num))))
-    return worst
-
-
-def check_frame_orthonormal(chart: ChartGeometry, frame: OrthoFrame, points: np.ndarray) -> float:
-    """Max |g(e_i, e_j) - delta_ij| over the sample points."""
-    worst = 0.0
-    for u, v in points:
-        e1 = frame.e1(u, v)
-        e2 = frame.e2(u, v)
-        worst = max(
-            worst,
-            abs(inner(chart, (u, v), e1, e1) - 1.0),
-            abs(inner(chart, (u, v), e2, e2) - 1.0),
-            abs(inner(chart, (u, v), e1, e2)),
-        )
-    return worst
-
-
-def check_gradient_relation(chart: ChartGeometry, field: VectorFieldSpec, points: np.ndarray) -> float:
-    """Max norm of V + grad(sigma) over the sample points."""
-    if field.sigma is None:
-        raise ValueError(f"field {field.name!r} declares no scalar potential")
-    worst = 0.0
-    for u, v in points:
-        g = grad(chart, field.sigma, (u, v), partials=field.sigma_grad)
-        V = np.array(field.components(u, v))
-        worst = max(worst, float(np.max(np.abs(V + g))))
-    return worst
-
-
-def check_killing(chart: ChartGeometry, field: VectorFieldSpec, points: np.ndarray,
-                  rng: np.random.Generator | None = None) -> float:
-    """Max |g(nabla_X V, Y) + g(nabla_Y V, X)| over random unit X, Y."""
-    rng = rng or np.random.default_rng(1)
-    worst = 0.0
-    for u, v in points:
-        X = rng.normal(size=2)
-        Y = rng.normal(size=2)
-        X /= np.linalg.norm(X)
-        Y /= np.linalg.norm(Y)
-        nxv = covariant_derivative(chart, field, (u, v), X)
-        nyv = covariant_derivative(chart, field, (u, v), Y)
-        worst = max(worst, abs(inner(chart, (u, v), nxv, Y) + inner(chart, (u, v), nyv, X)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +287,6 @@ class ChartSource:
     name: str
     metric: tuple[str, str, str]
     bounds: tuple[float, float, float, float] = (-math.inf, math.inf, -math.inf, math.inf)
-    coord_names: tuple[str, str] = ("u", "v")
     sample_box: tuple[float, float, float, float] | None = None
 
 
@@ -459,8 +303,7 @@ class FieldSource:
 
 
 ZERO_FIELD = FieldSource("zero", "fg", ("0", "0"), killing=True)
-PLANE = ChartSource("plane", ("1", "0", "1"), coord_names=("x", "y"),
-                    sample_box=(-5.0, 5.0, -5.0, 5.0))
+PLANE = ChartSource("plane", ("1", "0", "1"), sample_box=(-5.0, 5.0, -5.0, 5.0))
 
 
 def half_plane_source(v_min: float = 0.05) -> ChartSource:
@@ -490,18 +333,18 @@ def compile_runtime(chart: ChartSource,
                                    _degenerate=degenerate)))
     compiled = ChartGeometry(name=chart.name, metric=fns["metric"], bounds=chart.bounds,
                              christoffel_analytic=fns["christoffel"],
-                             coord_names=chart.coord_names, sample_box=chart.sample_box,
-                             source=chart)
+                             sample_box=chart.sample_box, source=chart)
     return compiled, VectorFieldSpec(
         name=field.name, components=fns["components"], sigma=fns.get("sigma"),
         sigma_grad=fns.get("sigma_grad"), flat_potential=fns.get("p"),
         killing=field.killing, source=field, fused=(chart, fns["rhs"]))
 
 
-#: compile_runtime once per process for each built-in source pair; the chart
-#: and field factories, scenarios.build_runtime, conformal_metric and the
-#: RHS of a chart and a field compiled apart share its runtimes
-built_in_runtime = lru_cache(maxsize=None)(compile_runtime)
+#: compile_runtime once per process for each source pair, up to the 256
+#: pairs used last (the bound of expr's code cache); the chart and field
+#: factories, scenarios.build_runtime, conformal_metric and the RHS of a
+#: chart and a field compiled apart share its runtimes
+built_in_runtime = lru_cache(maxsize=256)(compile_runtime)
 
 
 def euclidean_plane() -> ChartGeometry:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .audit import InvariantReport, SegmentStat, make_report
-from .geometry import PLANE, FieldSource, VectorFieldSpec, along, built_in_runtime, compile_runtime
+from .geometry import PLANE, FieldSource, VectorFieldSpec, along, built_in_runtime
 from .integrate import GeodesicState, Trace, _rk4_step
 
 #: A branch segment of the arcsin invariant ends when |x'| drops below this.
@@ -42,13 +41,6 @@ def shear_field() -> VectorFieldSpec:
     return built_in_runtime(PLANE, SHEAR)[1]
 
 
-def constant_field(a: float, b: float) -> VectorFieldSpec:
-    """A constant field a dx + b dy; flat potential a y - b x, Killing.
-    Compiled on each call, not cached: its constants are the caller's."""
-    return compile_runtime(PLANE, FieldSource(f"constant({a:.6g},{b:.6g})", "p",
-                                              (f"({a!r})*y - ({b!r})*x",), killing=True))[1]
-
-
 def plane_curvature(field: VectorFieldSpec, state) -> float:
     """Signed curvature f y' - g x' of a unit-speed plane geodesic."""
     if isinstance(state, GeodesicState):
@@ -64,21 +56,20 @@ def plane_curvature(field: VectorFieldSpec, state) -> float:
 # ---------------------------------------------------------------------------
 
 
-def flat_invariant(trace: Trace, p: Callable[[float, float], float] | None = None,
-                   threshold: float = 1e-6) -> InvariantReport:
-    """Report on z' exp(-i p) along a flat-connection plane geodesic.
+def flat_invariant(trace: Trace) -> InvariantReport:
+    """Report on z' exp(-i p) along a flat-connection plane geodesic, for
+    the flat potential p of the trace's field; it passes within 1e-6.
 
     The series is constant (equal to its launch value z0, with |z0| = E)
     whenever the trace comes from a field with flat potential p.
     """
-    if p is None:
-        p = getattr(trace.field, "flat_potential", None)
+    p = getattr(trace.field, "flat_potential", None)
     if p is None:
         raise ValueError("no flat potential available for the complex invariant")
     zdot = trace.du + 1j * trace.dv
     phase = along(p, trace.u, trace.v)
     values = zdot * np.exp(-1j * phase)
-    return make_report("flat-invariant", trace.t, values, threshold=threshold)
+    return make_report("flat-invariant", trace.t, values, threshold=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +82,17 @@ def _require_unit_speed(E: float) -> None:
         raise ValueError(f"natural parametrization required (E = 1), got E = {E}")
 
 
-def arcsin_invariant(trace: Trace, threshold: float = 1e-6,
-                     clamp_tol: float = 1e-9) -> InvariantReport:
+def arcsin_invariant(trace: Trace) -> InvariantReport:
     """Piecewise invariant c = sign(x') * y^2/2 - arcsin(y') of the shear field.
 
     The sign tracks the branch of x' = +/- sqrt(1 - y'^2); a branch segment
     ends where |x'| < BRANCH_SPLIT_TOL or the sign flips, and constancy is
-    asserted per segment.  |y'| beyond 1 (impossible at E = 1 up to
-    roundoff) raises ValueError.
+    asserted per segment, to a standard deviation below 1e-6.  |y'| beyond
+    1 + 1e-9 (impossible at E = 1 up to roundoff) raises ValueError.
     """
     _require_unit_speed(trace.E)
     dy = trace.dv
-    if np.any(np.abs(dy) > 1.0 + clamp_tol):
+    if np.any(np.abs(dy) > 1.0 + 1e-9):
         raise ValueError("|y'| exceeds 1; trace is not in natural parametrization")
     dyc = np.clip(dy, -1.0, 1.0)
     dx = trace.du
@@ -130,8 +120,8 @@ def arcsin_invariant(trace: Trace, threshold: float = 1e-6,
     worst_std = max((s.std for s in segments), default=math.nan)
     return InvariantReport(
         name="arcsin-invariant", times=trace.t, values=values,
-        max_dev=max_dev, std=worst_std, threshold=threshold,
-        passed=bool(segments) and worst_std < threshold, segments=segments,
+        max_dev=max_dev, std=worst_std, threshold=1e-6,
+        passed=bool(segments) and worst_std < 1e-6, segments=segments,
     )
 
 
@@ -210,17 +200,18 @@ class StripTime:
     diverged: bool
 
 
-def strip_quadrature(y0: float, y: float, c: float, sign: int,
-                     cap: float = 1e4) -> StripTime:
+def strip_quadrature(y0: float, y: float, c: float, sign: int) -> StripTime:
     """Elapsed time t = integral from y0 to y of dy / sin(sign y^2/2 - c).
 
     The interval must be free of singular levels of the integrand; a level
     strictly inside raises ValueError.  The integral diverges
     logarithmically at the levels, so a target within floating-point reach
-    of one reports the capped value with the divergence flag set.
+    of one reports the capped value, 1e4, with the divergence flag set.
     """
 
     from scipy.integrate import quad
+
+    cap = 1e4
 
     def theta(x: float) -> float:
         return sign * 0.5 * x * x - c

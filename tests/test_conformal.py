@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from geometry_checks import check_christoffel_consistency, sample_interior
 from torsiongeo.conformal import (chordal_lengths, compare_point_sets, conformal_metric,
                                   geodesic_residual, reparametrize, resample_by_arclength)
-from torsiongeo.geometry import (PLANE, FieldSource, check_christoffel_consistency,
-                                 compile_runtime, sample_interior)
+from torsiongeo.geometry import PLANE, FieldSource, compile_runtime
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, levi_civita_integrate
 from torsiongeo.scenarios import CATALOG, Scenario, build_runtime, run_scenario
 from torsiongeo.suite import _conformal_pair_distance

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from geometry_checks import constant_field
 from torsiongeo.geometry import euclidean_plane
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, integrate_two_sided
 from torsiongeo.plane import (BRANCH_SPLIT_TOL, arcsin_invariant,
-                              constant_field, flat_invariant, plane_curvature,
+                              flat_invariant, plane_curvature,
                               shear_field, shooting_sweep, strip_bounds,
                               strip_quadrature, winding_field)
 from torsiongeo.scenarios import CATALOG, run_scenario

@@ -16,10 +16,15 @@ exact 0 term away can change the sign of a zero result.
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torsiongeo
 from torsiongeo.conformal import conformal_metric
 from torsiongeo.errors import ConfigError
 from torsiongeo.geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, half_plane
@@ -182,6 +187,25 @@ def test_built_in_config_selectors_resolve_to_the_cached_runtimes():
                                        "initial": {"position": [1.0, 0.5],
                                                    "velocity": [1.0, 0.0]}}).runtime
         assert rt is build_runtime(key)
+
+
+def test_runtime_cache_keeps_the_last_256_pairs():
+    # a sweep over sigma sources compiles one conformal chart per source;
+    # run in a fresh interpreter, since evicting the built-in pairs here
+    # would make the factories return new copies of them
+    src = str(Path(torsiongeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("from torsiongeo.conformal import conformal_metric\n"
+            "from torsiongeo.geometry import (FieldSource, built_in_runtime, compile_runtime,\n"
+            "                                 half_plane_source)\n"
+            "for k in range(300):\n"
+            "    sigma = FieldSource('log-height', 'sigma', (f'-{1.0 + k / 100!r}*log(y)',))\n"
+            "    conformal_metric(*compile_runtime(half_plane_source(), sigma))\n"
+            "print(built_in_runtime.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "256"
 
 
 def test_runs_step_with_the_fused_rhs(monkeypatch, suite_ctx):
