@@ -15,7 +15,7 @@ import numpy as np
 
 from .audit import geodesic_defect, interior_slice
 from .geometry import (ZERO_FIELD, ChartGeometry, ChartSource, VectorFieldSpec, along,
-                       built_in_runtime)
+                       cached_runtime)
 from .integrate import Trace, diagnostics
 
 
@@ -35,7 +35,7 @@ def conformal_metric(chart: ChartGeometry, field: VectorFieldSpec) -> ChartGeome
     exact Christoffel symbols, once per process for each pair."""
     if field.source is None or field.source.kind != "sigma":
         raise ValueError(f"field {field.name!r} declares no scalar potential sigma")
-    return built_in_runtime(conformal_source(chart.source, field.source.srcs[0]), ZERO_FIELD)[0]
+    return cached_runtime(conformal_source(chart.source, field.source.srcs[0]), ZERO_FIELD)[0]
 
 
 def reparametrize(trace: Trace) -> Trace:

@@ -378,11 +378,11 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
     and an operation they share is evaluated once.  A tail is a block of
     assignments and ``if ...: raise`` checks ending in a return, emitted
     folded (see ``_emit_tail``); ``names`` are extra globals it uses.  A
-    tail that reads E2 is a fused geodesic RHS: in its place comes a factory
-    that takes E2 and returns ``rhs(x, y, du, dv)``.  Any other function
-    takes (x, y), with y = 0 by default for a profile r(x).  An arithmetic,
-    type or domain failure raises ConfigError naming the expression,
-    whether its value or its partial failed, and the point.
+    tail that reads E2 is a fused geodesic RHS: in its place comes a
+    :class:`FusedRHS`.  Any other function takes (x, y), with y = 0 by
+    default for a profile r(x).  An arithmetic, type or domain failure
+    raises ConfigError naming the expression, whether its value or its
+    partial failed, and the point.
     """
     reads = [set(re.findall(r"\w+", tail)) for tail in tails]
     memo, env, kinds = {}, {}, dict.fromkeys(("x", "y", "pi", "e", "tau"), True)
@@ -394,7 +394,7 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
         for axis, (lines, operand) in partials.items():
             blocks[f"v{i}{axis}"] = [*lines, *_bind(f"v{i}{axis}", operand, env, kinds)], (i, True)
 
-    source, owners = [], {}
+    source, owners, fused = [], {}, {}
     for k, (tail, read) in enumerate(zip(tails, reads)):
         body = {}  # statement -> owner, the values a tail reads first, then the partials
         for name in ([n for n in blocks if n[-1].isdigit() and read & {n, n + "x", n + "y"}]
@@ -410,14 +410,17 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
                 source.append(f"        {line}")
                 owners[len(source)] = owner
             source += ["    except _ERRORS as exc:", "        raise _fail(x, y, exc) from exc"]
-        source += [f"    {line}" for line in _emit_tail(tail, env, read)]
+        tail_lines = _emit_tail(tail, env, read)
+        source += [f"    {line}" for line in tail_lines]
+        if "E2" in read:
+            fused[k] = tuple(body.items()), tuple(tail_lines)
     namespace = {"__builtins__": {}, **_SAFE_NAMES, "_float": float,
                  "_fail": partial(_failure, srcs, owners),
                  "_ERRORS": (ArithmeticError, TypeError, ValueError), **names,
                  **{name: float(text) for text, name in memo.items() if name[0] == "c"}}
     exec(_code("\n".join(source)), namespace)
-    return tuple(partial(_bound_E2, namespace[f"f{k}"]) if "E2" in read else namespace[f"f{k}"]
-                 for k, read in enumerate(reads))
+    return tuple(FusedRHS(namespace[f"f{k}"], srcs, *fused[k]) if k in fused
+                 else namespace[f"f{k}"] for k in range(len(tails)))
 
 
 @lru_cache(maxsize=256)
@@ -428,10 +431,85 @@ def _code(source: str):
     return compile(source, "<scenario-config>", "exec")
 
 
-def _bound_E2(rhs: Callable, E2: float) -> Callable:
-    """A copy of ``rhs(x, y, du, dv, E2)`` whose E2 defaults to ``E2``, so the
-    RHS of a trace reads its launch speed as a local."""
-    return FunctionType(rhs.__code__, rhs.__globals__, "rhs", (E2,))
+def _bound(fn: Callable, name: str, *defaults: float) -> Callable:
+    """A copy of ``fn`` with ``defaults`` for its trailing parameters, so a
+    run reads its launch speed and its chart's bounds as locals."""
+    return FunctionType(fn.__code__, fn.__globals__, name, defaults)
+
+
+class FusedRHS:
+    """The fused geodesic RHS of one compiled module.
+
+    Called with E2, it returns ``rhs(x, y, du, dv)`` at that launch speed.
+    :meth:`step` returns a Runge-Kutta step with the RHS's statements
+    inlined at every stage.
+    """
+
+    def __init__(self, fn: Callable, srcs: tuple, body: tuple, tail: tuple[str, ...]):
+        self.fn, self.srcs, self.body, self.tail = fn, srcs, body, tail
+
+    def __call__(self, E2: float) -> Callable:
+        return _bound(self.fn, "rhs", E2)
+
+    def step(self, tableau, E2: float, bounds: tuple[float, float, float, float],
+             **names) -> Callable:
+        """``tableau``'s step ``(u, v, du, dv, h)`` at launch speed E2 in the
+        open box ``bounds``.  The step is compiled into the RHS's own module
+        on its first use there, with ``names`` as extra globals, and kept
+        there.  A failing expression raises the RHS's ConfigError, at the
+        stage's point."""
+        namespace = self.fn.__globals__
+        key = f"_step_{tableau.name}"
+        step = namespace.get(key)
+        if step is None:
+            source, owners = _step_source(self.body, self.tail, tableau)
+            namespace.update(names, **{f"_fail_{tableau.name}": partial(_failure, self.srcs,
+                                                                         owners)})
+            scope = {}
+            exec(_code(source), namespace, scope)
+            step = namespace[key] = scope["step"]
+        return _bound(step, "step", E2, *bounds)
+
+
+_LOCAL = re.compile(r"^\s*(\w+) = ")
+_WORD = re.compile(r"\b[A-Za-z_]\w*")
+
+
+@lru_cache(maxsize=256)
+def _step_source(body: tuple, tail: tuple[str, ...], tableau) -> tuple[str, dict]:
+    """The source of ``tableau.emit``'s step with the RHS of ``body`` (its
+    statements and their owners) and ``tail`` inlined at each stage, and the
+    owners of the step's lines (see ``_failure``).
+
+    Stage s binds the RHS's coordinates and velocity to the stage's names
+    and renames every other local n to n_s, so no stage's temporaries clash
+    with another's or with the step's own names.
+    """
+    local = {m.group(1) for line in (*(line for line, _ in body), *tail)
+             if (m := _LOCAL.match(line))}
+    owned = {}
+
+    def stage(s: int, x: str, y: str, du: str, dv: str, ddu: str, ddv: str) -> list[str]:
+        names = {**{n: f"{n}_{s}" for n in local}, "x": x, "y": y, "du": du, "dv": dv}
+
+        def rename(line: str) -> str:
+            return _WORD.sub(lambda m: names.get(m.group(), m.group()), line)
+
+        lines = []
+        if body:
+            lines.append("try:")
+            for line, owner in body:
+                line = rename(line)
+                owned[line] = owner
+                lines.append(f"    {line}")
+            lines += ["except _ERRORS as exc:",
+                      f"    raise _fail_{tableau.name}({x}, {y}, exc) from exc"]
+        *stmts, ret = map(rename, tail)
+        return lines + stmts + [f"{ddu}, {ddv} = {ret.removeprefix('return ')}"]
+
+    source = tableau.emit(stage)
+    return source, {no: owned[line.strip()] for no, line in enumerate(source.splitlines(), 1)
+                    if line.strip() in owned}
 
 
 # The inverse metric of (g11, g12, g22) = (v0, v1, v2), which must be

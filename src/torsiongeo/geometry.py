@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ChartDomainError, MetricDegeneracyError
-from .expr import _ACCELERATION, _CHRISTOFFEL, _FIELDS, _INVERSE, _compile
+from .expr import _ACCELERATION, _CHRISTOFFEL, _FIELDS, _INVERSE, FusedRHS, _compile
 
 MetricComponents = tuple[float, float, float]
 VectorComponents = tuple[float, float]
@@ -254,8 +254,8 @@ class VectorFieldSpec:
     assertions by the scenario author, verified numerically by the tests.
     ``killing`` flags fields whose flow consists of isometries.
     ``source`` is the :class:`FieldSource` the field was compiled from, and
-    ``fused`` pairs the source of the chart it was compiled with and the
-    factory ``E2 -> rhs(u, v, du, dv)`` of their fused geodesic RHS.
+    ``fused`` pairs the source of the chart it was compiled with and their
+    fused geodesic RHS, which also yields the RK steps that inline it.
     """
 
     name: str
@@ -265,7 +265,7 @@ class VectorFieldSpec:
     flat_potential: Callable[[float, float], float] | None = None
     killing: bool = False
     source: FieldSource | None = None
-    fused: tuple[ChartSource, Callable] | None = dc_field(default=None, repr=False,
+    fused: tuple[ChartSource, FusedRHS] | None = dc_field(default=None, repr=False,
                                                         compare=False)
 
     @classmethod
@@ -340,11 +340,16 @@ def compile_runtime(chart: ChartSource,
         killing=field.killing, source=field, fused=(chart, fns["rhs"]))
 
 
-#: compile_runtime once per process for each source pair, up to the 256
-#: pairs used last (the bound of expr's code cache); the chart and field
-#: factories, scenarios.build_runtime, conformal_metric and the RHS of a
-#: chart and a field compiled apart share its runtimes
-built_in_runtime = lru_cache(maxsize=256)(compile_runtime)
+#: compile_runtime once per process for each of the library's built-in
+#: pairs, which are few and fixed: the plane's and the zero field's
+#: factories and scenarios.build_runtime.  None is ever evicted, so the
+#: factories keep returning the runtimes whose modules hold the compiled steps.
+built_in_runtime = cache(compile_runtime)
+
+#: compile_runtime once per process for any other pair, up to the 256 used
+#: last (the bound of expr's code cache): conformal charts, half-planes and
+#: the RHS of a chart and a field compiled apart
+cached_runtime = lru_cache(maxsize=256)(compile_runtime)
 
 
 def euclidean_plane() -> ChartGeometry:
@@ -354,4 +359,4 @@ def euclidean_plane() -> ChartGeometry:
 
 def half_plane(v_min: float = 0.05) -> ChartGeometry:
     """The euclidean metric restricted to the open strip v > v_min."""
-    return built_in_runtime(half_plane_source(v_min), ZERO_FIELD)[0]
+    return cached_runtime(half_plane_source(v_min), ZERO_FIELD)[0]

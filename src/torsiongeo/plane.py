@@ -20,7 +20,7 @@ import numpy as np
 
 from .audit import InvariantReport, SegmentStat, make_report
 from .geometry import PLANE, FieldSource, VectorFieldSpec, along, built_in_runtime
-from .integrate import GeodesicState, Trace, _rk4_step
+from .integrate import RK4, GeodesicState, Trace
 
 #: A branch segment of the arcsin invariant ends when |x'| drops below this.
 BRANCH_SPLIT_TOL = 1e-9
@@ -278,35 +278,53 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     record the extreme heights reached; the negative-control evidence that
     points in disjoint strips cannot be joined by a geodesic arc.
 
-    The shared RK4 step advances all angles at once as arrays, with E = 1
-    and no boundary, on the shear's own equation x'' = y x' x' - y,
-    y'' = y x' y'.  The flow is even in the velocity, so the backward
-    half of each geodesic is the forward run from the exactly negated
-    launch velocity: with ``both_directions`` those launches join the
-    same batch and the two halves' extremes are merged.
+    The RK4 tableau steps all angles at once as arrays, with E = 1 and no
+    boundary, on the shear's own equation x'' = y x' x' - y, y'' = y x' y',
+    with the scalar step's operations in its order.  x feeds nothing back,
+    so the state is (y, x', y'), stacked with the accelerations as the rows
+    y, x', y', x'', y'' of one preallocated block per stage: a stage's state
+    is rows 0:3 and its slope the overlapping rows 2:5.  The flow is even in
+    the velocity, so the backward half of each geodesic is the forward run
+    from the exactly negated launch velocity: with ``both_directions`` those
+    launches join the same batch and the two halves' extremes are merged.
+    ``n_angles`` must be an int >= 1, ``h`` finite and positive and
+    ``t_max`` finite and >= 0; anything else raises ValueError.
     """
+    if isinstance(n_angles, bool) or not isinstance(n_angles, (int, np.integer)) \
+            or n_angles < 1:
+        raise ValueError(f"n_angles must be an int >= 1, got {n_angles!r}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be finite and positive, got {h!r}")
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max!r}")
+    if not math.isfinite(t_max / h):
+        raise ValueError(f"t_max {t_max!r} over step {h!r} overflows the step count")
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     dx = np.cos(angles)
     dy = np.sin(angles)
     if both_directions:
         dx = np.concatenate([dx, -dx])
         dy = np.concatenate([dy, -dy])
-    x = np.full(len(dx), float(origin[0]))
-    y = np.full(len(dx), float(origin[1]))
+    blocks = np.empty((len(RK4.a) + 1, 5, len(dx)))
+    y = blocks[0, 0]
+    y[:] = float(origin[1])
+    blocks[0, 1] = dx
+    blocks[0, 2] = dy
     y_lo = y.copy()
     y_hi = y.copy()
+    gv = np.empty(len(dx))
 
-    def rhs(x, y, dx, dy):
-        gv = y * dx
-        return gv * dx - y, gv * dy
+    def shear(s):
+        y, dx, dy, ddx, ddy = blocks[s]
+        return [(np.multiply, y, dx, gv), (np.multiply, gv, dx, ddx),
+                (np.subtract, ddx, y, ddx), (np.multiply, gv, dy, ddy)]
 
-    def everywhere(x, y):
-        return True
-
+    ops = RK4.array_ops(blocks[:, 0:3], blocks[:, 2:5], shear, h,
+                        np.empty((3, len(dx))), np.empty((3, len(dx))))
+    ops += [(np.minimum, y_lo, y, y_lo), (np.maximum, y_hi, y, y_hi)]
     for _ in range(int(round(t_max / h))):
-        x, y, dx, dy = _rk4_step(rhs, everywhere, x, y, dx, dy, h)
-        np.minimum(y_lo, y, out=y_lo)
-        np.maximum(y_hi, y, out=y_hi)
+        for ufunc, x1, x2, out in ops:
+            ufunc(x1, x2, out=out)
     if both_directions:
         y_lo = np.minimum(y_lo[:n_angles], y_lo[n_angles:])
         y_hi = np.maximum(y_hi[:n_angles], y_hi[n_angles:])

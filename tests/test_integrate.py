@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ from hypothesis import given, settings as hsettings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from torsiongeo.audit import Isometry, killing_flow_symmetry, uniform_step
-from torsiongeo.errors import ChartDomainError
+from torsiongeo.errors import ChartDomainError, ConfigError
 from torsiongeo.geometry import (PLANE, ZERO_FIELD, ChartSource, FieldSource, VectorFieldSpec,
                                  compile_runtime, euclidean_plane)
-from torsiongeo.integrate import (GeodesicState, IntegratorSettings, _BoundaryHit,
-                                  _make_rhs, _rk4_step, _rkf45_step, geodesic_rhs,
+from torsiongeo.integrate import (FEHLBERG, RK4, GeodesicState, IntegratorSettings,
+                                  _BoundaryHit, _make_rhs, _make_step, geodesic_rhs,
                                   integrate, integrate_adaptive, integrate_two_sided,
                                   levi_civita_integrate, merge_traces)
 from torsiongeo.plane import winding_field
-from torsiongeo.scenarios import CATALOG, build_runtime, run_scenario
+from torsiongeo.scenarios import CATALOG, ScenarioConfig, build_runtime, run_config, run_scenario
 from torsiongeo.surfaces import make_sphere
 
 from test_runtimes import CONFIG_RUNTIMES, config_runtime
@@ -191,14 +192,106 @@ def test_compiled_kernels_equal_the_hand_written_ones(key, fu, fv, du, dv, E, h)
     u0, u1, v0, v1 = rt.chart.sample_box
     u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
     rhs, inside = _make_rhs(rt.chart, rt.field, E * E), rt.chart.contains
-    assert bits(lambda: _rk4_step(rhs, inside, u, v, du, dv, h)) == \
+    rk4, rkf45 = (_make_step(rt.chart, rt.field, E * E, tableau) for tableau in (RK4, FEHLBERG))
+    assert bits(lambda: rk4(u, v, du, dv, h)) == \
         bits(lambda: oracle_rk4_step(rhs, inside, u, v, du, dv, h))
     # The first Fehlberg stage was h * (0.25 * k) and is now 0.25 * h * k.
     # Scaling by 0.25 is exact unless it lands in the subnormal range, so the
     # two round differently only for slopes below about 1e-307.
     if all(x == 0.0 or abs(x) >= 1e-300 for x in (du, dv)):
-        assert bits(lambda: _rkf45_step(rhs, inside, u, v, du, dv, h)) == \
+        assert bits(lambda: rkf45(u, v, du, dv, h)) == \
             bits(lambda: oracle_rkf45_step(rhs, inside, (u, v, du, dv), h))
+
+
+def oracle_step(tableau):
+    """The hand-written step of ``tableau``, as (rhs, contains, y, h) -> result."""
+    if tableau is RK4:
+        return lambda rhs, contains, y, h: oracle_rk4_step(rhs, contains, *y, h)
+    return oracle_rkf45_step
+
+
+def box(bounds):
+    u0, u1, v0, v1 = bounds
+    return lambda u, v: u0 < u < u1 and v0 < v < v1
+
+
+@pytest.mark.parametrize("tableau", [RK4, FEHLBERG])
+@pytest.mark.parametrize("key, launch, h", [("plane-winding", (-0.2, -1.1, 0.2, -0.5), 0.3),
+                                            ("config-metric", (-0.1, -0.5, 0.2, 0.0), 0.2),
+                                            ("sphere", (2.7, -0.4, -1.0, -0.6), 0.7)])
+def test_compiled_steps_leave_the_box_at_the_oracle_stage(tableau, key, launch, h):
+    # For each stage point of the step, a box that the stages before it are
+    # strictly inside and whose side passes through it: the step exits there,
+    # and one ulp further out it passes that stage, as the oracle does.
+    rt, E2, oracle = runtime(key), 1.3, oracle_step(tableau)
+    rhs = _make_rhs(rt.chart, rt.field, E2)
+    points = []
+    oracle(rhs, lambda u, v: points.append((u, v)) or True, launch, h)
+    assert len(points) == len(tableau.a) + 1
+    inf = math.inf
+    for k, (uk, vk) in enumerate(points):
+        sides = [(0, uk, -inf), (1, uk, inf), (2, vk, -inf), (3, vk, inf)]
+        for side, at, out in sides:
+            bounds = [-inf, inf, -inf, inf]
+            bounds[side] = at
+            if all(box(bounds)(u, v) for u, v in points[:k]):
+                break
+        else:
+            raise AssertionError(f"no box leaves stage point {k} first")
+        for bounds[side] in (at, math.nextafter(at, out)):
+            chart = replace(rt.chart, bounds=tuple(bounds))
+            step = _make_step(chart, rt.field, E2, tableau)
+            calls = []
+            want = bits(lambda: oracle(rhs, lambda u, v: calls.append(1) or box(bounds)(u, v),
+                                       launch, h))
+            assert bits(lambda: step(*launch, h)) == want
+            if bounds[side] == at:
+                assert want is _BoundaryHit and len(calls) == k + 1
+
+
+def plane_config(field, state, method="rk4", h=1e-3):
+    return ScenarioConfig.from_dict({
+        "version": 1, "id": "mid-step", "chart": "plane", "field": field,
+        "initial": {"position": list(state[:2]), "velocity": list(state[2:])},
+        "span": [0.0, 1.0], "integrator": {"method": method, "h": h}})
+
+
+@pytest.mark.parametrize("tableau", [RK4, FEHLBERG])
+@pytest.mark.parametrize("field, state, h, what", [
+    ({"f": "log(x)", "g": "0"}, (0.2, 0.5, -1.0, 0.0), 0.3, "expression 'log(x)'"),
+    # acos(tanh(x)) is 0 for x past 19.1, where tanh(x) rounds to 1, but its
+    # partial divides by sqrt(1 - tanh(x)^2) = 0
+    ({"p": "acos(tanh(x))"}, (18.9, 0.0, 1.0, 0.0), 0.5,
+     "derivative of expression 'acos(tanh(x))'")])
+def test_a_stage_that_fails_raises_the_rhs_config_error(tableau, field, state, h, what):
+    # the first stage evaluates, a later one fails: the step raises the
+    # ConfigError of the RHS called at that stage's point
+    rt = plane_config(field, state).runtime
+    rhs = _make_rhs(rt.chart, rt.field, 1.0)
+    rhs(*state)
+    with pytest.raises(ConfigError) as want:
+        oracle_step(tableau)(rhs, rt.chart.contains, state, h)
+    with pytest.raises(ConfigError, match=r"failed at \(x, y\) = ") as got:
+        _make_step(rt.chart, rt.field, 1.0, tableau)(*state, h)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(what)
+    assert f"({state[0]!r}, " not in str(got.value)
+
+
+@pytest.mark.parametrize("method, field, state, point", [
+    ("rk4", {"f": "log(x)", "g": "0"}, (0.2, 0.5, -1.0, 0.0), "(-0.04999999999999999, 0.5)"),
+    ("rk4", {"p": "x*sqrt(y)"}, (0.5, 0.2, 0.0, -1.0), "(0.4710140565560342, -0.0480066001442194)"),
+    ("rk45", {"f": "log(x)", "g": "0"}, (0.2, 0.5, -1.0, 0.0), "(-0.030769230769230715, 0.5)"),
+    ("rk45", {"p": "x*sqrt(y)"}, (0.5, 0.2, 0.0, -1.0),
+     "(0.47768288629410416, -0.02939417280872708)")])
+def test_runs_that_leave_an_expression_s_domain_raise_its_config_error(method, field, state,
+                                                                       point):
+    # the texts the runs raised when the steps called the RHS
+    src = field.get("f") or field["p"]
+    with pytest.raises(ConfigError) as exc:
+        run_config(plane_config(field, state, method, h=0.25))
+    assert str(exc.value) == (f"expression {src!r} failed at (x, y) = {point}: "
+                              f"ValueError: math domain error")
 
 
 def test_launches_that_overflow_the_speed_or_the_step_count_fail():

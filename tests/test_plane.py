@@ -386,12 +386,26 @@ def _hand_written_sweep(origin, n_angles, t_max, h, both_directions):
     return y_lo, y_hi
 
 
-@pytest.mark.parametrize("origin, n_angles", [((1.0, 1.0), 64), ((1.0, 1.0), 65),
-                                              ((0.3, -2.0), 37)])
+@pytest.mark.parametrize("origin, n_angles, t_max", [
+    pytest.param((1.0, 1.0), 64, 20.0, id="origin0-64"),
+    pytest.param((1.0, 1.0), 65, 20.0, id="origin1-65"),
+    pytest.param((0.3, -2.0), 37, 20.0, id="origin2-37"),
+    # the suite's lane count for a tenth of its span, long enough to see
+    # a stage coefficient one ulp off
+    pytest.param((1.0, 1.0), 720, 5.0, id="origin0-720")])
 @pytest.mark.parametrize("both_directions", [True, False])
-def test_sweep_matches_hand_written_rk4_bitwise(origin, n_angles, both_directions):
-    sweep = shooting_sweep(origin=origin, n_angles=n_angles, t_max=20.0, h=2e-3,
+def test_sweep_matches_hand_written_rk4_bitwise(origin, n_angles, t_max, both_directions):
+    sweep = shooting_sweep(origin=origin, n_angles=n_angles, t_max=t_max, h=2e-3,
                            both_directions=both_directions)
-    y_lo, y_hi = _hand_written_sweep(origin, n_angles, 20.0, 2e-3, both_directions)
+    y_lo, y_hi = _hand_written_sweep(origin, n_angles, t_max, 2e-3, both_directions)
     assert sweep.y_min.tobytes() == y_lo.tobytes()
     assert sweep.y_max.tobytes() == y_hi.tobytes()
+
+
+@pytest.mark.parametrize("bad", [{"h": -1e-3}, {"h": 0.0}, {"h": math.nan}, {"h": math.inf},
+                                 {"n_angles": 0}, {"n_angles": -3}, {"n_angles": 2.5},
+                                 {"n_angles": True}, {"t_max": math.inf}, {"t_max": -1.0},
+                                 {"t_max": math.nan}, {"t_max": 1e300, "h": 1e-10}])
+def test_sweep_rejects_bad_inputs(bad):
+    with pytest.raises(ValueError):
+        shooting_sweep(**bad)

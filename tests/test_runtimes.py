@@ -191,21 +191,30 @@ def test_built_in_config_selectors_resolve_to_the_cached_runtimes():
 
 def test_runtime_cache_keeps_the_last_256_pairs():
     # a sweep over sigma sources compiles one conformal chart per source;
-    # run in a fresh interpreter, since evicting the built-in pairs here
-    # would make the factories return new copies of them
+    # run in a fresh interpreter, since the sweep fills the shared cache.
+    # The built-in pairs are held apart from it, so the factories keep
+    # returning the runtimes build_runtime returns.
     src = str(Path(torsiongeo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("from torsiongeo.conformal import conformal_metric\n"
-            "from torsiongeo.geometry import (FieldSource, built_in_runtime, compile_runtime,\n"
-            "                                 half_plane_source)\n"
+            "from torsiongeo.geometry import (FieldSource, cached_runtime, compile_runtime,\n"
+            "                                 euclidean_plane, half_plane_source)\n"
+            "from torsiongeo.plane import winding_field\n"
+            "from torsiongeo.scenarios import build_runtime\n"
+            "pairs = [(winding_field(), build_runtime('plane-winding').field),\n"
+            "         (euclidean_plane(), build_runtime('plane-zero').chart)]\n"
             "for k in range(300):\n"
             "    sigma = FieldSource('log-height', 'sigma', (f'-{1.0 + k / 100!r}*log(y)',))\n"
             "    conformal_metric(*compile_runtime(half_plane_source(), sigma))\n"
-            "print(built_in_runtime.cache_info().currsize)")
+            "print(cached_runtime.cache_info().currsize)\n"
+            "print(winding_field() is build_runtime('plane-winding').field,\n"
+            "      euclidean_plane() is build_runtime('plane-zero').chart,\n"
+            "      [a is b is c for (a, b), c in\n"
+            "       zip(pairs, (winding_field(), euclidean_plane()))])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "256"
+    assert out.stdout.split("\n", 1) == ["256", "True True [True, True]\n"]
 
 
 def test_runs_step_with_the_fused_rhs(monkeypatch, suite_ctx):
@@ -224,13 +233,13 @@ def test_runs_step_with_the_fused_rhs(monkeypatch, suite_ctx):
                   launch, span)
 
     mod = importlib.import_module("torsiongeo.integrate")
-    make_rhs, steps = mod._make_rhs, []
+    make_step, steps = mod._make_step, []
 
-    def spy(chart, field, E2):
-        steps.append((chart, make_rhs(chart, field, E2)))
+    def spy(chart, field, E2, tableau):
+        steps.append((chart, make_step(chart, field, E2, tableau)))
         return steps[-1][1]
 
-    monkeypatch.setattr(mod, "_make_rhs", spy)
+    monkeypatch.setattr(mod, "_make_step", spy)
     for key in CONFIG_RUNTIMES:
         chart, field = CONFIG_RUNTIMES[key]
         trace, reports = run_config(ScenarioConfig.from_dict({
@@ -250,10 +259,10 @@ def test_runs_step_with_the_fused_rhs(monkeypatch, suite_ctx):
     # step with the module their rescaled chart was compiled in
     steps.clear()
     assert criterion_conformal_equivalence(suite_ctx).passed
-    lc_runs = [(chart, rhs) for chart, rhs in steps if chart.name.endswith("~conformal")]
+    lc_runs = [(chart, step) for chart, step in steps if chart.name.endswith("~conformal")]
     assert len(lc_runs) == 5
-    for chart, rhs in lc_runs:
-        assert rhs.__globals__ is chart.metric.__globals__
+    for chart, step in lc_runs:
+        assert step.__globals__ is chart.metric.__globals__
 
 
 def test_fused_rhs_failures_name_the_expression_and_the_point():
