@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,9 @@ STOP_UNDERFLOW = "underflow"
 
 #: Absolute time tolerance to which a domain-boundary exit is bisected.
 BOUNDARY_TIME_TOL = 1e-9
+
+#: The per-sample arrays of a :class:`Trace`, in CSV column order.
+COLUMNS = ("t", "u", "v", "du", "dv", "speed", "kappa", "g_v")
 
 
 @dataclass
@@ -66,17 +70,18 @@ class IntegratorSettings:
     def __post_init__(self) -> None:
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError("step h must be finite and positive")
+        for name in ("h", "rtol", "atol"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not (isinstance(x, Real) and 0.0 < x < math.inf):
+                raise ValueError(f"{name} must be a finite float > 0, got {x!r}")
+        if isinstance(self.max_steps, bool) or not (isinstance(self.max_steps, Integral)
+                                                    and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
         if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
             raise ValueError("span t0, t1 must be finite")
         if not math.isfinite((self.t1 - self.t0) / self.h):
             raise ValueError(f"span [{self.t0!r}, {self.t1!r}] over step {self.h!r} "
                              f"overflows the step count")
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
 
 
 @dataclass
@@ -116,11 +121,7 @@ class Trace:
 
     def sub_interval(self, t_min: float, t_max: float) -> "Trace":
         mask = (self.t >= t_min - 1e-12) & (self.t <= t_max + 1e-12)
-        return replace(
-            self, t=self.t[mask], u=self.u[mask], v=self.v[mask],
-            du=self.du[mask], dv=self.dv[mask], speed=self.speed[mask],
-            kappa=self.kappa[mask], g_v=self.g_v[mask],
-        )
+        return replace(self, **{c: getattr(self, c)[mask] for c in COLUMNS})
 
     def max_speed_drift(self) -> float:
         return float(np.max(np.abs(self.speed - self.E)) / self.E)
@@ -145,11 +146,6 @@ def _fused(chart: ChartGeometry, field: VectorFieldSpec) -> FusedRHS:
     return cached_runtime(chart.source, field.source)[1].fused[1]
 
 
-def _make_rhs(chart: ChartGeometry, field: VectorFieldSpec, E2: float) -> Callable:
-    """The fused acceleration (u, v, du, dv) -> (ddu, ddv) at launch speed E2."""
-    return _fused(chart, field)(E2)
-
-
 def geodesic_rhs(chart: ChartGeometry, field: VectorFieldSpec,
                  state: GeodesicState, E: float) -> tuple[float, float]:
     """Acceleration (ddu, ddv) of the torsion-coupled geodesic equation.
@@ -158,8 +154,7 @@ def geodesic_rhs(chart: ChartGeometry, field: VectorFieldSpec,
     so the flow conserves the speed E exactly in exact arithmetic.
     """
     chart.require_inside(state.u, state.v)
-    rhs = _make_rhs(chart, field, E * E)
-    return rhs(state.u, state.v, state.du, state.dv)
+    return _fused(chart, field)(E * E)(state.u, state.v, state.du, state.dv)
 
 
 @dataclass(frozen=True)
@@ -286,7 +281,8 @@ def _run(march, method: str, chart: ChartGeometry, field: VectorFieldSpec,
     the reflection (t, x') -> (-t, -x') of a forward run from -t0 with the
     launch velocity negated.  Both steppers commute with that reflection
     bitwise, so ``march`` only ever steps forward.  It takes its steps
-    from ``make_step(tableau)``.
+    from ``make_step(tableau)`` and returns ``(t, rows, stop)``: the sample
+    times, one (u, v, du, dv) row per sample and the stop reason.
     """
     chart.require_inside(initial.u, initial.v)
     g11, g12, g22 = chart.metric(initial.u, initial.v)
@@ -300,8 +296,10 @@ def _run(march, method: str, chart: ChartGeometry, field: VectorFieldSpec,
         return _make_step(chart, field, E2, tableau)
 
     sign = 1.0 if settings.t1 >= settings.t0 else -1.0
-    t, u, v, du, dv, stop = march(make_step, sign * settings.t0, sign * settings.t1,
-                                  (initial.u, initial.v, sign * du, sign * dv), settings)
+    t, rows, stop = march(make_step, sign * settings.t0, sign * settings.t1,
+                          (initial.u, initial.v, sign * du, sign * dv), settings)
+    u, v, du, dv = np.array(rows).T
+    del rows  # the rows take ~5x the memory of their columns; free them first
     if sign < 0:
         t, u, v, du, dv = -t[::-1], u[::-1], v[::-1], -du[::-1], -dv[::-1]
 
@@ -333,51 +331,36 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
 
 def _rk4_march(make_step, t0, t1, y, settings):
     step = make_step(RK4)
-    u, v, du, dv = y
-    ts = [t0]
-    us = [u]
-    vs = [v]
-    dus = [du]
-    dvs = [dv]
-
+    h = settings.h
     span = t1 - t0
-    # Times come from k * h, not from accumulation, so the stored grid is
-    # exactly uniform apart from an optional short final step.
-    n_full = int(math.floor(span / settings.h + 1e-9))
-    rem = span - n_full * settings.h
-    if rem <= 1e-9 * settings.h:
+    n_full = int(math.floor(span / h + 1e-9))
+    rem = span - n_full * h
+    if rem <= 1e-9 * h:
         rem = 0.0
     total = n_full + (1 if rem > 0.0 else 0)
-    stop = STOP_TIME
-    k = 0
+    rows = [y]
+    stop = STOP_MAX_STEPS if total > settings.max_steps else STOP_TIME
+    h_part = None
+    try:
+        for k in range(min(total, settings.max_steps)):
+            y = step(*y, h if k < n_full else rem)
+            rows.append(y)
+    except _BoundaryHit:
+        stop = STOP_BOUNDARY
+        partial = _bisect_exit(step, *y, h if k < n_full else rem)
+        if partial is not None:
+            h_part, y = partial
+            rows.append(y)
 
-    while k < total:
-        if k >= settings.max_steps:
-            stop = STOP_MAX_STEPS
-            break
-        h = settings.h if k < n_full else rem
-        try:
-            u, v, du, dv = step(u, v, du, dv, h)
-        except _BoundaryHit:
-            partial = _bisect_exit(step, u, v, du, dv, h)
-            if partial is not None:
-                h_part, (u, v, du, dv) = partial
-                ts.append(ts[-1] + h_part)
-                us.append(u)
-                vs.append(v)
-                dus.append(du)
-                dvs.append(dv)
-            stop = STOP_BOUNDARY
-            break
-        k += 1
-        t_rel = k * settings.h if k <= n_full else span
-        ts.append(t0 + min(t_rel, span))
-        us.append(u)
-        vs.append(v)
-        dus.append(du)
-        dvs.append(dv)
-
-    return np.array(ts), np.array(us), np.array(vs), np.array(dus), np.array(dvs), stop
+    # Times come from k * h, not from accumulation, so the stored grid is
+    # exactly uniform apart from an optional short final step.  The launch
+    # time is t0 itself: t0 + 0.0 would turn a backward run's -0.0 into
+    # +0.0, and its reflection into -0.0.
+    t = t0 + np.minimum(np.arange(len(rows)) * h, span)
+    t[0] = t0
+    if h_part is not None:
+        t[-1] = t[-2] + h_part
+    return t, rows, stop
 
 
 def _bisect_exit(step, u, v, du, dv, h):
@@ -431,7 +414,8 @@ def _rkf45_march(make_step, t0, t1, y, settings):
     step = make_step(FEHLBERG)
     span = t1 - t0
     t_rel = 0.0
-    rows = [(t0, *y)]
+    ts = [t0]
+    rows = [y]
     h = min(settings.h, span) if span > 0 else settings.h
     stop = STOP_TIME
     steps = 0
@@ -452,7 +436,8 @@ def _rkf45_march(make_step, t0, t1, y, settings):
             if partial is not None:
                 h_part, state = partial
                 t_rel += h_part
-                rows.append((t0 + t_rel, *state))
+                ts.append(t0 + t_rel)
+                rows.append(state)
             stop = STOP_BOUNDARY
             break
         steps += 1
@@ -463,12 +448,12 @@ def _rkf45_march(make_step, t0, t1, y, settings):
         if ratio <= 1.0:
             t_rel += h
             y = y_new
-            rows.append((t0 + t_rel, *y))
+            ts.append(t0 + t_rel)
+            rows.append(y)
         factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
         h *= factor
 
-    t, u, v, du, dv = np.array(rows).T
-    return t, u, v, du, dv, stop
+    return np.array(ts), rows, stop
 
 
 def integrate_any(chart: ChartGeometry, field: VectorFieldSpec,
@@ -495,20 +480,9 @@ def merge_traces(backward: Trace, forward: Trace) -> Trace:
     """
     if abs(backward.t[-1] - forward.t[0]) > 1e-12:
         raise ValueError("traces do not share the launch time")
-
-    def cat(a, b):
-        return np.concatenate([a, b[1:]])
-
-    return Trace(
-        t=cat(backward.t, forward.t), u=cat(backward.u, forward.u),
-        v=cat(backward.v, forward.v), du=cat(backward.du, forward.du),
-        dv=cat(backward.dv, forward.dv), speed=cat(backward.speed, forward.speed),
-        kappa=cat(backward.kappa, forward.kappa), g_v=cat(backward.g_v, forward.g_v),
-        E=forward.E, chart=forward.chart, field=forward.field,
-        settings=forward.settings,
-        stop_reason=f"{backward.stop_reason}/{forward.stop_reason}",
-        scenario_id=forward.scenario_id,
-    )
+    return replace(forward, stop_reason=f"{backward.stop_reason}/{forward.stop_reason}",
+                   **{c: np.concatenate([getattr(backward, c), getattr(forward, c)[1:]])
+                      for c in COLUMNS})
 
 
 def integrate_two_sided(chart: ChartGeometry, field: VectorFieldSpec,

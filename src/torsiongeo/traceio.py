@@ -13,15 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from .audit import InvariantReport
-from .integrate import STOP_UNDERFLOW, Trace
+from .integrate import COLUMNS, STOP_UNDERFLOW, Trace
 
 CSV_COLUMNS = ("t", "u", "v", "du", "dv", "speed", "kappa", "gV")
 
 
 def trace_to_csv(trace: Trace) -> str:
-    cols = (trace.t, trace.u, trace.v, trace.du, trace.dv,
-            trace.speed, trace.kappa, trace.g_v)
-    cells = [[f"{x:.17g}" for x in col.tolist()] for col in cols]
+    cells = [[f"{x:.17g}" for x in getattr(trace, c).tolist()] for c in COLUMNS]
     return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells))]) + "\n"
 
 
@@ -46,11 +44,9 @@ def read_trace_csv(path: str | Path) -> Trace:
     if any(line.count(",") != width - 1 for line in rows):
         raise ValueError(f"every trace CSV row must have {width} fields")
     data = np.fromiter(map(float, ",".join(rows).split(",")), dtype=float).reshape(-1, width)
-    t, u, v, du, dv, speed, kappa, g_v = data.T
-    E = float(speed[np.argmin(np.abs(t))])
-    return Trace(t=t, u=u, v=v, du=du, dv=dv, speed=speed, kappa=kappa,
-                 g_v=g_v, E=E, chart=None, field=None, settings=None,
-                 stop_reason="from-csv")
+    cols = dict(zip(COLUMNS, data.T))
+    E = float(cols["speed"][np.argmin(np.abs(cols["t"]))])
+    return Trace(**cols, E=E, stop_reason="from-csv")
 
 
 def all_passed(reports: list[InvariantReport], trace: Trace | None = None) -> bool:

@@ -11,7 +11,7 @@ from torsiongeo.errors import ChartDomainError, ConfigError
 from torsiongeo.geometry import (PLANE, ZERO_FIELD, ChartSource, FieldSource, VectorFieldSpec,
                                  compile_runtime, euclidean_plane)
 from torsiongeo.integrate import (FEHLBERG, RK4, GeodesicState, IntegratorSettings,
-                                  _BoundaryHit, _make_rhs, _make_step, geodesic_rhs,
+                                  _BoundaryHit, _fused, _make_step, geodesic_rhs,
                                   integrate, integrate_adaptive, integrate_two_sided,
                                   levi_civita_integrate, merge_traces)
 from torsiongeo.plane import winding_field
@@ -100,7 +100,7 @@ def test_rhs_is_exactly_even_in_velocity(key, fu, fv, du, dv, E2):
     rt = runtime(key)
     u0, u1, v0, v1 = rt.chart.sample_box
     u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
-    rhs = _make_rhs(rt.chart, rt.field, E2)
+    rhs = _fused(rt.chart, rt.field)(E2)
     assert rhs(u, v, du, dv) == rhs(u, v, -du, -dv)
 
 
@@ -191,7 +191,7 @@ def test_compiled_kernels_equal_the_hand_written_ones(key, fu, fv, du, dv, E, h)
     rt = runtime(key)
     u0, u1, v0, v1 = rt.chart.sample_box
     u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
-    rhs, inside = _make_rhs(rt.chart, rt.field, E * E), rt.chart.contains
+    rhs, inside = _fused(rt.chart, rt.field)(E * E), rt.chart.contains
     rk4, rkf45 = (_make_step(rt.chart, rt.field, E * E, tableau) for tableau in (RK4, FEHLBERG))
     assert bits(lambda: rk4(u, v, du, dv, h)) == \
         bits(lambda: oracle_rk4_step(rhs, inside, u, v, du, dv, h))
@@ -224,7 +224,7 @@ def test_compiled_steps_leave_the_box_at_the_oracle_stage(tableau, key, launch, 
     # strictly inside and whose side passes through it: the step exits there,
     # and one ulp further out it passes that stage, as the oracle does.
     rt, E2, oracle = runtime(key), 1.3, oracle_step(tableau)
-    rhs = _make_rhs(rt.chart, rt.field, E2)
+    rhs = _fused(rt.chart, rt.field)(E2)
     points = []
     oracle(rhs, lambda u, v: points.append((u, v)) or True, launch, h)
     assert len(points) == len(tableau.a) + 1
@@ -267,7 +267,7 @@ def test_a_stage_that_fails_raises_the_rhs_config_error(tableau, field, state, h
     # the first stage evaluates, a later one fails: the step raises the
     # ConfigError of the RHS called at that stage's point
     rt = plane_config(field, state).runtime
-    rhs = _make_rhs(rt.chart, rt.field, 1.0)
+    rhs = _fused(rt.chart, rt.field)(1.0)
     rhs(*state)
     with pytest.raises(ConfigError) as want:
         oracle_step(tableau)(rhs, rt.chart.contains, state, h)
@@ -383,6 +383,30 @@ def test_settings_validation():
                 dict(t0=math.nan), dict(t0=0.0, t1=-math.inf)):
         with pytest.raises(ValueError):
             IntegratorSettings(**bad)
+
+
+@pytest.mark.parametrize("name", ["h", "rtol", "atol"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1e-9, True, "1e-9", None])
+def test_step_and_tolerances_must_be_finite_positive_floats(name, bad):
+    # an infinite tolerance accepts every step: a winding rk45 run returned
+    # a speed drift of 7e74 with no error, and True ran as a tolerance of 1
+    with pytest.raises(ValueError, match=f"^{name} must be a finite float > 0"):
+        IntegratorSettings(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 100.0, True, math.inf, "10", None])
+def test_max_steps_must_be_a_positive_int(bad):
+    # 2.5 ran 3 steps and True ran 1; range() raises TypeError on a float
+    with pytest.raises(ValueError, match="^max_steps must be an int >= 1"):
+        IntegratorSettings(max_steps=bad)
+
+
+def test_settings_take_ints_and_numpy_scalars():
+    s = IntegratorSettings(h=np.float64(0.5), rtol=1, atol=np.float64(1e-12),
+                           max_steps=np.int64(3))
+    tr = integrate(euclidean_plane(), winding_field(), GeodesicState(0.0, 0.0, 0.0, 1.0, 0.0),
+                   replace(s, t1=10.0))
+    assert tr.stop_reason == "max-steps" and len(tr) == 4
 
 
 def test_arbitrary_launch_speed_is_conserved():

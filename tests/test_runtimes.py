@@ -28,7 +28,7 @@ import torsiongeo
 from torsiongeo.conformal import conformal_metric
 from torsiongeo.errors import ConfigError
 from torsiongeo.geometry import ChartGeometry, VectorFieldSpec, euclidean_plane, half_plane
-from torsiongeo.integrate import GeodesicState, IntegratorSettings, _make_rhs, integrate
+from torsiongeo.integrate import GeodesicState, IntegratorSettings, _fused, integrate
 from torsiongeo.plane import shear_field, winding_field
 from torsiongeo.scenarios import CATALOG, ScenarioConfig, build_runtime, run_config, run_scenario
 from torsiongeo.suite import criterion_conformal_equivalence
@@ -117,7 +117,7 @@ def test_compiled_runtimes_equal_the_hand_written_closures(key, fu, fv, du, dv, 
     pairs = [(name, compiled[name](u, v), oracle[name](u, v))
              for name in compiled if oracle[name] is not None]
     assert [name for name, _, _ in pairs] == [name for name in compiled if compiled[name]]
-    pairs.append(("rhs", _make_rhs(rt.chart, rt.field, E2)(u, v, du, dv),
+    pairs.append(("rhs", _fused(rt.chart, rt.field)(E2)(u, v, du, dv),
                   oracle_rhs(oracle, E2)(u, v, du, dv)))
     if rt.surface is not None:
         pairs += [(name, getattr(rt.surface.profile, name)(u), oracle[name](u))
@@ -153,7 +153,7 @@ def test_conformal_charts_equal_the_conformal_rule(key, fu, fv, du, dv, E2):
     # the Levi-Civita RHS of the rescaled chart is the closure RHS's formula
     lc = {"metric": derived.metric, "christoffel": derived.christoffel_analytic,
           "components": lambda u, v: (0.0, 0.0)}
-    assert _make_rhs(derived, VectorFieldSpec.zero(), E2)(u, v, du, dv) == \
+    assert _fused(derived, VectorFieldSpec.zero())(E2)(u, v, du, dv) == \
         oracle_rhs(lc, E2)(u, v, du, dv)
 
 
@@ -271,7 +271,7 @@ def test_fused_rhs_failures_name_the_expression_and_the_point():
     rt = ScenarioConfig.from_dict(config).runtime
     with pytest.raises(ConfigError, match=r"^expression 'log\(x\)' failed at \(x, y\) = "
                                           r"\(-1.0, 0.5\): ValueError"):
-        _make_rhs(rt.chart, rt.field, 1.0)(-1.0, 0.5, 1.0, 0.0)
+        _fused(rt.chart, rt.field)(1.0)(-1.0, 0.5, 1.0, 0.0)
     # launched inside the domain of log, the run fails where it leaves it
     with pytest.raises(ConfigError, match=r"^expression 'log\(x\)' failed at \(x, y\) = \(-"):
         run_config(ScenarioConfig.from_dict(config))
@@ -279,7 +279,7 @@ def test_fused_rhs_failures_name_the_expression_and_the_point():
     rt = ScenarioConfig.from_dict(p).runtime
     with pytest.raises(ConfigError, match=r"^derivative of expression 'x\*sqrt\(y\)' failed "
                                           r"at \(x, y\) = \(1.0, 0.0\)"):
-        _make_rhs(rt.chart, rt.field, 1.0)(1.0, 0.0, 1.0, 0.0)
+        _fused(rt.chart, rt.field)(1.0)(1.0, 0.0, 1.0, 0.0)
 
 
 VALID = {"version": 1, "id": "fuzz", "chart": "half-plane", "y_min": 0.1,
