@@ -10,7 +10,7 @@ immutable traces and are embarrassingly parallel across reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,18 +21,6 @@ from .integrate import GeodesicState, IntegratorSettings, Trace, integrate_two_s
 #: Per-step slack when asserting that a series is non-increasing; absorbs
 #: roundoff without masking genuine violations.
 MONOTONE_TOL = 1e-8
-
-
-@dataclass
-class SegmentStat:
-    """Statistics of one branch segment of a piecewise invariant."""
-
-    start: int
-    stop: int  # exclusive
-    sign: int
-    mean: float
-    std: float
-    max_dev: float
 
 
 @dataclass
@@ -47,7 +35,6 @@ class InvariantReport:
     monotone: bool | None = None
     threshold: float | None = None
     passed: bool | None = None
-    segments: list[SegmentStat] = field(default_factory=list)
 
     @property
     def verdict(self) -> str:
@@ -66,12 +53,6 @@ class InvariantReport:
             out["monotone"] = self.monotone
         if self.threshold is not None:
             out["threshold"] = self.threshold
-        if self.segments:
-            out["segments"] = [
-                {"start": s.start, "stop": s.stop, "sign": s.sign,
-                 "mean": s.mean, "std": s.std, "max_dev": s.max_dev}
-                for s in self.segments
-            ]
         return out
 
 

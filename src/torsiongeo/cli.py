@@ -130,7 +130,7 @@ def _cmd_strip_bounds(args) -> int:
     if speed == 0.0:
         raise ConfigError("velocity must be nonzero")
     sb = strip_bounds(args.y0, args.vy / speed, args.vx / speed)
-    print(f"c = {sb.c:.12g}  branch sign = {sb.sign:+d}")
+    print(f"c = {sb.c:.12g}")
     print(f"strip = ({sb.lower:.12g}, {sb.upper:.12g})"
           + ("  [degenerate line]" if sb.degenerate else ""))
     if args.verify:

@@ -69,11 +69,8 @@ def reparametrize(trace: Trace) -> Trace:
     speed = diagnostics(derived_chart.metric, no_field.components,
                         trace.u, trace.v, du, dv, trace.E)[0]
     zero = np.zeros(len(trace))
-    return Trace(t=clock, u=trace.u, v=trace.v, du=du, dv=dv,
-                 speed=speed, kappa=zero, g_v=zero, E=trace.E,
-                 chart=derived_chart, field=no_field,
-                 settings=trace.settings, stop_reason="reparametrized",
-                 scenario_id=trace.scenario_id)
+    return replace(trace, t=clock, du=du, dv=dv, speed=speed, kappa=zero, g_v=zero,
+                   chart=derived_chart, field=no_field, stop_reason="reparametrized")
 
 
 # ---------------------------------------------------------------------------

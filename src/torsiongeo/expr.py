@@ -377,7 +377,8 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
     expressions a tail reads are evaluated, each value before any partial,
     and an operation they share is evaluated once.  A tail is a block of
     assignments and ``if ...: raise`` checks ending in a return, emitted
-    folded (see ``_emit_tail``); ``names`` are extra globals it uses.  A
+    folded (see ``_emit_tail``); ``names`` are extra globals it uses, and
+    a ``__name__`` among them names the module (see ``_code``).  A
     tail that reads E2 is a fused geodesic RHS: in its place comes a
     :class:`FusedRHS`.  Any other function takes (x, y), with y = 0 by
     default for a profile r(x).  An arithmetic, type or domain failure
@@ -414,21 +415,22 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
         source += [f"    {line}" for line in tail_lines]
         if "E2" in read:
             fused[k] = tuple(body.items()), tuple(tail_lines)
-    namespace = {"__builtins__": {}, **_SAFE_NAMES, "_float": float,
+    namespace = {"__builtins__": {}, "__name__": "expr", **_SAFE_NAMES, "_float": float,
                  "_fail": partial(_failure, srcs, owners),
                  "_ERRORS": (ArithmeticError, TypeError, ValueError), **names,
                  **{name: float(text) for text, name in memo.items() if name[0] == "c"}}
-    exec(_code("\n".join(source)), namespace)
+    exec(_code("\n".join(source), namespace["__name__"]), namespace)
     return tuple(FusedRHS(namespace[f"f{k}"], srcs, *fused[k]) if k in fused
                  else namespace[f"f{k}"] for k in range(len(tails)))
 
 
 @lru_cache(maxsize=256)
-def _code(source: str):
-    """The code of a generated module.  Float literals are globals, so the
-    modules of expressions that differ only in them, such as the configs of
-    a sweep over constants, are one text and compile once."""
-    return compile(source, "<scenario-config>", "exec")
+def _code(source: str, name: str):
+    """The code of a generated module, with the filename ``<torsiongeo
+    name>`` that profilers and tracebacks show.  Float literals are globals,
+    so the modules of expressions that differ only in them, such as the
+    configs of a sweep over constants, are one text and compile once."""
+    return compile(source, f"<torsiongeo {name}>", "exec")
 
 
 def _bound(fn: Callable, name: str, *defaults: float) -> Callable:
@@ -466,7 +468,7 @@ class FusedRHS:
             namespace.update(names, **{f"_fail_{tableau.name}": partial(_failure, self.srcs,
                                                                          owners)})
             scope = {}
-            exec(_code(source), namespace, scope)
+            exec(_code(source, f"{namespace['__name__']} step_{tableau.name}"), namespace, scope)
             step = namespace[key] = scope["step"]
         return _bound(step, "step", E2, *bounds)
 

@@ -330,6 +330,7 @@ def compile_runtime(chart: ChartSource,
              **{"sigma": {"sigma": "return v3", "sigma_grad": "return (v3x, v3y)"},
                 "p": {"p": "return v3"}}.get(field.kind, {})}
     fns = dict(zip(tails, _compile((*chart.metric, *field.srcs), *tails.values(),
+                                   __name__=f"{chart.name}/{field.name}",
                                    _degenerate=degenerate)))
     compiled = ChartGeometry(name=chart.name, metric=fns["metric"], bounds=chart.bounds,
                              christoffel_analytic=fns["christoffel"],

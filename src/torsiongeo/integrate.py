@@ -77,8 +77,10 @@ class IntegratorSettings:
         if isinstance(self.max_steps, bool) or not (isinstance(self.max_steps, Integral)
                                                     and self.max_steps >= 1):
             raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
-            raise ValueError("span t0, t1 must be finite")
+        for name in ("t0", "t1"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not (isinstance(x, Real) and math.isfinite(x)):
+                raise ValueError(f"{name} must be a finite float, got {x!r}")
         if not math.isfinite((self.t1 - self.t0) / self.h):
             raise ValueError(f"span [{self.t0!r}, {self.t1!r}] over step {self.h!r} "
                              f"overflows the step count")

@@ -4,8 +4,9 @@ For V = f dx + g dy the geodesics obey x'' = -kappa y', y'' = kappa x' with
 signed curvature kappa = f y' - g x'.  When the connection is flat, i.e.
 (f, g) = (d_y p, -d_x p) for a potential p, the complex velocity satisfies
 z' = z0 exp(i p), giving a second invariant of motion beside the speed.
-The shear field y dx admits the explicit invariant +/- y^2/2 - arcsin(y')
-whose singular levels confine generic geodesics to horizontal strips.
+For the shear field y dx this makes y^2/2 - theta constant, for the
+velocity angle theta; its singular levels, where y' = 0, confine generic
+geodesics to horizontal strips.
 
 Pure computations throughout; the shooting sweep is vectorized over
 launch angles.
@@ -18,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import InvariantReport, SegmentStat, make_report
+from .audit import InvariantReport, make_report
 from .geometry import PLANE, FieldSource, VectorFieldSpec, along, built_in_runtime
 from .integrate import RK4, GeodesicState, Trace
-
-#: A branch segment of the arcsin invariant ends when |x'| drops below this.
-BRANCH_SPLIT_TOL = 1e-9
-
 
 #: The winding and shear fields by their flat potentials p, V = (d_y p, -d_x p).
 WINDING = FieldSource("winding", "p", ("-0.5*(x*x + y*y)",), killing=True)
@@ -73,7 +70,7 @@ def flat_invariant(trace: Trace) -> InvariantReport:
 
 
 # ---------------------------------------------------------------------------
-# Shear field: arcsin invariant, strips, quadrature
+# Shear field: the angle invariant, strips, quadrature
 # ---------------------------------------------------------------------------
 
 
@@ -83,59 +80,31 @@ def _require_unit_speed(E: float) -> None:
 
 
 def arcsin_invariant(trace: Trace) -> InvariantReport:
-    """Piecewise invariant c = sign(x') * y^2/2 - arcsin(y') of the shear field.
+    """Report on c = y^2/2 - theta along a shear-field geodesic, for its
+    velocity angle theta = atan2(y', x') unwrapped along the trace; it
+    passes with a standard deviation below 1e-6.
 
-    The sign tracks the branch of x' = +/- sqrt(1 - y'^2); a branch segment
-    ends where |x'| < BRANCH_SPLIT_TOL or the sign flips, and constancy is
-    asserted per segment, to a standard deviation below 1e-6.  |y'| beyond
-    1 + 1e-9 (impossible at E = 1 up to roundoff) raises ValueError.
+    Since z' = z0 exp(i y^2/2), c is one constant over the whole geodesic,
+    with no branches.  Where x' > 0, theta = arcsin(y'), hence the name.  The trace must be at unit speed,
+    and |y'| beyond 1 + 1e-9 (impossible at E = 1 up to roundoff) raises
+    ValueError.
     """
     _require_unit_speed(trace.E)
-    dy = trace.dv
-    if np.any(np.abs(dy) > 1.0 + 1e-9):
+    if np.any(np.abs(trace.dv) > 1.0 + 1e-9):
         raise ValueError("|y'| exceeds 1; trace is not in natural parametrization")
-    dyc = np.clip(dy, -1.0, 1.0)
-    dx = trace.du
-
-    values = np.full(len(trace), np.nan)
-    live = np.abs(dx) >= BRANCH_SPLIT_TOL
-    branch = np.where(live, np.sign(dx), 0.0)
-    values[live] = branch[live] * 0.5 * trace.v[live] ** 2 - np.arcsin(dyc[live])
-
-    # segments are the runs of one nonzero branch sign; the padding makes
-    # every run, even one at either end, begin and end at a change
-    cuts = np.flatnonzero(np.diff(branch, prepend=0.0, append=0.0)).tolist()
-    segments: list[SegmentStat] = []
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        if branch[start] == 0.0:
-            continue
-        seg = values[start:stop]
-        segments.append(SegmentStat(
-            start=start, stop=stop, sign=int(branch[start]),
-            mean=float(np.mean(seg)), std=float(np.std(seg)),
-            max_dev=float(np.max(np.abs(seg - seg[0]))),
-        ))
-
-    max_dev = max((s.max_dev for s in segments), default=math.nan)
-    worst_std = max((s.std for s in segments), default=math.nan)
-    return InvariantReport(
-        name="arcsin-invariant", times=trace.t, values=values,
-        max_dev=max_dev, std=worst_std, threshold=1e-6,
-        passed=bool(segments) and worst_std < 1e-6, segments=segments,
-    )
+    values = 0.5 * trace.v ** 2 - np.unwrap(np.arctan2(trace.dv, trace.du))
+    return make_report("arcsin-invariant", trace.t, values, threshold=1e-6, use_std=True)
 
 
 @dataclass
 class StripBounds:
     """Singular levels of the shear quadrature bracketing a launch height.
 
-    ``sign`` is the x' branch at launch.  The bounds satisfy
-    sin(sign * y^2/2 - c) = 0; a generic geodesic approaches them
-    asymptotically and never leaves the open strip.
+    The bounds satisfy sin(y^2/2 - c) = 0; a generic geodesic approaches
+    them asymptotically and never leaves the open strip.
     """
 
     c: float
-    sign: int
     lower: float
     upper: float
 
@@ -148,48 +117,36 @@ def strip_bounds(y0: float, dy0: float, dx0: float) -> StripBounds:
     """Strip of the shear-field geodesic launched at height y0 with
     velocity (dx0, dy0), |velocity| = 1.
 
-    A horizontal launch (dy0 = 0) makes y0 itself a singular level and the
-    strip degenerates to the line y = y0.
+    Along the geodesic y' = sin(y^2/2 - c), with c = y0^2/2 - atan2(dy0, dx0),
+    so the strip lies between the nearest roots y = +/-sqrt(2 (c + k pi)) of
+    the right side (-inf or inf where none lies within 256 values of k).  A
+    horizontal launch (dy0 = 0) makes y0 itself a root and the strip
+    degenerates to the line y = y0.
     """
     _require_unit_speed(math.hypot(dx0, dy0))
-    if dx0 != 0.0:
-        s = 1 if dx0 > 0 else -1
-    else:
-        # branch chosen by the sign x' acquires immediately after launch
-        s = 1 if -y0 * dy0 * dy0 >= 0 else -1
-    c = s * 0.5 * y0 * y0 - math.asin(max(-1.0, min(1.0, dy0)))
+    c = 0.5 * y0 * y0 - math.atan2(dy0, dx0)
     if dy0 == 0.0:
-        return StripBounds(c=c, sign=s, lower=y0, upper=y0)
-    lower, upper = _strip_levels(y0, c, s, -math.asin(dy0) * s * y0)
-    return StripBounds(c=c, sign=s, lower=lower, upper=upper)
-
-
-def _strip_levels(y0: float, c: float, s: int, side: float) -> tuple[float, float]:
-    """The singular levels y = +/-sqrt(2 s (c + k pi)) nearest below and
-    above y0 (-inf or inf where there is none).
-
-    A level that rounds onto y0 lies above it if ``side`` > 0 and below
-    if ``side`` < 0.  Near y0, theta(y) = s y^2/2 - c is about
-    theta(y0) + s y0 (y - y0), so its zero lies on the side of
-    -theta(y0) s y0.
-    """
+        return StripBounds(c=c, lower=y0, upper=y0)
     levels: list[float] = []
-    k0 = math.ceil(-c / math.pi) if s > 0 else math.floor(-c / math.pi)
-    reach = abs(y0) + 1.0
-    for j in range(256):
-        k = k0 + s * j
-        val = 2.0 * s * (c + k * math.pi)
+    k0 = math.ceil(-c / math.pi)
+    for k in range(k0, k0 + 256):
+        val = 2.0 * (c + k * math.pi)
         if val < 0.0:
             continue
         m = math.sqrt(val)
         levels.extend([m, -m] if m > 0.0 else [0.0])
-        if m > reach:
+        if m > abs(y0) + 1.0:
             break
+    # a root that rounds onto y0 lies at y0 + (k pi - theta0) / y0 to first
+    # order, for the launch angle theta0 = y0^2/2 - c; theta0 - k pi is then
+    # small with the sign of dy0 dx0, so the root lies on the side of
+    # -dy0 dx0 y0
+    side = -dy0 * dx0 * y0
     lower = max((lv for lv in levels if lv < y0 or (lv == y0 and side < 0.0)),
                 default=-math.inf)
     upper = min((lv for lv in levels if lv > y0 or (lv == y0 and side > 0.0)),
                 default=math.inf)
-    return lower, upper
+    return StripBounds(c=c, lower=lower, upper=upper)
 
 
 @dataclass
@@ -200,28 +157,25 @@ class StripTime:
     diverged: bool
 
 
-def strip_quadrature(y0: float, y: float, c: float, sign: int) -> StripTime:
-    """Elapsed time t = integral from y0 to y of dy / sin(sign y^2/2 - c).
+def strip_quadrature(y0: float, y: float, strip: StripBounds) -> StripTime:
+    """Elapsed time t = integral from y0 to y of dy / sin(y^2/2 - c) along
+    the shear-field geodesic launched at height y0 in ``strip``, the
+    launch's :func:`strip_bounds`.
 
-    The interval must be free of singular levels of the integrand; a level
-    strictly inside raises ValueError.  The integral diverges
-    logarithmically at the levels, so a target within floating-point reach
-    of one reports the capped value, 1e4, with the divergence flag set.
+    The interval must lie in the strip; a bound strictly inside raises
+    ValueError.  The integral diverges logarithmically at the bounds, so a
+    target within floating-point reach of one reports the capped value,
+    1e4, with the divergence flag set.
     """
 
     from scipy.integrate import quad
 
     cap = 1e4
 
-    def theta(x: float) -> float:
-        return sign * 0.5 * x * x - c
-
     if y == y0:
         return StripTime(0.0, False)
 
-    # a launch height on a singular level (y' = 0) has a degenerate strip
-    lower, upper = ((y0, y0) if theta(y0) == 0.0
-                    else _strip_levels(y0, c, sign, -theta(y0) * sign * y0))
+    lower, upper = strip.lower, strip.upper
     lo, hi = (y0, y) if y > y0 else (y, y0)
     near = min(abs(y - lower), abs(y - upper))
     if not (lower < lo and hi < upper):
@@ -232,7 +186,7 @@ def strip_quadrature(y0: float, y: float, c: float, sign: int) -> StripTime:
         )
 
     def integrand(x: float) -> float:
-        return 1.0 / math.sin(theta(x))
+        return 1.0 / math.sin(0.5 * x * x - strip.c)
 
     # Approach a nearby singular endpoint geometrically so the adaptive
     # rule never straddles the blow-up.

@@ -241,7 +241,7 @@ def criterion_flat_invariant(ctx: SuiteContext) -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# 7. Arcsin invariant, strips, quadrature, Hopf-Rinow failure
+# 7. Angle invariant, strips, quadrature, Hopf-Rinow failure
 # ---------------------------------------------------------------------------
 
 
@@ -251,11 +251,11 @@ def criterion_strips(ctx: SuiteContext) -> CriterionResult:
     steep = ctx.trace("plane-shear-steep")
     for name, tr in (("diagonal", diag), ("steep", steep)):
         rep = arcsin_invariant(tr)
-        res.add(f"{name} worst per-branch std", rep.std, 1e-6)
+        res.add(f"{name} std of y^2/2 - theta", rep.std, 1e-6)
 
     c_expected = 0.5 - math.pi / 4.0
     i0 = diag.index_at(0.0)
-    c_measured = 0.5 * diag.v[i0] ** 2 - math.asin(diag.dv[i0])
+    c_measured = 0.5 * diag.v[i0] ** 2 - math.atan2(diag.dv[i0], diag.du[i0])
     res.add("launch invariant c vs 1/2 - pi/4", abs(c_measured - c_expected), 1e-9)
 
     sb = strip_bounds(1.0, math.sqrt(0.5), math.sqrt(0.5))
@@ -263,8 +263,8 @@ def criterion_strips(ctx: SuiteContext) -> CriterionResult:
     res.add("upper strip bound vs sqrt(2(c + pi))", abs(sb.upper - bound_expected), 1e-12)
     res.add("lower strip bound symmetry", abs(sb.lower + bound_expected), 1e-12)
     res.add("bounds are singular levels",
-            max(abs(math.sin(sb.sign * 0.5 * sb.upper ** 2 - sb.c)),
-                abs(math.sin(sb.sign * 0.5 * sb.lower ** 2 - sb.c))), 1e-10)
+            max(abs(math.sin(0.5 * sb.upper ** 2 - sb.c)),
+                abs(math.sin(0.5 * sb.lower ** 2 - sb.c))), 1e-10)
 
     long = ctx.trace("plane-shear-diagonal", span=(-50.0, 50.0))
     excess = float(np.max(np.abs(long.v)) - sb.upper)
@@ -274,10 +274,10 @@ def criterion_strips(ctx: SuiteContext) -> CriterionResult:
     fwd = diag.sub_interval(0.0, diag.t[-1])
     j = int(np.searchsorted(fwd.v, 2.0))
     t_trace = fwd.t[j - 1] + (2.0 - fwd.v[j - 1]) / (fwd.v[j] - fwd.v[j - 1]) * (fwd.t[j] - fwd.t[j - 1])
-    t_quad = strip_quadrature(1.0, 2.0, sb.c, sb.sign).t
+    t_quad = strip_quadrature(1.0, 2.0, sb).t
     res.add("quadrature vs trace time at y = 2", abs(t_quad - t_trace), 1e-4)
 
-    div = strip_quadrature(1.0, sb.upper, sb.c, sb.sign)
+    div = strip_quadrature(1.0, sb.upper, sb)
     res.add("divergence at the strip bound (capped value)", div.t, 1e3, op=">")
     res.add("divergence flag set", 1.0 if div.diverged else 0.0, 0.5, op=">")
 

@@ -72,7 +72,7 @@ def _surface(name: str, r: str, s_domain: tuple[float, float], h: Callable[[floa
     (r'/r) e1 are composed from ``r`` as text, and compiled with the
     profile's r and r' from the same source.
     """
-    r_fn, dr_fn = _compile((r,), "return v0", "return v0x")
+    r_fn, dr_fn = _compile((r,), "return v0", "return v0x", __name__=f"{name} profile")
     profile = RevolutionProfile(r=r_fn, dr=dr_fn, h=h, dh=dh, s_domain=s_domain, d2r=d2r)
     s0, s1 = s_domain
     if profile.natural_residual(np.linspace(s0, s1, 11)[1:-1]) > 1e-9:

@@ -394,6 +394,14 @@ def test_step_and_tolerances_must_be_finite_positive_floats(name, bad):
         IntegratorSettings(**{name: bad})
 
 
+@pytest.mark.parametrize("name", ["t0", "t1"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "2", None])
+def test_span_ends_must_be_finite_floats(name, bad):
+    # t1=True ran as a span of 1, and t1="2" raised TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be a finite float"):
+        IntegratorSettings(**{name: bad})
+
+
 @pytest.mark.parametrize("bad", [0, -3, 2.5, 100.0, True, math.inf, "10", None])
 def test_max_steps_must_be_a_positive_int(bad):
     # 2.5 ran 3 steps and True ran 1; range() raises TypeError on a float
@@ -403,7 +411,7 @@ def test_max_steps_must_be_a_positive_int(bad):
 
 def test_settings_take_ints_and_numpy_scalars():
     s = IntegratorSettings(h=np.float64(0.5), rtol=1, atol=np.float64(1e-12),
-                           max_steps=np.int64(3))
+                           max_steps=np.int64(3), t0=np.int64(0))
     tr = integrate(euclidean_plane(), winding_field(), GeodesicState(0.0, 0.0, 0.0, 1.0, 0.0),
                    replace(s, t1=10.0))
     assert tr.stop_reason == "max-steps" and len(tr) == 4

@@ -217,6 +217,25 @@ def test_runtime_cache_keeps_the_last_256_pairs():
     assert out.stdout.split("\n", 1) == ["256", "True True [True, True]\n"]
 
 
+def test_compiled_code_is_named_after_its_runtime():
+    # under one shared filename, a profiler merged every runtime's step into one entry
+    from torsiongeo.integrate import FEHLBERG, RK4, _make_step
+
+    names = {}
+    for key in ("sphere", "plane-shear"):
+        rt = build_runtime(key)
+        names[key] = [_make_step(rt.chart, rt.field, 1.0, tableau).__code__.co_filename
+                      for tableau in (RK4, FEHLBERG)]
+        names[key].append(rt.chart.metric.__code__.co_filename)
+    assert names == {
+        "sphere": ["<torsiongeo sphere/sphere-flat step_rk4>",
+                   "<torsiongeo sphere/sphere-flat step_rk45>",
+                   "<torsiongeo sphere/sphere-flat>"],
+        "plane-shear": ["<torsiongeo plane/shear step_rk4>",
+                        "<torsiongeo plane/shear step_rk45>",
+                        "<torsiongeo plane/shear>"]}
+
+
 def test_runs_step_with_the_fused_rhs(monkeypatch, suite_ctx):
     # a chart or a field built in code has no sources to compile an RHS from
     launch = GeodesicState(0.0, 0.3, 1.2, 0.6, 0.8)
