@@ -11,8 +11,8 @@ from .audit import (InvariantReport, Isometry, conformal_constant, curvature_gen
                     killing_curvature_check, killing_flow_symmetry, kinematic_curvature)
 from .conformal import compare_point_sets, conformal_metric, reparametrize
 from .errors import ChartDomainError, ConfigError, MetricDegeneracyError
-from .geometry import (ChartGeometry, OrthoFrame, VectorFieldSpec, christoffel,
-                       euclidean_plane, grad, half_plane, inner, norm)
+from .geometry import (ChartGeometry, VectorFieldSpec, christoffel, euclidean_plane, grad,
+                       half_plane, inner, norm)
 from .integrate import (GeodesicState, IntegratorSettings, Trace, geodesic_rhs,
                         integrate, integrate_adaptive, integrate_two_sided,
                         levi_civita_integrate)

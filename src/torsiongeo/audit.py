@@ -214,7 +214,7 @@ def naive_momentum(trace: Trace,
                    X: Callable[[float, float], tuple[float, float]] | Sequence[float] = (0.0, 1.0)) -> np.ndarray:
     """The uncorrected series g(velocity, X); generally not a first integral."""
     chart = _require_chart(trace)
-    g11, g12, g22 = along(chart.metric_components, trace.u, trace.v, (3,))
+    g11, g12, g22 = along(chart.metric, trace.u, trace.v, (3,))
     X0, X1 = along(X, trace.u, trace.v, (2,)) if callable(X) else X
     du, dv = trace.du, trace.dv
     return g11 * du * X0 + g12 * (du * X1 + dv * X0) + g22 * dv * X1
@@ -259,6 +259,10 @@ def killing_flow_symmetry(trace: Trace, isometry: Isometry) -> float:
     positions are compared sample by sample.  The isometry must commute
     with the trace's vector field; this is spot-checked at 20 sample points,
     to 1e-6 relative, and violations raise ValueError.
+
+    On an rk45 trace only the identity can be checked: the re-integration
+    takes its own grid, as Fehlberg scales its error by the state, and
+    a grid mismatch raises ValueError.
     """
     chart = _require_chart(trace)
     field = _require_field(trace)

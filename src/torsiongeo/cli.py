@@ -17,9 +17,10 @@ import numpy as np
 
 from . import algebra, suite
 from .errors import ConfigError
-from .integrate import GeodesicState, Trace, integrate_two_sided
+from .integrate import Trace
 from .plane import strip_bounds
-from .scenarios import CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime, run_config, run_scenario
+from .scenarios import (CATALOG, CATALOG_IDS, Scenario, ScenarioConfig, build_runtime,
+                        run_config, run_scenario)
 from .surfaces import CATALOG_BUILDERS, embed, mercator_map
 from .svgplot import plot_traces, project_orthographic, render_svg, trace_curves
 from .traceio import all_passed, read_trace_csv, write_reports_json, write_trace_csv
@@ -44,19 +45,20 @@ def _cmd_integrate(args) -> int:
         if base is None:
             raise ConfigError(
                 f"unknown scenario {args.scenario!r}; known: {', '.join(CATALOG_IDS)}")
-        config = ScenarioConfig(id=base.id, runtime=build_runtime(base.runtime),
-                                scenario=base, reports=list(args.report or []))
+        config = ScenarioConfig(runtime=build_runtime(base.runtime), scenario=base,
+                                reports=list(args.report or []))
     trace, reports = run_config(config)
+    sid = config.scenario.id
     out = _out_dir(args)
     formats = set((args.format or "csv,json").split(","))
     written = []
     if "csv" in formats:
-        written.append(write_trace_csv(trace, out / f"{config.id}.csv"))
+        written.append(write_trace_csv(trace, out / f"{sid}.csv"))
     if "json" in formats:
-        written.append(write_reports_json(reports, out / f"{config.id}.report.json",
-                                          scenario_id=config.id, trace=trace))
+        written.append(write_reports_json(reports, out / f"{sid}.report.json",
+                                          scenario_id=sid, trace=trace))
     if "svg" in formats:
-        path = out / f"{config.id}.svg"
+        path = out / f"{sid}.svg"
         path.write_text(plot_traces([trace]))
         written.append(path)
     for path in written:
@@ -134,9 +136,9 @@ def _cmd_strip_bounds(args) -> int:
     print(f"strip = ({sb.lower:.12g}, {sb.upper:.12g})"
           + ("  [degenerate line]" if sb.degenerate else ""))
     if args.verify:
-        launch = GeodesicState(0.0, args.x0, args.y0, args.vx / speed, args.vy / speed)
-        rt = build_runtime("plane-shear")
-        tr = integrate_two_sided(rt.chart, rt.field, launch, -args.t_max, args.t_max, h=2e-3)
+        tr = run_scenario(Scenario("strip-bounds", "plane-shear", (args.x0, args.y0),
+                                   velocity=(args.vx / speed, args.vy / speed),
+                                   span=(-args.t_max, args.t_max), h=2e-3))
         lo, hi = float(tr.v.min()), float(tr.v.max())
         ok = lo >= sb.lower - 1e-3 and hi <= sb.upper + 1e-3
         print(f"integrated height range over |t| <= {args.t_max:g}: ({lo:.6g}, {hi:.6g})")

@@ -1,4 +1,4 @@
-"""Coordinate charts, metrics, orthonormal frames, and vector fields in 2D.
+"""Coordinate charts, metrics, and vector fields in 2D.
 
 A chart is a rectangular open box of (u, v) coordinates together with a
 metric evaluator.  All evaluators are pure functions of their arguments, so
@@ -10,6 +10,9 @@ dense form is needed.  Every chart and field the integrator steps is
 described by expression sources and compiled by :func:`compile_runtime`,
 with exact derivatives throughout; central differences of the metric
 (``ChartGeometry.christoffel_fd``) remain as a test oracle.
+
+No frame type is kept: an angle launch on a surface of revolution is taken
+in the closed-form orthonormal frame (d_s, d_phi / r) of diag(1, r^2).
 """
 
 from __future__ import annotations
@@ -225,19 +228,6 @@ def grad(chart: ChartGeometry, scalar: Callable[[float, float], float],
         su, sv = scalar_partials(scalar, u, v)
     i11, i12, i22 = chart.inverse_metric_components(u, v)
     return np.array([i11 * su + i12 * sv, i12 * su + i22 * sv])
-
-
-# ---------------------------------------------------------------------------
-# Frames
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OrthoFrame:
-    """Two frame vector evaluators, orthonormal for the chart metric."""
-
-    e1: Callable[[float, float], VectorComponents]
-    e2: Callable[[float, float], VectorComponents]
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,11 @@ def arcsin_invariant(trace: Trace) -> InvariantReport:
     passes with a standard deviation below 1e-6.
 
     Since z' = z0 exp(i y^2/2), c is one constant over the whole geodesic,
-    with no branches.  Where x' > 0, theta = arcsin(y'), hence the name.  The trace must be at unit speed,
-    and |y'| beyond 1 + 1e-9 (impossible at E = 1 up to roundoff) raises
-    ValueError.
+    with no branches.  Where x' > 0, theta = arcsin(y'), hence the name.
+    The trace must be launched at unit speed (E = 1); a speed error along
+    it shows in the standard deviation, as the angle needs no |y'| <= 1.
     """
     _require_unit_speed(trace.E)
-    if np.any(np.abs(trace.dv) > 1.0 + 1e-9):
-        raise ValueError("|y'| exceeds 1; trace is not in natural parametrization")
     values = 0.5 * trace.v ** 2 - np.unwrap(np.arctan2(trace.dv, trace.du))
     return make_report("arcsin-invariant", trace.t, values, threshold=1e-6, use_std=True)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -62,8 +62,9 @@ def build_runtime(key: str) -> Runtime:
 class Scenario:
     """A launch specification against one of the named runtimes.
 
-    Exactly one of ``velocity`` (chart components) or ``angle`` (radians to
-    the meridian direction e1, velocity E (cos a e1 + sin a e2)) is given.
+    Exactly one of ``velocity`` (chart components) or ``angle`` is given.
+    An angle a to the meridians is taken in the orthonormal frame
+    (d_s, d_phi / r) of diag(1, r^2): the velocity is E (cos a, sin a / r).
     """
 
     id: str
@@ -77,25 +78,27 @@ class Scenario:
     description: str = ""
 
     def launch_state(self) -> GeodesicState:
-        return _launch(self, build_runtime(self.runtime).surface)
+        return _launch(self, build_runtime(self.runtime))
 
 
-def _launch(scen: Scenario, surface: CatalogSurface | None) -> GeodesicState:
-    """Launch state at t = 0; an angle launch is taken in the surface frame."""
+def _launch(scen: Scenario, rt: Runtime) -> GeodesicState:
+    """The launch state at t = 0, the one place a scenario becomes a state."""
     u, v = scen.start
     if (scen.velocity is None) == (scen.angle is None):
         raise ConfigError(f"scenario {scen.id!r}: give either velocity or angle")
     if scen.velocity is not None:
-        du, dv = scen.velocity
-    else:
-        if surface is None:
-            raise ConfigError(f"scenario {scen.id!r}: angle launch needs a surface")
-        e1 = surface.frame.e1(u, v)
-        e2 = surface.frame.e2(u, v)
-        ca, sa = math.cos(scen.angle), math.sin(scen.angle)
-        du = scen.E * (ca * e1[0] + sa * e2[0])
-        dv = scen.E * (ca * e1[1] + sa * e2[1])
-    return GeodesicState(0.0, u, v, du, dv)
+        return GeodesicState(0.0, u, v, *scen.velocity)
+    if rt.surface is None:
+        raise ConfigError(f"scenario {scen.id!r}: angle launch needs a surface")
+    r = rt.surface.profile.r
+    return GeodesicState(0.0, u, v, scen.E * math.cos(scen.angle),
+                         scen.E * (math.sin(scen.angle) * (1.0 / r(u))))
+
+
+def _run(scen: Scenario, rt: Runtime, span: tuple[float, float], method: str) -> Trace:
+    """Integrate a scenario on its runtime two-sided over ``span``."""
+    return integrate_two_sided(rt.chart, rt.field, _launch(scen, rt), *span, h=scen.h,
+                               method=method, scenario_id=scen.id)
 
 
 def _unit(x: float, y: float) -> tuple[float, float]:
@@ -143,16 +146,10 @@ CATALOG: dict[str, Scenario] = {
 CATALOG_IDS = list(CATALOG)
 
 
-def run_scenario(scenario: Scenario, h: float | None = None,
-                 span: tuple[float, float] | None = None,
+def run_scenario(scenario: Scenario, span: tuple[float, float] | None = None,
                  method: str = "rk4") -> Trace:
     """Integrate a scenario two-sided over its span (launch at t = 0)."""
-    rt = build_runtime(scenario.runtime)
-    t_min, t_max = span or scenario.span
-    trace = integrate_two_sided(rt.chart, rt.field, scenario.launch_state(),
-                                t_min, t_max, h=h or scenario.h, method=method,
-                                scenario_id=scenario.id)
-    return trace
+    return _run(scenario, build_runtime(scenario.runtime), span or scenario.span, method)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +164,6 @@ KNOWN_REPORTS = ("speed", "loxodrome", "flat-invariant", "arcsin",
 class ScenarioConfig:
     """A single JSON-configured run: selectors, launch, reports, outputs."""
 
-    id: str
     runtime: Runtime
     scenario: Scenario
     reports: list[str] = dc_field(default_factory=list)
@@ -208,19 +204,13 @@ class ScenarioConfig:
             base = CATALOG.get(raw["scenario"]) if isinstance(raw["scenario"], str) else None
             if base is None:
                 raise ConfigError(f"unknown catalog scenario {raw['scenario']!r}")
-            rt = build_runtime(base.runtime)
-            scen = Scenario(id=sid, runtime=base.runtime, start=base.start,
-                            velocity=base.velocity, angle=base.angle,
-                            span=_span(raw.get("span", base.span)),
-                            h=h)
-            return cls(id=sid, runtime=rt, scenario=scen, reports=reports, method=method)
+            scen = replace(base, id=sid, span=_span(raw.get("span", base.span)), h=h)
+            return cls(runtime=build_runtime(base.runtime), scenario=scen, reports=reports,
+                       method=method)
 
         rt = _resolve_runtime(raw)
-        scen = _resolve_launch(sid, raw, rt, h)
-        return cls(id=sid, runtime=rt, scenario=scen, reports=reports, method=method)
-
-    def run(self) -> tuple[Trace, list[InvariantReport]]:
-        return run_config(self)
+        scen = _resolve_launch(sid, raw, h)
+        return cls(runtime=rt, scenario=scen, reports=reports, method=method)
 
 
 #: Config field selectors by name, and the built-in runtime of each
@@ -288,7 +278,7 @@ def _field_source(sel) -> FieldSource:
     raise ConfigError(f"cannot resolve field selector {sel!r}")
 
 
-def _resolve_launch(sid: str, raw: dict, rt: Runtime, h: float) -> Scenario:
+def _resolve_launch(sid: str, raw: dict, h: float) -> Scenario:
     init = raw.get("initial")
     if not isinstance(init, dict) or "position" not in init:
         raise ConfigError("config needs initial.position")
@@ -345,12 +335,8 @@ def _span(value) -> tuple[float, float]:
 
 def run_config(config: ScenarioConfig) -> tuple[Trace, list[InvariantReport]]:
     """Integrate a resolved config and compute its requested reports."""
-    scen = config.scenario
-    rt = config.runtime
-    trace = integrate_two_sided(rt.chart, rt.field, _launch(scen, rt.surface),
-                                scen.span[0], scen.span[1],
-                                h=scen.h, method=config.method, scenario_id=scen.id)
-    reports = [execute_report(name, trace, rt) for name in config.reports]
+    trace = _run(config.scenario, config.runtime, config.scenario.span, config.method)
+    reports = [execute_report(name, trace, config.runtime) for name in config.reports]
     return trace, reports
 
 

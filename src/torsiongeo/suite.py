@@ -72,15 +72,14 @@ class SuiteContext:
         self.seed = seed
         self._traces: dict[tuple, Trace] = {}
 
-    def trace(self, scenario_id: str, span: tuple[float, float] | None = None,
-              h: float | None = None) -> Trace:
-        key = (scenario_id, span, h)
+    def trace(self, scenario_id: str, span: tuple[float, float] | None = None) -> Trace:
+        key = (scenario_id, span)
         if key not in self._traces:
-            self._traces[key] = run_scenario(CATALOG[scenario_id], h=h, span=span)
+            self._traces[key] = run_scenario(CATALOG[scenario_id], span=span)
         return self._traces[key]
 
-    def custom_trace(self, key: str, scenario: Scenario) -> Trace:
-        k = ("custom", key)
+    def custom_trace(self, scenario: Scenario) -> Trace:
+        k = ("custom", scenario.id)
         if k not in self._traces:
             self._traces[k] = run_scenario(scenario)
         return self._traces[k]
@@ -127,8 +126,7 @@ def criterion_conformal_equivalence(ctx: SuiteContext) -> CriterionResult:
         ("sphere", "sphere",
          ctx.trace("sphere-loxodrome-45").sub_interval(0.0, 2.0), 5.0),
         ("pseudosphere", "pseudosphere",
-         ctx.custom_trace("pseudosphere-lox-45-short",
-                          Scenario("pseudosphere-lox-45-short", "pseudosphere",
+         ctx.custom_trace(Scenario("pseudosphere-lox-45-short", "pseudosphere",
                                    (1.0, 0.0), angle=math.pi / 4, span=(0.0, 1.5))),
          9.0),
         ("catenoid", "catenoid",

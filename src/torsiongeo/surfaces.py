@@ -20,8 +20,8 @@ import numpy as np
 from .audit import make_report, series_derivative, InvariantReport
 from .errors import ChartDomainError
 from .expr import _compile
-from .geometry import (ChartGeometry, ChartSource, FieldSource, OrthoFrame, VectorFieldSpec,
-                       along, compile_runtime)
+from .geometry import (ChartGeometry, ChartSource, FieldSource, VectorFieldSpec, along,
+                       compile_runtime)
 from .integrate import Trace
 
 
@@ -46,7 +46,7 @@ class RevolutionProfile:
 @dataclass
 class CatalogSurface:
     """A surface of revolution bundled with its chart, flat-connection
-    vector field, orthonormal frame, and closed-form Mercator map.
+    vector field, and closed-form Mercator map.
 
     ``mercator`` is the primitive y(s) of 1/r vanishing at the surface's
     anchor and ``mercator_inv`` its inverse s(y); both act elementwise on
@@ -57,7 +57,6 @@ class CatalogSurface:
     profile: RevolutionProfile
     chart: ChartGeometry
     field: VectorFieldSpec
-    frame: OrthoFrame
     mercator: Callable[[np.ndarray], np.ndarray]
     mercator_inv: Callable[[np.ndarray], np.ndarray]
 
@@ -85,10 +84,8 @@ def _surface(name: str, r: str, s_domain: tuple[float, float], h: Callable[[floa
         ChartSource(name, ("1", "0", f"({r})*({r})"), bounds=(s0, s1, -math.inf, math.inf),
                     sample_box=(s0 + 0.01 * span, s1 - 0.01 * span, -math.pi, math.pi)),
         FieldSource(f"{name}-flat", "sigma", (f"-log({r})",)))
-    frame = OrthoFrame(e1=lambda u, v: (1.0, 0.0),
-                       e2=lambda u, v: (0.0, 1.0 / r_fn(u)))
     return CatalogSurface(name=name, profile=profile, chart=chart, field=fld,
-                          frame=frame, mercator=mercator, mercator_inv=mercator_inv)
+                          mercator=mercator, mercator_inv=mercator_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +242,13 @@ def sphere_angle_cosines(colat: np.ndarray, lon: np.ndarray, t: np.ndarray) -> n
     return sin_s * dp / speed
 
 
-def embed_points(surface: CatalogSurface, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Embed chart samples into R^3 as (r cos phi, r sin phi, h)."""
-    out = np.empty((len(s), 3))
-    for i, (ss, pp) in enumerate(zip(s, phi)):
+def embed(surface: CatalogSurface, trace: Trace) -> np.ndarray:
+    """3D polyline of a trace on the embedded surface, (r cos phi, r sin phi, h)."""
+    out = np.empty((len(trace), 3))
+    for i, (ss, pp) in enumerate(zip(trace.u, trace.v)):
         rr = surface.profile.r(float(ss))
         out[i] = (rr * math.cos(pp), rr * math.sin(pp), surface.profile.h(float(ss)))
     return out
-
-
-def embed(surface: CatalogSurface, trace: Trace) -> np.ndarray:
-    """3D polyline of a trace on the embedded surface."""
-    return embed_points(surface, trace.u, trace.v)
 
 
 def gaussian_curvature(surface: CatalogSurface, s: float) -> float:

@@ -8,13 +8,18 @@ frame orthonormality, V = -grad(sigma), and the Killing equation.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from torsiongeo.errors import MetricDegeneracyError
-from torsiongeo.geometry import (PLANE, ChartGeometry, FieldSource, OrthoFrame, VectorComponents,
+from torsiongeo.geometry import (PLANE, ChartGeometry, FieldSource, VectorComponents,
                                  VectorFieldSpec, christoffel, compile_runtime, fd_step, grad,
                                  inner)
+
+#: A frame as two evaluators (u, v) -> chart components, (e1, e2).
+Frame = tuple[Callable[[float, float], VectorComponents],
+              Callable[[float, float], VectorComponents]]
 
 
 def constant_field(a: float, b: float) -> VectorFieldSpec:
@@ -24,7 +29,7 @@ def constant_field(a: float, b: float) -> VectorFieldSpec:
                                               (f"({a!r})*y - ({b!r})*x",), killing=True))[1]
 
 
-def gram_schmidt(chart: ChartGeometry) -> OrthoFrame:
+def gram_schmidt(chart: ChartGeometry) -> Frame:
     """Orthonormalize the coordinate frame (du first, then dv)."""
 
     def e1(u: float, v: float) -> VectorComponents:
@@ -38,7 +43,7 @@ def gram_schmidt(chart: ChartGeometry) -> OrthoFrame:
         nrm = math.sqrt(g22 + 2.0 * a * g12 + a * a * g11)
         return (a / nrm, 1.0 / nrm)
 
-    return OrthoFrame(e1, e2)
+    return e1, e2
 
 
 def covariant_derivative(chart: ChartGeometry, field: VectorFieldSpec,
@@ -112,12 +117,11 @@ def check_christoffel_consistency(chart: ChartGeometry, points: np.ndarray) -> f
     return worst
 
 
-def check_frame_orthonormal(chart: ChartGeometry, frame: OrthoFrame, points: np.ndarray) -> float:
+def check_frame_orthonormal(chart: ChartGeometry, frame: Frame, points: np.ndarray) -> float:
     """Max |g(e_i, e_j) - delta_ij| over the sample points."""
     worst = 0.0
     for u, v in points:
-        e1 = frame.e1(u, v)
-        e2 = frame.e2(u, v)
+        e1, e2 = (e(u, v) for e in frame)
         worst = max(
             worst,
             abs(inner(chart, (u, v), e1, e1) - 1.0),

@@ -77,7 +77,7 @@ def test_criterion_06_flat_plane_invariant(suite_ctx):
 
 
 def test_criterion_07_arcsin_invariant_and_strips(suite_ctx):
-    # per-branch std < 1e-6; c = 1/2 - pi/4; bounds at sqrt(2(c + pi));
+    # std of y^2/2 - theta < 1e-6; c = 1/2 - pi/4; bounds at sqrt(2(c + pi));
     # confinement over |t| <= 50 with excess < 1e-3; quadrature-trace
     # agreement 1e-4; 720-angle sweep never enters the disjoint strip
     _run(suite.criterion_strips, suite_ctx)

@@ -73,6 +73,24 @@ def test_failing_report_exits_1(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_coarse_shear_run_with_y_prime_beyond_1_passes_arcsin(tmp_path, capsys):
+    # at h = 0.01 this launch's |y'| exceeds 1 by more than 1e-9 somewhere,
+    # with a speed drift of 2.6e-8; the angle form of the report reads it
+    cfg = {"version": 1, "id": "coarse-shear", "chart": "plane", "field": "shear",
+           "integrator": {"method": "rk4", "h": 0.01}, "span": [-10, 10],
+           "initial": {"position": [0.0, 2.2447183746888264],
+                       "velocity": [-0.968653655259993, 0.24841516892382925]},
+           "reports": ["speed", "arcsin"]}
+    path = tmp_path / "coarse-shear.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["integrate", "--config", str(path), "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert "arcsin-invariant: PASS" in out
+    assert code == 0
+    trace = read_trace_csv(tmp_path / "coarse-shear.csv")
+    assert trace.dv.max() > 1.0 + 1e-9 or trace.dv.min() < -1.0 - 1e-9
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -263,11 +281,14 @@ def test_plot_from_csv(tmp_path, capsys):
 
 
 def test_suite_single_criterion(tmp_path, capsys):
-    code = main(["suite", "--criteria", "9", "--out-dir", str(tmp_path)])
+    # stdout is the pinned c09 block of tests/data/suite-checks.txt
+    pinned = (Path(__file__).parent / "data" / "suite-checks.txt").read_text().splitlines()
+    start = next(i for i, line in enumerate(pinned) if line.startswith("criterion 09"))
+    end = next(i for i in range(start + 1, len(pinned)) if not pinned[i].startswith(" "))
+    code = main(["suite", "--verbose", "--criteria", "9", "--out-dir", str(tmp_path)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "criterion 09" in out
-    assert "PASS" in out
+    assert capsys.readouterr().out.splitlines() == [
+        *pinned[start:end], str(tmp_path / "suite-summary.json"), "1/1 criteria passed"]
     summary = json.loads((tmp_path / "suite-summary.json").read_text())
     assert summary[0]["passed"] is True
 

@@ -145,7 +145,6 @@ def test_gradient_scenarios_match_conformal_geodesics(suite_ctx):
     # pseudosphere case: the two independent integrations are each
     # other's oracle
     tr = suite_ctx.custom_trace(
-        "pseudosphere-lox-45-short",
         Scenario("pseudosphere-lox-45-short", "pseudosphere", (1.0, 0.0),
                  angle=math.pi / 4, span=(0.0, 1.5)))
     rt = build_runtime("pseudosphere")

@@ -12,7 +12,8 @@ from torsiongeo.geometry import (ZERO_FIELD, ChartSource, FieldSource, christoff
                                  compile_runtime, euclidean_plane, grad, half_plane,
                                  half_plane_source, inner, norm)
 from torsiongeo.plane import shear_field, winding_field
-from torsiongeo.surfaces import make_catenoid, make_pseudosphere, make_sphere
+from torsiongeo.scenarios import Scenario, build_runtime
+from torsiongeo.surfaces import CATALOG_BUILDERS, make_catenoid, make_pseudosphere, make_sphere
 
 
 def fd_christoffel_oracle(metric_matrix_fn, u, v, h=1e-6):
@@ -140,23 +141,33 @@ def test_grad_defining_identity_random(rng):
         assert inner(surf.chart, (u, v), g, X) == pytest.approx(xf, abs=1e-8)
 
 
+def angle_launch(key: str, a: float):
+    """The launch velocity at angle a to the meridians, as (u, v) -> (du, dv)."""
+    def e(u, v):
+        state = Scenario("frame", key, (u, v), angle=a).launch_state()
+        return (state.du, state.dv)
+    return e
+
+
 def test_inner_and_norm():
     surf = make_sphere()
     s = 1.0
     r = math.sin(s)
-    frame = surf.frame
     p = (s, 0.0)
-    assert inner(surf.chart, p, frame.e1(*p), frame.e2(*p)) == pytest.approx(0.0, abs=1e-15)
+    e1, e2 = (angle_launch("sphere", a)(*p) for a in (0.0, math.pi / 2))
+    assert inner(surf.chart, p, e1, e2) == pytest.approx(0.0, abs=1e-15)
     assert inner(surf.chart, p, (0.0, 1.0), (0.0, 1.0)) == pytest.approx(r * r)
     V = surf.field.components(*p)
     assert norm(surf.chart, p, V) == pytest.approx(abs(math.cos(s) / math.sin(s)))
 
 
-def test_frames_orthonormal_on_catalog():
-    for builder in (make_sphere, make_pseudosphere, make_catenoid):
-        surf = builder()
-        pts = sample_interior(surf.chart, 40)
-        assert check_frame_orthonormal(surf.chart, surf.frame, pts) < 1e-10
+def test_angle_launches_orthonormal_on_catalog():
+    # the launches at a = 0 and a = pi/2 are the frame (d_s, d_phi / r)
+    for key in CATALOG_BUILDERS:
+        chart = build_runtime(key).chart
+        pts = sample_interior(chart, 40)
+        frame = (angle_launch(key, 0.0), angle_launch(key, math.pi / 2))
+        assert check_frame_orthonormal(chart, frame, pts) < 1e-10, key
 
 
 def test_gram_schmidt_frame_on_skewed_metric():

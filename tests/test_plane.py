@@ -142,14 +142,6 @@ def test_arcsin_invariant_steep_scenario():
                                            abs=1e-12)
 
 
-def test_arcsin_invariant_rejects_superluminal_series(shear_trace):
-    from dataclasses import replace
-
-    bad = replace(shear_trace, dv=shear_trace.dv * 1.5)
-    with pytest.raises(ValueError):
-        arcsin_invariant(bad)
-
-
 def test_arcsin_invariant_requires_unit_speed(shear_trace):
     from dataclasses import replace
 
@@ -161,9 +153,8 @@ def test_arcsin_invariant_requires_unit_speed(shear_trace):
 def test_arcsin_invariant_holds_on_random_shear_launches():
     """y^2/2 - theta is one constant on random launches over |t| <= 10.
 
-    The report presumes a unit-speed trace and rejects one with
-    |y'| > 1 + 1e-9, so runs that lose unit speed are discarded.  They
-    exist: the RHS holds E^2 at its launch value, so a speed error grows
+    The report presumes a unit-speed trace, so runs that lose unit speed
+    are discarded.  They exist: the RHS holds E^2 at its launch value, so a speed error grows
     like exp(2 * integral of g(V, v) dt), and a launch that lingers by a
     repelling level, nearly horizontal at large |y0|, reaches speed 3 by
     t = 10 (y0 = 2.5 at angle -1e-10).  Over 2300 random and nearly
@@ -184,7 +175,7 @@ def test_arcsin_invariant_holds_on_random_shear_launches():
     def run(y0, angle, method):
         launch = GeodesicState(0.0, 0.0, y0, math.cos(angle), math.sin(angle))
         tr = integrate_two_sided(chart, field, launch, -10.0, 10.0, h=1e-2, method=method)
-        assume(tr.max_speed_drift() < 1e-7 and np.max(np.abs(tr.dv)) <= 1.0 + 1e-9)
+        assume(tr.max_speed_drift() < 1e-7)
         rep = arcsin_invariant(tr)
         assert rep.passed, rep.std
 

@@ -32,12 +32,14 @@ def test_all_catalog_launches_resolve_to_unit_speed():
         assert speed == pytest.approx(1.0, abs=1e-12), sid
 
 
-def test_angle_launch_matches_frame():
-    scen = CATALOG["sphere-loxodrome-45"]
+def test_angle_launch_is_cos_and_sin_over_r():
+    # the angle is taken in the frame (d_s, d_phi / r): r = 1 at the equator
+    state = CATALOG["sphere-loxodrome-45"].launch_state()
+    assert (state.du, state.dv) == (math.cos(math.pi / 4), math.sin(math.pi / 4))
+    scen = CATALOG["pseudosphere-loxodrome"]
     state = scen.launch_state()
-    # at the equator e1 = (1, 0), e2 = (0, 1)
-    assert state.du == pytest.approx(math.cos(math.pi / 4))
-    assert state.dv == pytest.approx(math.sin(math.pi / 4))
+    a, r = scen.angle, math.exp(-scen.start[0])
+    assert (state.du, state.dv) == pytest.approx((math.cos(a), math.sin(a) / r), rel=1e-15)
 
 
 def test_compile_expr_whitelist():
