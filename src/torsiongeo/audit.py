@@ -260,9 +260,9 @@ def killing_flow_symmetry(trace: Trace, isometry: Isometry) -> float:
     with the trace's vector field; this is spot-checked at 20 sample points,
     to 1e-6 relative, and violations raise ValueError.
 
-    On an rk45 trace only the identity can be checked: the re-integration
-    takes its own grid, as Fehlberg scales its error by the state, and
-    a grid mismatch raises ValueError.
+    On an rk45 trace only the identity can be checked: Fehlberg scales its
+    error by the state, so a mapped launch takes its own steps, and the
+    re-integration's grid no longer matches (ValueError).
     """
     chart = _require_chart(trace)
     field = _require_field(trace)
