@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ChartGeometry, VectorFieldSpec, along, positive_part
+from .expr import libm_map
+from .geometry import ChartGeometry, VectorFieldSpec, positive_part
 from .integrate import GeodesicState, IntegratorSettings, Trace, integrate_two_sided
 
 #: Per-step slack when asserting that a series is non-increasing; absorbs
@@ -146,7 +147,7 @@ def geodesic_defect(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     chart = _require_chart(trace)
     ddu = series_derivative(trace.t, trace.du)
     ddv = series_derivative(trace.t, trace.dv)
-    (a0, a1, a2), (b0, b1, b2) = along(chart.christoffel_analytic, trace.u, trace.v, (2, 3))
+    (a0, a1, a2), (b0, b1, b2) = chart.christoffel_column(trace.u, trace.v)
     du, dv = trace.du, trace.dv
     wu = ddu + a0 * du * du + 2.0 * a1 * du * dv + a2 * dv * dv
     wv = ddv + b0 * du * du + 2.0 * b1 * du * dv + b2 * dv * dv
@@ -157,7 +158,7 @@ def kinematic_curvature(trace: Trace) -> np.ndarray:
     """Curvature |a + Gamma(v, v)| / E^2 with the acceleration differenced
     from the stored velocities; the independent oracle for the closed form."""
     wu, wv = geodesic_defect(trace)
-    g11, g12, g22 = along(trace.chart.metric, trace.u, trace.v, (3,))
+    g11, g12, g22 = trace.chart.metric_column(trace.u, trace.v)
     n2 = g11 * wu * wu + 2.0 * g12 * wu * wv + g22 * wv * wv
     return np.sqrt(positive_part(n2)) / (trace.E * trace.E)
 
@@ -201,21 +202,23 @@ def conformal_constant(trace: Trace,
     deviation below 1e-6.
 
     ``X`` is a Killing field of the conformally rescaled metric, given in
-    chart components (callable or constant pair).
+    chart components: a constant pair, or a callable that takes the arrays
+    of the samples' coordinates.  exp(sigma) is libm's, as on scalars.
     """
-    sigma = getattr(trace.field, "sigma", None)
+    sigma = getattr(trace.field, "sigma_column", None)
     if sigma is None:
         raise ValueError("no scalar potential available for the conformal constant")
-    vals = along(lambda u, v: math.exp(sigma(u, v)), trace.u, trace.v) * naive_momentum(trace, X)
+    vals = libm_map(math.exp, sigma(trace.u, trace.v)) * naive_momentum(trace, X)
     return make_report("conformal-constant", trace.t, vals, threshold=1e-6, use_std=True)
 
 
 def naive_momentum(trace: Trace,
                    X: Callable[[float, float], tuple[float, float]] | Sequence[float] = (0.0, 1.0)) -> np.ndarray:
-    """The uncorrected series g(velocity, X); generally not a first integral."""
+    """The uncorrected series g(velocity, X); generally not a first integral.
+    A callable ``X`` takes the arrays of the samples' coordinates."""
     chart = _require_chart(trace)
-    g11, g12, g22 = along(chart.metric, trace.u, trace.v, (3,))
-    X0, X1 = along(X, trace.u, trace.v, (2,)) if callable(X) else X
+    g11, g12, g22 = chart.metric_column(trace.u, trace.v)
+    X0, X1 = X(trace.u, trace.v) if callable(X) else X
     du, dv = trace.du, trace.dv
     return g11 * du * X0 + g12 * (du * X1 + dv * X0) + g22 * dv * X1
 
@@ -227,7 +230,8 @@ def naive_momentum(trace: Trace,
 
 @dataclass
 class Isometry:
-    """A chart isometry given by a point map and its differential."""
+    """A chart isometry given by a point map and its differential.  The point
+    map acts elementwise on arrays of coordinates as on floats."""
 
     name: str
     point_map: Callable[[float, float], tuple[float, float]]
@@ -281,7 +285,7 @@ def killing_flow_symmetry(trace: Trace, isometry: Isometry) -> float:
     if len(reint) != len(trace) or np.max(np.abs(reint.t - trace.t)) > 1e-9:
         raise ValueError("re-integrated trace does not share the sample grid")
 
-    mu, mv = along(isometry.point_map, trace.u, trace.v, (2,))
+    mu, mv = isometry.point_map(trace.u, trace.v)
     mismatch = np.hypot(mu - reint.u, mv - reint.v)
     return float(np.max(mismatch))
 

@@ -14,8 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .audit import geodesic_defect, interior_slice
-from .geometry import (ZERO_FIELD, ChartGeometry, ChartSource, VectorFieldSpec, along,
-                       cached_runtime)
+from .geometry import ZERO_FIELD, ChartGeometry, ChartSource, VectorFieldSpec, cached_runtime
 from .integrate import Trace, diagnostics
 
 
@@ -56,7 +55,7 @@ def reparametrize(trace: Trace) -> Trace:
     if trace.t[launch] != 0.0:
         raise ValueError("reparametrization anchors t~ = 0 on the trace's t = 0 sample")
 
-    f = np.exp(along(trace.field.sigma, trace.u, trace.v))
+    f = np.exp(trace.field.sigma_column(trace.u, trace.v))
     df = -f * trace.g_v
     h = np.diff(trace.t)
     steps = 0.5 * h * (f[:-1] + f[1:]) + h * h / 12.0 * (df[:-1] - df[1:])
@@ -66,7 +65,7 @@ def reparametrize(trace: Trace) -> Trace:
     du = trace.du / f
     dv = trace.dv / f
     no_field = VectorFieldSpec.zero()
-    speed = diagnostics(derived_chart.metric, no_field.components,
+    speed = diagnostics(derived_chart.metric_column, no_field.components_column,
                         trace.u, trace.v, du, dv, trace.E)[0]
     zero = np.zeros(len(trace))
     return replace(trace, t=clock, du=du, dv=dv, speed=speed, kappa=zero, g_v=zero,

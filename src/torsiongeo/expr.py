@@ -3,19 +3,24 @@
 An expression is Python source restricted to arithmetic on the two chart
 coordinates, int and float constants and a whitelist of ``math``
 functions.  ``_compile`` turns a tuple of them into one module of
-straight-line functions with their exact partial derivatives; an input
-outside the grammar, or an evaluation that fails, raises ``ConfigError``.
+straight-line functions with their exact partial derivatives, and gives
+each function a column form that evaluates arrays of samples bitwise as the
+function does (``Column``); an input outside the grammar, or an evaluation
+that fails, raises ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import operator
 import re
 from functools import lru_cache, partial
 from types import FunctionType
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -213,13 +218,19 @@ def _fold(node: ast.expr, env: dict[str, str]) -> str:
 _TOKENS = re.compile(r"\*\*|//|[<>/]|[A-Za-z_]\w*|[\d.]+(?:e[-+]?\d+)?")
 
 
+@lru_cache(maxsize=4096)
+def _tokens(text: str) -> tuple[str, ...]:
+    """The tokens of a statement's right side; configs of one shape repeat them."""
+    return tuple(_TOKENS.findall(text))
+
+
 def _is_float(text: str, kinds: dict[str, bool]) -> bool | None:
     """True where source surely evaluates to a float and False where to an
     int or a float, given ``kinds``: True for the names that hold floats,
     False for those that hold ints.  None where it may be complex or a bool:
     it reads ``**``, a comparison or another name.  Any arithmetic with a
     float, a true division and a call other than abs give a float."""
-    tokens = _TOKENS.findall(text)
+    tokens = _tokens(text)
     if any(t in ("**", "<", ">") or ((t[0].isalpha() or t[0] == "_") and t not in kinds
                                      and t not in _CALLABLE_NAMES) for t in tokens):
         return None
@@ -368,7 +379,13 @@ def _checked(src) -> ast.expr:
         raise ConfigError(f"bad expression {_quote(src)}: {type(exc).__name__}: {exc}") from exc
 
 
-def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
+@lru_cache(maxsize=64)
+def _words(tail: str) -> frozenset[str]:
+    """The names a tail reads; the tails are the few texts of this module."""
+    return frozenset(re.findall(r"\w+", tail))
+
+
+def _compile(srcs: tuple, *tails: str, **names) -> Module:
     """Compile expressions into one module of straight-line functions of
     the float coordinates (x, y), one per tail.
 
@@ -381,11 +398,13 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
     a ``__name__`` among them names the module (see ``_code``).  A
     tail that reads E2 is a fused geodesic RHS: in its place comes a
     :class:`FusedRHS`.  Any other function takes (x, y), with y = 0 by
-    default for a profile r(x).  An arithmetic, type or domain failure
-    raises ConfigError naming the expression, whether its value or its
-    partial failed, and the point.
+    default for a profile r(x), and has a :class:`Column` form in the
+    returned module's ``columns``.  A statement no later one reads is
+    dropped where it cannot raise (see ``_live``).  An arithmetic, type or
+    domain failure raises ConfigError naming the expression, whether its
+    value or its partial failed, and the point.
     """
-    reads = [set(re.findall(r"\w+", tail)) for tail in tails]
+    reads = [_words(tail) for tail in tails]
     memo, env, kinds = {}, {}, dict.fromkeys(("x", "y", "pi", "e", "tau"), True)
     blocks = {}  # vi, vix, viy -> (statements that bind it, (i, whether a partial))
     for i, src in enumerate(srcs):
@@ -395,7 +414,7 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
         for axis, (lines, operand) in partials.items():
             blocks[f"v{i}{axis}"] = [*lines, *_bind(f"v{i}{axis}", operand, env, kinds)], (i, True)
 
-    source, owners, fused = [], {}, {}
+    source, owners, fused, columns = [], {}, {}, {}
     for k, (tail, read) in enumerate(zip(tails, reads)):
         body = {}  # statement -> owner, the values a tail reads first, then the partials
         for name in ([n for n in blocks if n[-1].isdigit() and read & {n, n + "x", n + "y"}]
@@ -403,6 +422,10 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
             lines, owner = blocks[name]
             for line in lines:
                 body.setdefault(line, owner)
+        tail_lines = _emit_tail(tail, env, read)
+        keep = _live((*body, *tail_lines))
+        tail_lines = list(itertools.compress(tail_lines, keep[len(body):]))
+        body = dict(itertools.compress(body.items(), keep))
         source.append(f"def f{k}(x, y, du, dv, E2=None):" if "E2" in read else
                       f"def f{k}(x, y=0.0):")
         if body:
@@ -411,17 +434,55 @@ def _compile(srcs: tuple, *tails: str, **names) -> tuple[Callable, ...]:
                 source.append(f"        {line}")
                 owners[len(source)] = owner
             source += ["    except _ERRORS as exc:", "        raise _fail(x, y, exc) from exc"]
-        tail_lines = _emit_tail(tail, env, read)
         source += [f"    {line}" for line in tail_lines]
         if "E2" in read:
             fused[k] = tuple(body.items()), tuple(tail_lines)
+        else:
+            columns[k] = tuple(body), tuple(tail_lines)
     namespace = {"__builtins__": {}, "__name__": "expr", **_SAFE_NAMES, "_float": float,
                  "_fail": partial(_failure, srcs, owners),
                  "_ERRORS": (ArithmeticError, TypeError, ValueError), **names,
                  **{name: float(text) for text, name in memo.items() if name[0] == "c"}}
     exec(_code("\n".join(source), namespace["__name__"]), namespace)
-    return tuple(FusedRHS(namespace[f"f{k}"], srcs, *fused[k]) if k in fused
-                 else namespace[f"f{k}"] for k in range(len(tails)))
+    return Module((FusedRHS(namespace[f"f{k}"], srcs, *fused[k]) if k in fused
+                   else namespace[f"f{k}"] for k in range(len(tails))),
+                  (Column(namespace, k, *columns[k]) if k in columns else None
+                   for k in range(len(tails))))
+
+
+class Module(tuple):
+    """The functions of one compiled module, one per tail, with ``columns``:
+    the :class:`Column` form of each function that is not a fused RHS, and
+    None for a fused RHS."""
+
+    def __new__(cls, functions, columns):
+        module = super().__new__(cls, functions)
+        module.columns = tuple(columns)
+        return module
+
+
+# an assignment's target, and a right side that may raise: a call, a
+# division, a remainder, a power or a comparison (of complex numbers)
+_LOCAL = re.compile(r"^\s*(\w+) = ")
+_MAY_RAISE = re.compile(r"[/%<>]|\*\*|\w\(")
+_WORD = re.compile(r"\b[A-Za-z_]\w*")
+
+
+@lru_cache(maxsize=1024)
+def _live(lines: tuple[str, ...]) -> tuple[bool, ...]:
+    """Which statements of a function to keep: all but the assignments
+    whose target no later line reads and whose right side uses only + - *
+    and unary -, which cannot raise.  Statements that may raise stay,
+    since they guard the domain of the expressions they belong to.  The
+    functions of configs that differ only in their constants are one text,
+    so parsing a config mostly finds its functions here."""
+    read, keep = set(), []
+    for line in reversed(lines):
+        m = _LOCAL.match(line)
+        keep.append(not m or m.group(1) in read or bool(_MAY_RAISE.search(line, m.end())))
+        if keep[-1]:
+            read.update(_WORD.findall(line))
+    return tuple(reversed(keep))
 
 
 @lru_cache(maxsize=256)
@@ -473,10 +534,6 @@ class FusedRHS:
         return _bound(step, "step", E2, *bounds)
 
 
-_LOCAL = re.compile(r"^\s*(\w+) = ")
-_WORD = re.compile(r"\b[A-Za-z_]\w*")
-
-
 @lru_cache(maxsize=256)
 def _step_source(body: tuple, tail: tuple[str, ...], tableau) -> tuple[str, dict]:
     """The source of ``tableau.emit``'s step with the RHS of ``body`` (its
@@ -512,6 +569,133 @@ def _step_source(body: tuple, tail: tuple[str, ...], tableau) -> tuple[str, dict
     source = tableau.emit(stage)
     return source, {no: owned[line.strip()] for no, line in enumerate(source.splitlines(), 1)
                     if line.strip() in owned}
+
+
+class Column:
+    """The column form of one compiled function: called with float arrays
+    (x, y) of equal length, it returns what the function returns with an
+    array of every sample's value in place of each float.
+
+    It is compiled into the function's own module on its first call, from
+    the function's statements (see ``_column_source``), so every value is
+    the scalar function's, bit for bit.  On a floating-point error or an
+    exception it evaluates the scalar function sample by sample instead,
+    which returns the same values or raises the same ConfigError at the
+    first sample that fails.
+    """
+
+    def __init__(self, namespace: dict, k: int, body: tuple[str, ...], tail: tuple[str, ...]):
+        self.namespace, self.scalar, self.body, self.tail = namespace, namespace[f"f{k}"], body, tail
+        self.fn = None
+
+    def __call__(self, x: np.ndarray, y: np.ndarray):
+        if self.fn is None:
+            namespace, scope = self.namespace, {}
+            namespace.update(_COLUMN_NAMES)
+            exec(_code(_column_source(self.body, self.tail), f"{namespace['__name__']} column"),
+                 namespace, scope)
+            self.fn = scope["column"]
+        try:
+            with np.errstate(all="raise", under="ignore"):  # Python floats underflow silently
+                return self.fn(x, y)
+        except (ArithmeticError, TypeError, ValueError, _Fallback):
+            rows = list(map(self.scalar, x.tolist(), y.tolist()))
+            return np.moveaxis(np.array(rows, dtype=float), 0, -1)
+
+
+class _Fallback(Exception):
+    """Raised by a column form where its scalar function checks and raises."""
+
+
+def libm_map(f: Callable, *args) -> np.ndarray:
+    """``f`` at every sample of the array arguments, with Python floats, so
+    a ``math`` function or an operator gives the bits it gives on scalars;
+    other arguments are the same at every sample."""
+    n = next(len(a) for a in args if type(a) is np.ndarray)
+    columns = (a.tolist() if type(a) is np.ndarray else itertools.repeat(a, n) for a in args)
+    return np.fromiter(map(f, *columns), dtype=float, count=n)
+
+
+def _full(x: np.ndarray, value) -> np.ndarray:
+    return np.full(len(x), value, dtype=float)
+
+
+_COLUMN_NAMES = {"_np": np, "_libm_map": libm_map, "_full": _full, "_Fallback": _Fallback,
+                 "_asfloat": partial(np.asarray, dtype=float), "_pow": operator.pow,
+                 "_floordiv": operator.floordiv, "_mod": operator.mod}
+# the operators numpy rounds as Python does, and those sent through libm_map
+_NUMPY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_LIBM_OPS = {ast.Pow: "_pow", ast.FloorDiv: "_floordiv", ast.Mod: "_mod"}
+
+
+@lru_cache(maxsize=256)
+def _column_source(body: tuple[str, ...], tail: tuple[str, ...]) -> str:
+    """The source of ``column(x, y)``, the column form of the function with
+    the statements ``body`` and ``tail``.
+
+    A statement that reads neither coordinate, directly or through another
+    statement, is the scalar one.  In the others + - * /, unary -, sqrt,
+    abs and comparisons act on the arrays in numpy, which rounds them as
+    Python rounds floats; every other call and every ``**``, ``//`` and
+    ``%`` runs per sample through ``libm_map``.  A check raises _Fallback
+    if any sample fails it, and the return broadcasts its constants.
+    """
+    varying, lines = {"x", "y"}, ["def column(x, y):"]
+    for stmt in ast.parse("\n".join((*body, *tail))).body:
+        if type(stmt) is ast.Assign:
+            name = stmt.targets[0].id
+            text, varies = _columnar(stmt.value, varying)
+            if varies:
+                varying.add(name)
+            lines.append(f"    {name} = {text}")
+        elif type(stmt) is ast.If:
+            text, varies = _columnar(stmt.test, varying, bools=True)
+            lines += [f"    if {f'_np.any({text})' if varies else text}:", "        raise _Fallback"]
+        else:
+            lines.append(f"    return {_broadcast(stmt.value, varying)}")
+    return "\n".join(lines)
+
+
+def _broadcast(node: ast.expr, varying: set[str]) -> str:
+    if type(node) is ast.Tuple:
+        return f"({', '.join(_broadcast(e, varying) for e in node.elts)})"
+    text, varies = _columnar(node, varying)
+    return text if varies else f"_full(x, {text})"
+
+
+def _columnar(node: ast.expr, varying: set[str], bools: bool = False) -> tuple[str, bool]:
+    """The column source of one expression of a function's statements, and
+    whether it varies with the coordinates.  A comparison that varies gives
+    bools where ``bools`` is set, in a check, and ints in arithmetic."""
+    kind = type(node)
+    if kind is ast.Name:
+        return node.id, node.id in varying
+    if kind is ast.Constant:
+        return repr(node.value), False
+    if kind is ast.UnaryOp:
+        a, varies = _columnar(node.operand, varying, bools)
+        if type(node.op) is ast.Not:
+            return (f"(~{a})" if varies else f"(not {a})"), varies
+        return f"({_SYMBOLS[type(node.op)]}{a})", varies
+    if kind in (ast.BinOp, ast.Compare):
+        op = type(node.op if kind is ast.BinOp else node.ops[0])
+        (a, va), (b, vb) = (_columnar(e, varying) for e in (
+            (node.left, node.right) if kind is ast.BinOp else (node.left, node.comparators[0])))
+        text = f"({a} {_SYMBOLS[op]} {b})"
+        if not (va or vb) or op in _NUMPY_OPS or (kind is ast.Compare and bools):
+            return text, va or vb
+        if kind is ast.Compare:
+            return f"({text} * 1)", True
+        return f"_libm_map({_LIBM_OPS[op]}, {a}, {b})", True
+    args = [_columnar(a, varying) for a in node.args]
+    func, texts = node.func.id, ", ".join(a for a, _ in args)
+    if not any(varies for _, varies in args):
+        return f"{func}({texts})", False
+    if func == "_float":
+        return f"_asfloat({texts})", True
+    if func in ("sqrt", "abs") and len(args) == 1:
+        return f"_np.{func}({texts})", True
+    return f"_libm_map({func}, {texts})", True
 
 
 # The inverse metric of (g11, g12, g22) = (v0, v1, v2), which must be

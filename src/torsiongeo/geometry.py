@@ -9,7 +9,9 @@ of the symmetric matrix; ``metric_matrix`` assembles the 2x2 array when a
 dense form is needed.  Every chart and field the integrator steps is
 described by expression sources and compiled by :func:`compile_runtime`,
 with exact derivatives throughout; central differences of the metric
-(``ChartGeometry.christoffel_fd``) remain as a test oracle.
+(``ChartGeometry.christoffel_fd``) remain as a test oracle.  A compiled
+chart and field also carry the column form of each evaluator, which
+traces' diagnostics and the audits call on whole arrays of samples.
 
 No frame type is kept: an angle launch on a surface of revolution is taken
 in the closed-form orthonormal frame (d_s, d_phi / r) of diag(1, r^2).
@@ -17,7 +19,6 @@ in the closed-form orthonormal frame (d_s, d_phi / r) of diag(1, r^2).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, lru_cache
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ChartDomainError, MetricDegeneracyError
-from .expr import _ACCELERATION, _CHRISTOFFEL, _FIELDS, _INVERSE, FusedRHS, _compile
+from .expr import _ACCELERATION, _CHRISTOFFEL, _FIELDS, _INVERSE, Column, FusedRHS, _compile
 
 MetricComponents = tuple[float, float, float]
 VectorComponents = tuple[float, float]
@@ -67,6 +68,10 @@ class ChartGeometry:
     source:
         The :class:`ChartSource` a compiled chart was built from; a field
         compiled with the same source steps on this chart with its fused RHS.
+    metric_column, christoffel_column:
+        The column forms of a compiled chart's ``metric`` and
+        ``christoffel_analytic`` (see :class:`expr.Column`): float arrays
+        (u, v) in, one array per component out, bitwise the scalar values.
     """
 
     name: str
@@ -75,6 +80,8 @@ class ChartGeometry:
     bounds: tuple[float, float, float, float] = (-math.inf, math.inf, -math.inf, math.inf)
     sample_box: tuple[float, float, float, float] | None = None
     source: ChartSource | None = None
+    metric_column: Column | None = dc_field(default=None, repr=False, compare=False)
+    christoffel_column: Column | None = dc_field(default=None, repr=False, compare=False)
 
     def contains(self, u: float, v: float) -> bool:
         u0, u1, v0, v1 = self.bounds
@@ -186,17 +193,6 @@ def norm(chart: ChartGeometry, point: Sequence[float], X: Sequence[float]) -> fl
     return math.sqrt(max(0.0, inner(chart, point, X, X)))
 
 
-def along(fn: Callable, u: np.ndarray, v: np.ndarray, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """A scalar evaluator at every sample, called with Python floats as the
-    stepper calls it and streamed into an array of shape ``shape + (len(u),)``,
-    output axes first: ``g11, g12, g22 = along(metric, u, v, (3,))``."""
-    values = map(fn, u.tolist(), v.tolist())
-    for _ in shape:  # flat floats stream twice as fast as a subarray dtype
-        values = itertools.chain.from_iterable(values)
-    out = np.fromiter(values, dtype=float, count=len(u) * math.prod(shape))
-    return np.moveaxis(out.reshape(len(u), *shape), 0, -1)
-
-
 def positive_part(x: np.ndarray) -> np.ndarray:
     """Elementwise max(0, x), with NaN mapped to 0 as ``max(0.0, x)`` does."""
     return np.where(x > 0.0, x, 0.0)
@@ -245,7 +241,9 @@ class VectorFieldSpec:
     ``killing`` flags fields whose flow consists of isometries.
     ``source`` is the :class:`FieldSource` the field was compiled from, and
     ``fused`` pairs the source of the chart it was compiled with and their
-    fused geodesic RHS, which also yields the RK steps that inline it.
+    fused geodesic RHS, which also yields the RK steps that inline it.  The
+    ``*_column`` attributes are the column forms of a compiled field's
+    evaluators, as on :class:`ChartGeometry`.
     """
 
     name: str
@@ -257,6 +255,9 @@ class VectorFieldSpec:
     source: FieldSource | None = None
     fused: tuple[ChartSource, FusedRHS] | None = dc_field(default=None, repr=False,
                                                         compare=False)
+    components_column: Column | None = dc_field(default=None, repr=False, compare=False)
+    sigma_column: Column | None = dc_field(default=None, repr=False, compare=False)
+    flat_potential_column: Column | None = dc_field(default=None, repr=False, compare=False)
 
     @classmethod
     def zero(cls) -> "VectorFieldSpec":
@@ -319,16 +320,20 @@ def compile_runtime(chart: ChartSource,
              "rhs": _CHRISTOFFEL + comps + _ACCELERATION + "return (ddu, ddv)",
              **{"sigma": {"sigma": "return v3", "sigma_grad": "return (v3x, v3y)"},
                 "p": {"p": "return v3"}}.get(field.kind, {})}
-    fns = dict(zip(tails, _compile((*chart.metric, *field.srcs), *tails.values(),
-                                   __name__=f"{chart.name}/{field.name}",
-                                   _degenerate=degenerate)))
+    module = _compile((*chart.metric, *field.srcs), *tails.values(),
+                      __name__=f"{chart.name}/{field.name}", _degenerate=degenerate)
+    fns, cols = dict(zip(tails, module)), dict(zip(tails, module.columns))
     compiled = ChartGeometry(name=chart.name, metric=fns["metric"], bounds=chart.bounds,
                              christoffel_analytic=fns["christoffel"],
-                             sample_box=chart.sample_box, source=chart)
+                             sample_box=chart.sample_box, source=chart,
+                             metric_column=cols["metric"],
+                             christoffel_column=cols["christoffel"])
     return compiled, VectorFieldSpec(
         name=field.name, components=fns["components"], sigma=fns.get("sigma"),
         sigma_grad=fns.get("sigma_grad"), flat_potential=fns.get("p"),
-        killing=field.killing, source=field, fused=(chart, fns["rhs"]))
+        killing=field.killing, source=field, fused=(chart, fns["rhs"]),
+        components_column=cols["components"], sigma_column=cols.get("sigma"),
+        flat_potential_column=cols.get("p"))
 
 
 #: compile_runtime once per process for each of the library's built-in

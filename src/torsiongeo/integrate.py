@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .expr import FusedRHS
-from .geometry import ChartGeometry, VectorFieldSpec, along, cached_runtime, positive_part
+from .geometry import ChartGeometry, VectorFieldSpec, cached_runtime, positive_part
 
 STOP_TIME = "t1"
 STOP_BOUNDARY = "boundary"
@@ -305,7 +305,8 @@ def _run(march, method: str, chart: ChartGeometry, field: VectorFieldSpec,
     if sign < 0:
         t, u, v, du, dv = -t[::-1], u[::-1], v[::-1], -du[::-1], -dv[::-1]
 
-    speed, kappa, g_v = diagnostics(chart.metric, field.components, u, v, du, dv, E)
+    speed, kappa, g_v = diagnostics(chart.metric_column, field.components_column,
+                                    u, v, du, dv, E)
     return Trace(t=t, u=u, v=v, du=du, dv=dv, speed=speed, kappa=kappa,
                  g_v=g_v, E=E, chart=chart, field=field,
                  settings=replace(settings, method=method),
@@ -388,11 +389,12 @@ def _bisect_exit(step, u, v, du, dv, h):
     return lo, best
 
 
-def diagnostics(metric, comp, u, v, du, dv, E):
-    """Per-sample (speed, kappa, g(V, v)) at launch speed E; the speed squares
+def diagnostics(metric_column, components_column, u, v, du, dv, E):
+    """Per-sample (speed, kappa, g(V, v)) at launch speed E, from the column
+    forms of a chart's metric and a field's components; the speed squares
     the velocity as the launch does, so the launch sample's speed is E."""
-    g11, g12, g22 = along(metric, u, v, (3,))
-    Vu, Vv = along(comp, u, v, (2,))
+    g11, g12, g22 = metric_column(u, v)
+    Vu, Vv = components_column(u, v)
     speed = np.sqrt(positive_part(g11 * du * du + 2.0 * g12 * du * dv + g22 * dv * dv))
     g_v = Vu * (g11 * du + g12 * dv) + Vv * (g12 * du + g22 * dv)
     nv2 = g11 * Vu * Vu + 2.0 * g12 * Vu * Vv + g22 * Vv * Vv

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import InvariantReport, make_report
-from .geometry import PLANE, FieldSource, VectorFieldSpec, along, built_in_runtime
+from .geometry import PLANE, FieldSource, VectorFieldSpec, built_in_runtime
 from .integrate import RK4, GeodesicState, Trace
 
 #: The winding and shear fields by their flat potentials p, V = (d_y p, -d_x p).
@@ -60,11 +60,11 @@ def flat_invariant(trace: Trace) -> InvariantReport:
     The series is constant (equal to its launch value z0, with |z0| = E)
     whenever the trace comes from a field with flat potential p.
     """
-    p = getattr(trace.field, "flat_potential", None)
+    p = getattr(trace.field, "flat_potential_column", None)
     if p is None:
         raise ValueError("no flat potential available for the complex invariant")
     zdot = trace.du + 1j * trace.dv
-    phase = along(p, trace.u, trace.v)
+    phase = p(trace.u, trace.v)
     values = zdot * np.exp(-1j * phase)
     return make_report("flat-invariant", trace.t, values, threshold=1e-6)
 

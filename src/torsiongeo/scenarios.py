@@ -75,10 +75,18 @@ class Scenario:
     span: tuple[float, float] = (-20.0, 20.0)
     h: float = 1e-3
     E: float = 1.0
-    description: str = ""
 
     def launch_state(self) -> GeodesicState:
+        """The launch state at t = 0 on the named runtime.  A config's own
+        scenario names no runtime; its launch is ``ScenarioConfig.launch_state``."""
+        if self.runtime == _INLINE:
+            raise ConfigError(f"scenario {self.id!r} belongs to a config: its launch state "
+                              f"is ScenarioConfig.launch_state()")
         return _launch(self, build_runtime(self.runtime))
+
+
+#: The runtime name of a scenario resolved from a config's own chart and field.
+_INLINE = "__inline__"
 
 
 def _launch(scen: Scenario, rt: Runtime) -> GeodesicState:
@@ -109,37 +117,34 @@ def _unit(x: float, y: float) -> tuple[float, float]:
 #: The twelve reference scenarios, in reporting order.
 CATALOG: dict[str, Scenario] = {
     s.id: s for s in [
-        Scenario("plane-straight", "plane-zero", (0.0, 0.0), velocity=(1.0, 0.0),
-                 description="no field; straight line"),
+        # no field; straight line
+        Scenario("plane-straight", "plane-zero", (0.0, 0.0), velocity=(1.0, 0.0)),
+        # winding field through the origin, diagonal launch
         Scenario("plane-winding-center", "plane-winding", (0.0, 0.0),
-                 velocity=_unit(1.0, 1.0),
-                 description="winding field through the origin, diagonal launch"),
-        Scenario("plane-winding-offset", "plane-winding", (0.0, 2.0),
-                 velocity=(1.0, 0.0),
-                 description="winding field, offset start, horizontal launch"),
-        Scenario("plane-shear-diagonal", "plane-shear", (1.0, 1.0),
-                 velocity=_unit(1.0, 1.0),
-                 description="shear field, diagonal launch; strip-confined"),
-        Scenario("plane-shear-steep", "plane-shear", (1.0, 1.0),
-                 velocity=_unit(-1.0, 0.5),
-                 description="shear field, leftward launch; single branch"),
+                 velocity=_unit(1.0, 1.0)),
+        # winding field, offset start, horizontal launch
+        Scenario("plane-winding-offset", "plane-winding", (0.0, 2.0), velocity=(1.0, 0.0)),
+        # shear field, diagonal launch; strip-confined
+        Scenario("plane-shear-diagonal", "plane-shear", (1.0, 1.0), velocity=_unit(1.0, 1.0)),
+        # shear field, leftward launch; single branch
+        Scenario("plane-shear-steep", "plane-shear", (1.0, 1.0), velocity=_unit(-1.0, 0.5)),
+        # gradient field of -log(y) on the upper half-plane
         Scenario("plane-gradient-halfplane", "halfplane-sigma", (0.0, 1.0),
-                 velocity=(1.0, 0.0),
-                 description="gradient field of -log(y) on the upper half-plane"),
-        Scenario("sphere-meridian", "sphere", (math.pi / 2, 0.0), angle=0.0,
-                 description="meridian launch; classical geodesic, stops at the pole cap"),
-        Scenario("sphere-equator", "sphere", (math.pi / 2, 0.0), angle=math.pi / 2,
-                 description="equatorial launch; stays on the equator"),
+                 velocity=(1.0, 0.0)),
+        # meridian launch; classical geodesic, stops at the pole cap
+        Scenario("sphere-meridian", "sphere", (math.pi / 2, 0.0), angle=0.0),
+        # equatorial launch; stays on the equator
+        Scenario("sphere-equator", "sphere", (math.pi / 2, 0.0), angle=math.pi / 2),
+        # 45 degree loxodrome; span short of the pole spiral
         Scenario("sphere-loxodrome-45", "sphere", (math.pi / 2, 0.0), angle=math.pi / 4,
-                 span=(-2.0, 2.0),
-                 description="45 degree loxodrome; span short of the pole spiral"),
+                 span=(-2.0, 2.0)),
+        # generic pseudosphere loxodrome
         Scenario("pseudosphere-loxodrome", "pseudosphere", (2.0, 0.0),
-                 angle=math.radians(85.0), span=(-10.0, 10.0),
-                 description="generic pseudosphere loxodrome"),
-        Scenario("pseudosphere-meridian", "pseudosphere", (1.0, 0.0), angle=0.0,
-                 description="pseudosphere meridian; stops at the cusp edge"),
-        Scenario("catenoid-loxodrome-45", "catenoid", (0.0, 0.0), angle=math.pi / 4,
-                 description="45 degree catenoid loxodrome from the waist"),
+                 angle=math.radians(85.0), span=(-10.0, 10.0)),
+        # pseudosphere meridian; stops at the cusp edge
+        Scenario("pseudosphere-meridian", "pseudosphere", (1.0, 0.0), angle=0.0),
+        # 45 degree catenoid loxodrome from the waist
+        Scenario("catenoid-loxodrome-45", "catenoid", (0.0, 0.0), angle=math.pi / 4),
     ]
 }
 
@@ -168,6 +173,10 @@ class ScenarioConfig:
     scenario: Scenario
     reports: list[str] = dc_field(default_factory=list)
     method: str = "rk4"
+
+    def launch_state(self) -> GeodesicState:
+        """The launch state at t = 0 that ``run_config`` starts from."""
+        return _launch(self.scenario, self.runtime)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -300,7 +309,7 @@ def _resolve_launch(sid: str, raw: dict, h: float) -> Scenario:
     E = _number(init.get("E", 1.0), "initial.E")
     if not E > 0.0:
         raise ConfigError(f"initial.E must be positive, got {E!r}")
-    return Scenario(id=sid, runtime="__inline__", start=pos, velocity=velocity,
+    return Scenario(id=sid, runtime=_INLINE, start=pos, velocity=velocity,
                     angle=angle, span=_span(raw.get("span", (-1.0, 1.0))),
                     h=h, E=E)
 

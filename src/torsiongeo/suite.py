@@ -17,7 +17,7 @@ from .audit import (conformal_constant, curvature_general, interior_slice,
                     killing_curvature_check, killing_flow_symmetry,
                     kinematic_curvature, naive_momentum, Isometry)
 from .conformal import compare_point_sets, conformal_metric
-from .geometry import along, norm as metric_norm
+from .geometry import norm as metric_norm
 from .integrate import GeodesicState, IntegratorSettings, Trace, levi_civita_integrate
 from .plane import (arcsin_invariant, flat_invariant, shooting_sweep, strip_bounds,
                     strip_quadrature)
@@ -208,7 +208,7 @@ def criterion_curvature_formulas(ctx: SuiteContext) -> CriterionResult:
         core = interior_slice(len(tr))
         general = curvature_general(tr)
         kinematic = kinematic_curvature(tr)
-        f, g = along(tr.field.components, tr.u, tr.v, (2,))
+        f, g = tr.field.components_column(tr.u, tr.v)
         signed = f * tr.dv - g * tr.du
         res.add(f"{sid} |general - kinematic|",
                 float(np.max(np.abs(general[core] - kinematic[core]))), 1e-5)

@@ -19,9 +19,8 @@ import numpy as np
 
 from .audit import make_report, series_derivative, InvariantReport
 from .errors import ChartDomainError
-from .expr import _compile
-from .geometry import (ChartGeometry, ChartSource, FieldSource, VectorFieldSpec, along,
-                       compile_runtime)
+from .expr import Column, _compile, libm_map
+from .geometry import ChartGeometry, ChartSource, FieldSource, VectorFieldSpec, compile_runtime
 from .integrate import Trace
 
 
@@ -29,6 +28,8 @@ from .integrate import Trace
 class RevolutionProfile:
     """Profile curve evaluators r(s), h(s) with first derivatives, and r''(s)
     for the Gauss curvature, in arc-length parametrization: r'^2 + h'^2 = 1.
+    ``r_column`` and ``dr_column`` are the column forms of r and r' (see
+    :class:`expr.Column`), which take the arrays (s, phi) of a trace.
     """
 
     r: Callable[[float], float]
@@ -37,6 +38,8 @@ class RevolutionProfile:
     dh: Callable[[float], float]
     s_domain: tuple[float, float]
     d2r: Callable[[float], float]
+    r_column: Column | None = None
+    dr_column: Column | None = None
 
     def natural_residual(self, samples: np.ndarray) -> float:
         """Max |r'^2 + h'^2 - 1| over sample arc lengths."""
@@ -71,8 +74,10 @@ def _surface(name: str, r: str, s_domain: tuple[float, float], h: Callable[[floa
     (r'/r) e1 are composed from ``r`` as text, and compiled with the
     profile's r and r' from the same source.
     """
-    r_fn, dr_fn = _compile((r,), "return v0", "return v0x", __name__=f"{name} profile")
-    profile = RevolutionProfile(r=r_fn, dr=dr_fn, h=h, dh=dh, s_domain=s_domain, d2r=d2r)
+    module = _compile((r,), "return v0", "return v0x", __name__=f"{name} profile")
+    profile = RevolutionProfile(r=module[0], dr=module[1], h=h, dh=dh, s_domain=s_domain,
+                                d2r=d2r, r_column=module.columns[0],
+                                dr_column=module.columns[1])
     s0, s1 = s_domain
     if profile.natural_residual(np.linspace(s0, s1, 11)[1:-1]) > 1e-9:
         raise ValueError(
@@ -195,8 +200,7 @@ def loxodrome_check(trace: Trace, surface: CatalogSurface) -> InvariantReport:
     """Report on g(velocity, e2) = r * dphi/dt, the cosine of the angle to
     the parallel circles; constant exactly when the curve is a loxodrome,
     and passing with a standard deviation below 1e-6."""
-    r = surface.profile.r
-    vals = along(lambda u, v: r(u), trace.u, trace.v) * trace.dv
+    vals = surface.profile.r_column(trace.u, trace.v) * trace.dv
     return make_report("loxodrome-angle", trace.t, vals, threshold=1e-6, use_std=True)
 
 
@@ -207,28 +211,30 @@ def gauss_map(surface: CatalogSurface, s: float, phi: float) -> tuple[np.ndarray
     revolution, but the constant-angle behaviour exploited downstream is
     certified here only for minimal surfaces, where it is conformal.
     """
-    if surface.name != "catenoid":
-        raise ValueError("gauss_map is only supported for the catenoid surface")
-    rp = surface.profile.dr(s)
-    hp = surface.profile.dh(s)
-    n = np.array([-hp * math.cos(phi), -hp * math.sin(phi), rp])
-    colat = math.atan2(math.hypot(n[0], n[1]), n[2])
-    lon = math.atan2(n[1], n[0])
-    return n, (colat, lon)
+    normals, colat, lon = _gauss_columns(surface, np.array([s], dtype=float),
+                                         np.array([phi], dtype=float))
+    return normals[0], (float(colat[0]), float(lon[0]))
 
 
 def gauss_map_trace(surface: CatalogSurface, trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map a trace through the Gauss map; returns (normals, colat, lon),
     with the longitude series unwrapped for differencing."""
-    normals = np.empty((len(trace), 3))
-    colat = np.empty(len(trace))
-    lon = np.empty(len(trace))
-    for i in range(len(trace)):
-        n, (ct, ln) = gauss_map(surface, float(trace.u[i]), float(trace.v[i]))
-        normals[i] = n
-        colat[i] = ct
-        lon[i] = ln
+    normals, colat, lon = _gauss_columns(surface, trace.u, trace.v)
     return normals, colat, np.unwrap(lon)
+
+
+def _gauss_columns(surface: CatalogSurface, s: np.ndarray,
+                   phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss map at every sample: the normals (-h' cos phi, -h' sin phi, r')
+    as rows, their colatitudes and longitudes, with libm's trigonometry."""
+    if surface.name != "catenoid":
+        raise ValueError("gauss_map is only supported for the catenoid surface")
+    rp = surface.profile.dr_column(s, phi)
+    hp = libm_map(surface.profile.dh, s)
+    n0 = -hp * libm_map(math.cos, phi)
+    n1 = -hp * libm_map(math.sin, phi)
+    colat = libm_map(math.atan2, libm_map(math.hypot, n0, n1), rp)
+    return np.column_stack([n0, n1, rp]), colat, libm_map(math.atan2, n1, n0)
 
 
 def sphere_angle_cosines(colat: np.ndarray, lon: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -244,11 +250,9 @@ def sphere_angle_cosines(colat: np.ndarray, lon: np.ndarray, t: np.ndarray) -> n
 
 def embed(surface: CatalogSurface, trace: Trace) -> np.ndarray:
     """3D polyline of a trace on the embedded surface, (r cos phi, r sin phi, h)."""
-    out = np.empty((len(trace), 3))
-    for i, (ss, pp) in enumerate(zip(trace.u, trace.v)):
-        rr = surface.profile.r(float(ss))
-        out[i] = (rr * math.cos(pp), rr * math.sin(pp), surface.profile.h(float(ss)))
-    return out
+    r = surface.profile.r_column(trace.u, trace.v)
+    return np.column_stack([r * libm_map(math.cos, trace.v), r * libm_map(math.sin, trace.v),
+                            libm_map(surface.profile.h, trace.u)])
 
 
 def gaussian_curvature(surface: CatalogSurface, s: float) -> float:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from torsiongeo.scenarios import CATALOG, run_scenario
 from torsiongeo.suite import SuiteContext
+
+# One profile for every property test: no per-example deadline, since an
+# example may compile a module or integrate a trace, and the blob that
+# reproduces a failing example printed with it.  Each test keeps its own
+# max_examples.
+settings.register_profile("torsiongeo", deadline=None, print_blob=True)
+settings.load_profile("torsiongeo")
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ def tensor_from_formula(V, g):
 
 
 @given(st.integers(2, 5), st.lists(st.floats(-10, 10), min_size=5, max_size=5))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_round_trip_vector_to_tensor_and_back(n, comps):
     V = np.array(comps[:n])
     dec = decompose(vectorial_tensor(V))

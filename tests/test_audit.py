@@ -211,7 +211,7 @@ def rotation_x(u, v):
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.05, 3.0),
        st.floats(0.0, 2.0 * math.pi), st.floats(-0.3, -0.05), st.floats(0.05, 0.3),
        st.sampled_from(["rk4", "rk45"]))
-@hsettings(max_examples=20, deadline=None)
+@hsettings(max_examples=20)
 def test_array_audits_equal_sample_loops(key, tmp_path_factory, fu, fv, speed, angle,
                                          t_min, t_max, method):
     rt = build_runtime(key)

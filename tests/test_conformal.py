@@ -85,7 +85,7 @@ def test_reparametrized_catalog_traces_are_classical_geodesics(suite_ctx, sid):
 
 @pytest.mark.parametrize("key", ["sphere", "pseudosphere", "catenoid"])
 @given(st.floats(0.2, 0.8), st.floats(-1.2, 1.2), st.booleans(), st.floats(0.05, 0.5))
-@hsettings(max_examples=20, deadline=None)
+@hsettings(max_examples=20)
 def test_loxodrome_clock_is_mercator_over_cos_alpha(key, fs, alpha, flip, t_max):
     # the rescaled metric is dy^2 + dphi^2 in the Mercator coordinate y, where
     # a loxodrome at angle alpha to the meridians is a line with dy = cos(alpha) dt~

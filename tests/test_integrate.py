@@ -93,7 +93,7 @@ def test_rhs_orthogonal_to_velocity(rng):
 @pytest.mark.parametrize("key", RUNTIMES + list(CONFIG_RUNTIMES))
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
        st.floats(0.01, 10.0))
-@hsettings(max_examples=50, deadline=None)
+@hsettings(max_examples=50)
 def test_rhs_is_exactly_even_in_velocity(key, fu, fv, du, dv, E2):
     # backward runs and the two-sided sweep reflect forward runs from -v;
     # that is exact only while the acceleration is bitwise even in v
@@ -186,7 +186,7 @@ def bits(call):
 @pytest.mark.parametrize("key", RUNTIMES + list(CONFIG_RUNTIMES))
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
        st.floats(0.5, 3.0), st.floats(1e-4, 1.0))
-@hsettings(max_examples=150, deadline=None)
+@hsettings(max_examples=150)
 def test_compiled_kernels_equal_the_hand_written_ones(key, fu, fv, du, dv, E, h):
     rt = runtime(key)
     u0, u1, v0, v1 = rt.chart.sample_box

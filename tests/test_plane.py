@@ -171,7 +171,7 @@ def test_arcsin_invariant_holds_on_random_shear_launches():
     @given(st.floats(-2.5, 2.5), st.floats(0.0, 2.0 * math.pi, exclude_max=True),
            st.sampled_from(["rk4", "rk45"]))
     @example(0.5626980213651538, 0.2760957787909324, "rk45")
-    @hsettings(max_examples=30, deadline=None)
+    @hsettings(max_examples=30)
     def run(y0, angle, method):
         launch = GeodesicState(0.0, 0.0, y0, math.cos(angle), math.sin(angle))
         tr = integrate_two_sided(chart, field, launch, -10.0, 10.0, h=1e-2, method=method)
@@ -253,7 +253,7 @@ def test_strip_bounds_bracket_and_are_levels_for_random_launches():
     from hypothesis import given, settings as hsettings, strategies as st
 
     @given(st.floats(-3.0, 3.0), st.floats(0.02, math.pi - 0.02))
-    @hsettings(max_examples=200, deadline=None)
+    @hsettings(max_examples=200)
     def run(y0, angle):
         dy0 = math.sin(angle)
         dx0 = math.cos(angle)

@@ -105,7 +105,7 @@ def flat(value):
 @pytest.mark.parametrize("key", list(ORACLES))
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
        st.floats(0.01, 10.0))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_compiled_runtimes_equal_the_hand_written_closures(key, fu, fv, du, dv, E2):
     rt, oracle = build_runtime(key), ORACLES[key]
     u0, u1, v0, v1 = rt.chart.sample_box
@@ -138,7 +138,7 @@ def test_compiled_runtimes_equal_the_hand_written_closures(key, fu, fv, du, dv, 
 @pytest.mark.parametrize("key", ["sphere", "pseudosphere", "catenoid", "halfplane-sigma"])
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
        st.floats(0.01, 10.0))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_conformal_charts_equal_the_conformal_rule(key, fu, fv, du, dv, E2):
     # a symbol whose terms cancel, such as G~^u_vv = 0 on a surface, is
     # compared in ulps of its largest term
@@ -318,7 +318,7 @@ JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st
 
 @given(st.sampled_from(["chart", "field", "initial", "integrator", "span", "reports", "version",
                         "y_min"]), JSON)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_config_selectors_parse_or_raise_config_error(key, value):
     raw = json.loads(json.dumps(dict(VALID, **{key: value})))
     try:

@@ -143,7 +143,7 @@ def _grow(children):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(src=st.recursive(_LEAVES, _grow, max_leaves=8),
        a=st.floats(allow_nan=False), b=st.floats(-10.0, 10.0))
 def test_compiled_expr_matches_eval_bitwise(src, a, b):
@@ -191,7 +191,7 @@ _SMOOTH_LEAVES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(src=st.recursive(_SMOOTH_LEAVES, _grow, max_leaves=8).filter(
            lambda s: " // " not in s and " % " not in s),
        a=_COORDINATES, b=_COORDINATES)
@@ -434,6 +434,23 @@ def test_config_with_surface_and_angle():
     }
     trace, reports = run_config(ScenarioConfig.from_dict(cfg))
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("chart, initial", [
+    ("plane", {"position": [0.0, 1.0], "velocity": [1.0, 0.0]}),
+    ({"surface": "pseudosphere"}, {"position": [2.0, 0.5], "angle_deg": 60.0, "E": 2.0})])
+def test_config_launch_state_is_where_run_config_starts(chart, initial):
+    cfg = ScenarioConfig.from_dict({"version": 1, "id": "x", "chart": chart, "field": "catalog"
+                                    if isinstance(chart, dict) else "winding",
+                                    "initial": initial, "span": [-0.5, 0.5]})
+    state = cfg.launch_state()
+    trace, _ = run_config(cfg)
+    i = trace.index_at(0.0)
+    assert (state.t, state.u, state.v, state.du, state.dv) == (
+        trace.t[i], trace.u[i], trace.v[i], trace.du[i], trace.dv[i])
+    # a config's own scenario names no runtime to launch on
+    with pytest.raises(ConfigError, match=re.escape("ScenarioConfig.launch_state()")):
+        cfg.scenario.launch_state()
 
 
 def test_config_with_inline_metric():

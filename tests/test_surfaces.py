@@ -217,6 +217,26 @@ def test_gauss_mapped_loxodrome_keeps_constant_angle(suite_ctx):
     assert np.std(cosines[3:-3]) < 1e-4
 
 
+def test_gauss_map_and_embedding_columns_equal_sample_loops(suite_ctx):
+    # the per-sample loops the column forms replaced, as the oracle
+    surf = build_runtime("catenoid").surface
+    tr = suite_ctx.trace("catenoid-loxodrome-45").sub_interval(-2.0, 2.0)
+    p = surf.profile
+    normals, colat, lon = [], [], []
+    for s, phi in zip(tr.u.tolist(), tr.v.tolist()):
+        hp = p.dh(s)
+        n = (-hp * math.cos(phi), -hp * math.sin(phi), p.dr(s))
+        normals.append(n)
+        colat.append(math.atan2(math.hypot(n[0], n[1]), n[2]))
+        lon.append(math.atan2(n[1], n[0]))
+    got = gauss_map_trace(surf, tr)
+    for a, b in zip(got, (np.array(normals), np.array(colat), np.unwrap(lon))):
+        assert a.tobytes() == b.tobytes()
+    want = [(p.r(s) * math.cos(phi), p.r(s) * math.sin(phi), p.h(s))
+            for s, phi in zip(tr.u.tolist(), tr.v.tolist())]
+    assert embed(surf, tr).tobytes() == np.array(want).tobytes()
+
+
 def test_embed_equator_and_meridian():
     surf = make_sphere()
     tr = run_scenario(CATALOG["sphere-equator"], span=(0.0, 2.0))
