@@ -20,7 +20,7 @@ from .audit import InvariantReport, conformal_constant, killing_curvature_check,
 from .errors import ConfigError
 from .expr import compile_expr  # noqa: F401  the name perfbench's tracer binds
 from .geometry import (PLANE, ZERO_FIELD, ChartGeometry, ChartSource, FieldSource,
-                       VectorFieldSpec, built_in_runtime, compile_runtime, half_plane_source)
+                       VectorFieldSpec, built_in_runtime, cached_runtime, half_plane_source)
 from .integrate import GeodesicState, Trace, integrate_two_sided
 from .plane import SHEAR, WINDING, arcsin_invariant, flat_invariant
 from .surfaces import CATALOG_BUILDERS, CatalogSurface, loxodrome_check
@@ -98,6 +98,7 @@ def _launch(scen: Scenario, rt: Runtime) -> GeodesicState:
         return GeodesicState(0.0, u, v, *scen.velocity)
     if rt.surface is None:
         raise ConfigError(f"scenario {scen.id!r}: angle launch needs a surface")
+    rt.chart.require_inside(u, v)
     r = rt.surface.profile.r
     return GeodesicState(0.0, u, v, scen.E * math.cos(scen.angle),
                          scen.E * (math.sin(scen.angle) * (1.0 / r(u))))
@@ -233,7 +234,7 @@ _BUILT_IN_PAIRS = {("plane", "zero"): "plane-zero", ("plane", "winding"): "plane
 def _resolve_runtime(raw: dict) -> Runtime:
     """The runtime of a config's chart and field selectors: a built-in
     pair is ``build_runtime``'s, and any other pair is compiled from the
-    chart's and the field's sources together."""
+    chart's and the field's sources together, once per process."""
     chart_sel = raw.get("chart")
     field_sel = raw.get("field", "zero")
     if isinstance(chart_sel, dict) and "surface" in chart_sel:
@@ -270,7 +271,13 @@ def _resolve_runtime(raw: dict) -> Runtime:
     else:
         raise ConfigError("config needs a 'chart' selector")
 
-    chart, field = compile_runtime(chart, _field_source(field_sel))
+    field = _field_source(field_sel)
+    if not isinstance(chart.name, str):  # the cache hashes the name and the sources
+        raise ConfigError(f"chart name must be a string, got {chart.name!r}")
+    for src in (*chart.metric, *field.srcs):
+        if not isinstance(src, str):
+            raise ConfigError(f"expression must be a string, got {src!r}")
+    chart, field = cached_runtime(chart, field)
     return Runtime(chart=chart, field=field, surface=surface)
 
 

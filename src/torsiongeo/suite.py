@@ -387,8 +387,7 @@ def criterion_gauss_map(ctx: SuiteContext) -> CriterionResult:
     cosines = sphere_angle_cosines(colat, lon, tr.t)
     core = interior_slice(len(tr), margin=3)
     res.add("std of the mapped constant-angle cosine", float(np.std(cosines[core])), 1e-4)
-    ks = np.array([gaussian_curvature(rt.surface, s) for s in
-                   np.linspace(tr.u.min(), tr.u.max(), 200)])
+    ks = gaussian_curvature(rt.surface, np.linspace(tr.u.min(), tr.u.max(), 200))
     res.add("curvature variation across the sampled strip",
             float(ks.max() - ks.min()), 0.1, op=">")
     return res

@@ -20,7 +20,7 @@ import numpy as np
 from .audit import make_report, series_derivative, InvariantReport
 from .errors import ChartDomainError
 from .expr import Column, _compile, libm_map
-from .geometry import ChartGeometry, ChartSource, FieldSource, VectorFieldSpec, compile_runtime
+from .geometry import ChartGeometry, ChartSource, FieldSource, VectorFieldSpec, cached_runtime
 from .integrate import Trace
 
 
@@ -28,22 +28,22 @@ from .integrate import Trace
 class RevolutionProfile:
     """Profile curve evaluators r(s), h(s) with first derivatives, and r''(s)
     for the Gauss curvature, in arc-length parametrization: r'^2 + h'^2 = 1.
-    ``r_column`` and ``dr_column`` are the column forms of r and r' (see
-    :class:`expr.Column`), which take the arrays (s, phi) of a trace.
+    ``columns`` maps each evaluator's name, r to d2r, to its column form
+    (see :class:`expr.Column`), which takes the arrays (s, phi) of a trace.
     """
 
     r: Callable[[float], float]
     dr: Callable[[float], float]
     h: Callable[[float], float]
     dh: Callable[[float], float]
-    s_domain: tuple[float, float]
     d2r: Callable[[float], float]
-    r_column: Column | None = None
-    dr_column: Column | None = None
+    s_domain: tuple[float, float]
+    columns: dict[str, Column]
 
     def natural_residual(self, samples: np.ndarray) -> float:
         """Max |r'^2 + h'^2 - 1| over sample arc lengths."""
-        return max(abs(self.dr(s) ** 2 + self.dh(s) ** 2 - 1.0) for s in samples)
+        dr, dh = (self.columns[name](samples, samples) for name in ("dr", "dh"))
+        return float(np.max(np.abs(dr ** 2 + dh ** 2 - 1.0)))
 
 
 @dataclass
@@ -64,20 +64,19 @@ class CatalogSurface:
     mercator_inv: Callable[[np.ndarray], np.ndarray]
 
 
-def _surface(name: str, r: str, s_domain: tuple[float, float], h: Callable[[float], float],
-             dh: Callable[[float], float], d2r: Callable[[float], float],
+def _surface(name: str, sources: tuple[str, str, str, str], s_domain: tuple[float, float],
              mercator: Callable[[np.ndarray], np.ndarray],
              mercator_inv: Callable[[np.ndarray], np.ndarray]) -> CatalogSurface:
-    """The surface of the natural profile with radius source ``r`` in s = x.
-
-    The metric diag(1, r^2) and the potential sigma = -log r of the field
-    (r'/r) e1 are composed from ``r`` as text, and compiled with the
-    profile's r and r' from the same source.
+    """The surface of the natural profile with the sources (r, h, h', r'')
+    in s = x, compiled into one module with r' the partial of r.  The
+    metric diag(1, r^2) and the potential sigma = -log r of the field
+    (r'/r) e1 are composed from r as text.
     """
-    module = _compile((r,), "return v0", "return v0x", __name__=f"{name} profile")
-    profile = RevolutionProfile(r=module[0], dr=module[1], h=h, dh=dh, s_domain=s_domain,
-                                d2r=d2r, r_column=module.columns[0],
-                                dr_column=module.columns[1])
+    r = sources[0]
+    module = _compile(sources, "return v0", "return v0x", "return v1", "return v2",
+                      "return v3", __name__=f"{name} profile")
+    profile = RevolutionProfile(*module, s_domain,
+                                dict(zip(("r", "dr", "h", "dh", "d2r"), module.columns)))
     s0, s1 = s_domain
     if profile.natural_residual(np.linspace(s0, s1, 11)[1:-1]) > 1e-9:
         raise ValueError(
@@ -85,7 +84,7 @@ def _surface(name: str, r: str, s_domain: tuple[float, float], h: Callable[[floa
             "with r'^2 + h'^2 = 1"
         )
     span = s1 - s0
-    chart, fld = compile_runtime(
+    chart, fld = cached_runtime(
         ChartSource(name, ("1", "0", f"({r})*({r})"), bounds=(s0, s1, -math.inf, math.inf),
                     sample_box=(s0 + 0.01 * span, s1 - 0.01 * span, -math.pi, math.pi)),
         FieldSource(f"{name}-flat", "sigma", (f"-log({r})",)))
@@ -108,8 +107,8 @@ def make_sphere() -> CatalogSurface:
     integration stops with a boundary event instead of hitting the chart
     singularity.  Mercator map y = log tan(s/2), anchored at the equator.
     """
-    return _surface("sphere", "sin(x)", (SPHERE_EPS, math.pi - SPHERE_EPS), h=math.cos,
-                    dh=lambda s: -math.sin(s), d2r=lambda s: -math.sin(s),
+    return _surface("sphere", ("sin(x)", "cos(x)", "-sin(x)", "-sin(x)"),
+                    (SPHERE_EPS, math.pi - SPHERE_EPS),
                     mercator=lambda s: np.log(np.tan(s / 2.0)),
                     mercator_inv=lambda y: 2.0 * np.arctan(np.exp(y)))
 
@@ -124,14 +123,9 @@ def make_pseudosphere() -> CatalogSurface:
     """
     s_min, s_max = 1e-3, 6.0
     shift = math.exp(0.5 * (s_min + s_max))
-
-    def h(s: float) -> float:
-        w = math.sqrt(1.0 - math.exp(-2.0 * s))
-        return math.atanh(w) - w
-
-    return _surface("pseudosphere", "exp(-x)", (s_min, s_max), h=h,
-                    dh=lambda s: math.sqrt(1.0 - math.exp(-2.0 * s)),
-                    d2r=lambda s: math.exp(-s),
+    dh = "sqrt(1.0 - exp(-2.0 * x))"
+    return _surface("pseudosphere", ("exp(-x)", f"atanh({dh}) - {dh}", dh, "exp(-x)"),
+                    (s_min, s_max),
                     mercator=lambda s: np.exp(s) - shift,
                     mercator_inv=lambda y: np.log(y + shift))
 
@@ -144,9 +138,8 @@ def make_catenoid() -> CatalogSurface:
     Gauss map is conformal, so flat-connection geodesics map to sphere
     loxodromes.  Mercator map y = asinh s, anchored at the waist.
     """
-    return _surface("catenoid", "sqrt(1 + x*x)", (-16.0, 16.0), h=math.asinh,
-                    dh=lambda s: 1.0 / math.sqrt(1.0 + s * s),
-                    d2r=lambda s: (1.0 + s * s) ** -1.5,
+    return _surface("catenoid", ("sqrt(1 + x*x)", "asinh(x)", "1.0 / sqrt(1.0 + x * x)",
+                                 "(1.0 + x * x) ** -1.5"), (-16.0, 16.0),
                     mercator=np.arcsinh, mercator_inv=np.sinh)
 
 
@@ -200,7 +193,7 @@ def loxodrome_check(trace: Trace, surface: CatalogSurface) -> InvariantReport:
     """Report on g(velocity, e2) = r * dphi/dt, the cosine of the angle to
     the parallel circles; constant exactly when the curve is a loxodrome,
     and passing with a standard deviation below 1e-6."""
-    vals = surface.profile.r_column(trace.u, trace.v) * trace.dv
+    vals = surface.profile.columns["r"](trace.u, trace.v) * trace.dv
     return make_report("loxodrome-angle", trace.t, vals, threshold=1e-6, use_std=True)
 
 
@@ -229,8 +222,7 @@ def _gauss_columns(surface: CatalogSurface, s: np.ndarray,
     as rows, their colatitudes and longitudes, with libm's trigonometry."""
     if surface.name != "catenoid":
         raise ValueError("gauss_map is only supported for the catenoid surface")
-    rp = surface.profile.dr_column(s, phi)
-    hp = libm_map(surface.profile.dh, s)
+    rp, hp = (surface.profile.columns[name](s, phi) for name in ("dr", "dh"))
     n0 = -hp * libm_map(math.cos, phi)
     n1 = -hp * libm_map(math.sin, phi)
     colat = libm_map(math.atan2, libm_map(math.hypot, n0, n1), rp)
@@ -250,13 +242,12 @@ def sphere_angle_cosines(colat: np.ndarray, lon: np.ndarray, t: np.ndarray) -> n
 
 def embed(surface: CatalogSurface, trace: Trace) -> np.ndarray:
     """3D polyline of a trace on the embedded surface, (r cos phi, r sin phi, h)."""
-    r = surface.profile.r_column(trace.u, trace.v)
-    return np.column_stack([r * libm_map(math.cos, trace.v), r * libm_map(math.sin, trace.v),
-                            libm_map(surface.profile.h, trace.u)])
+    r, h = (surface.profile.columns[name](trace.u, trace.v) for name in ("r", "h"))
+    return np.column_stack([r * libm_map(math.cos, trace.v), r * libm_map(math.sin, trace.v), h])
 
 
-def gaussian_curvature(surface: CatalogSurface, s: float) -> float:
+def gaussian_curvature(surface: CatalogSurface, s: np.ndarray) -> np.ndarray:
     """Gauss curvature -r''/r of a surface of revolution in natural
-    parametrization."""
-    profile = surface.profile
-    return -profile.d2r(s) / profile.r(s)
+    parametrization, at an array of arc lengths."""
+    columns = surface.profile.columns
+    return -columns["d2r"](s, s) / columns["r"](s, s)

@@ -145,6 +145,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("surface, s", [("sphere", 0.0), ("pseudosphere", -800.0)])
+def test_angle_launch_outside_the_surface_chart_exits_2(surface, s, tmp_path, capsys):
+    # the launch fails before the profile radius is evaluated there, where
+    # the sphere's is 0 and the pseudosphere's overflows
+    cfg = {"version": 1, "id": "outside", "chart": {"surface": surface}, "field": "catalog",
+           "initial": {"position": [s, 0.0], "angle": 0.5}}
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(path), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: point ({s!r}, 0.0) is outside the open domain of chart "
+                            f"{surface!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("f, position", [
     ("1/x", [0.0, 0.0]),
     ("exp(1000*x)", [1.0, 0.0]),

@@ -40,7 +40,9 @@ def evaluators(key):
              (field.sigma, field.sigma_column),
              (field.flat_potential, field.flat_potential_column)]
     if surface is not None:
-        pairs.append((lambda s, phi: surface.profile.r(s), surface.profile.r_column))
+        profile = surface.profile
+        pairs += [(lambda s, phi, f=getattr(profile, name): f(s), profile.columns[name])
+                  for name in profile.columns]
     return [(f, c) for f, c in pairs if f is not None], chart.sample_box
 
 

@@ -593,3 +593,29 @@ def test_boundary_scenarios_record_stop():
     tr = run_scenario(CATALOG["plane-gradient-halfplane"])
     assert tr.stop_reason == "boundary/boundary"
     assert np.min(tr.v) > 0.05
+
+
+def test_an_inline_config_compiles_once():
+    raw = {"version": 1, "id": "x", "chart": {"metric": {"g11": "1", "g22": "1 + x*x"},
+                                               "name": "once"},
+           "field": {"p": "0.25*x*y"}, "initial": {"position": [0.5, 0.0], "velocity": [1, 0]}}
+    first, again = (ScenarioConfig.from_dict(json.loads(json.dumps(raw))).runtime
+                    for _ in range(2))
+    assert first.chart is again.chart and first.field is again.field
+
+
+@pytest.mark.parametrize("chart, field, message", [
+    ({"metric": {"g11": "1", "g22": "1"}, "name": [1]}, "zero",
+     "chart name must be a string, got [1]"),
+    ({"metric": {"g11": ["1"], "g22": "1"}}, "zero", "expression must be a string, got ['1']"),
+    ({"metric": {"g11": "1", "g12": {"a": "0"}, "g22": "1"}}, "zero",
+     "expression must be a string, got {'a': '0'}"),
+    ("plane", {"p": [1]}, "expression must be a string, got [1]"),
+    ("plane", {"f": "x", "g": {"y": 1}}, "expression must be a string, got {'y': 1}"),
+    ("half-plane", {"sigma": 2}, "expression must be a string, got 2"),
+])
+def test_unhashable_or_non_string_sources_raise_config_error(chart, field, message):
+    raw = {"version": 1, "id": "x", "chart": chart, "field": field,
+           "initial": {"position": [0.5, 1.0], "velocity": [1, 0]}}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ScenarioConfig.from_dict(raw)

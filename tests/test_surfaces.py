@@ -271,13 +271,23 @@ def test_generalized_clairaut_identity(suite_ctx):
 
 def test_gaussian_curvature_closed_forms():
     sphere = make_sphere()
-    assert gaussian_curvature(sphere, 1.1) == pytest.approx(1.0, abs=1e-12)
+    assert gaussian_curvature(sphere, np.array([1.1])) == pytest.approx([1.0], abs=1e-12)
     pseudo = make_pseudosphere()
-    assert gaussian_curvature(pseudo, 2.0) == pytest.approx(-1.0, abs=1e-12)
+    assert gaussian_curvature(pseudo, np.array([2.0])) == pytest.approx([-1.0], abs=1e-12)
     cat = make_catenoid()
-    for s in (-2.0, 0.0, 3.0):
-        assert gaussian_curvature(cat, s) == pytest.approx(
-            -1.0 / (1.0 + s * s) ** 2, abs=1e-6)
+    ss = np.array([-2.0, 0.0, 3.0])
+    assert gaussian_curvature(cat, ss) == pytest.approx(-1.0 / (1.0 + ss * ss) ** 2, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["sphere", "pseudosphere", "catenoid"])
+def test_gaussian_curvature_of_an_array_is_the_point_loop(name):
+    surf = build_runtime(name).surface
+    s0, s1 = surf.profile.s_domain
+    ss = np.linspace(s0, s1, 203)[1:-1]
+    # the per-point loop over the scalar evaluators that c10 ran, as the oracle
+    p = surf.profile
+    want = np.array([-p.d2r(s) / p.r(s) for s in ss.tolist()])
+    assert gaussian_curvature(surf, ss).tobytes() == want.tobytes()
 
 
 def test_surface_rejects_non_natural_profile():
@@ -285,5 +295,5 @@ def test_surface_rejects_non_natural_profile():
 
     # r = 2, h = 2 s: r'^2 + h'^2 = 4
     with pytest.raises(ValueError, match="natural"):
-        _surface("cylinder", "2", (0.0, 1.0), h=lambda s: 2.0 * s, dh=lambda s: 2.0,
-                 d2r=lambda s: 0.0, mercator=lambda s: 0.5 * s, mercator_inv=lambda y: 2.0 * y)
+        _surface("cylinder", ("2", "2.0 * x", "2.0", "0.0"), (0.0, 1.0),
+                 mercator=lambda s: 0.5 * s, mercator_inv=lambda y: 2.0 * y)
