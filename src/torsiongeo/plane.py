@@ -8,13 +8,16 @@ For the shear field y dx this makes y^2/2 - theta constant, for the
 velocity angle theta; its singular levels, where y' = 0, confine generic
 geodesics to horizontal strips.
 
-Pure computations throughout; the shooting sweep is vectorized over
-launch angles.
+Pure computations throughout; the shooting sweep steps its launch angles
+as lanes of one compiled loop, or of numpy array blocks where none builds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,9 +221,115 @@ def strip_quadrature(y0: float, y: float, strip: StripBounds) -> StripTime:
 
 @dataclass
 class SweepResult:
+    """Each angle's lowest and highest height, and the kernel that stepped
+    them: ``"c"`` for the compiled loop, ``"numpy"`` for the array blocks."""
+
     angles: np.ndarray
     y_min: np.ndarray
     y_max: np.ndarray
+    kernel: str
+
+
+def _shear_stage(s, x, y, dx, dy, ddx, ddy):
+    """Stage s of the shear's own equation x'' = y x' x' - y, y'' = y x' y'."""
+    return [f"g{s} = {y} * {dx}", f"{ddx} = g{s} * {dx} - {y}", f"{ddy} = g{s} * {dy}"]
+
+
+def _kernel_source() -> str:
+    """C source of ``shear_sweep(n, steps, h, y, dx, dy, lo, hi)``, which
+    steps n lanes ``steps`` times and folds each new height into lo and hi.
+
+    The loop body is the RK4 step :meth:`Tableau.emit` writes for the scalar
+    integrator, whose statements are valid C with the same left-to-right
+    grouping, less its box checks and the x statements (x feeds nothing
+    back).  The min and max return the first operand where it is a NaN or
+    the strict winner and the second otherwise, as np.minimum and
+    np.maximum do, so an overflowing lane gives the same bytes.
+    """
+    body = []
+    for line in RK4.emit(_shear_stage).splitlines():
+        match = re.fullmatch(r"\s*(\w+) = (.+)", line)
+        if match and not match[1].startswith("u"):
+            body.append(f"            const double {match[1]} = {match[2]};")
+    return "\n".join([
+        "#include <math.h>",
+        "#include <stdint.h>",
+        "void shear_sweep(int64_t n, int64_t steps, double h, double *restrict y,",
+        "                 double *restrict dx, double *restrict dy,",
+        "                 double *restrict lo, double *restrict hi)",
+        "{",
+        "    for (int64_t k = 0; k < steps; k++) {",
+        "        for (int64_t i = 0; i < n; i++) {",
+        "            const double v = y[i], du = dx[i], dv = dy[i];",
+        *body,
+        "            y[i] = vn;",
+        "            dx[i] = pn;",
+        "            dy[i] = qn;",
+        "            lo[i] = (lo[i] < vn || isnan(lo[i])) ? lo[i] : vn;",
+        "            hi[i] = (hi[i] > vn || isnan(hi[i])) ? hi[i] : vn;",
+        "        }",
+        "    }",
+        "}",
+        ""])
+
+
+#: Strict IEEE double arithmetic: no FMA contraction (clang contracts by
+#: default, even under -std=c99) and no fast-math, so each operation rounds
+#: as numpy's does and ``/ 6.0`` stays a division.
+_CC_FLAGS = ("-std=c99", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _sweep_kernel():
+    """The compiled ``shear_sweep``, built by the system ``cc`` in a private
+    temporary directory on the first call; None where it does not build or
+    load, and the sweep then steps numpy array blocks.  The modules are
+    imported here so that importing the package does not pay for them."""
+    import ctypes
+    import subprocess
+    import tempfile
+
+    lanes = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            source = os.path.join(tmp, "sweep.c")
+            library = os.path.join(tmp, "sweep.so")
+            with open(source, "w") as fh:
+                fh.write(_kernel_source())
+            subprocess.run(["cc", *_CC_FLAGS, "-o", library, source],
+                           capture_output=True, timeout=120, check=True)
+            kernel = ctypes.CDLL(library).shear_sweep
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+                       lanes, lanes, lanes, lanes, lanes]
+    kernel.restype = None
+    return kernel
+
+
+def _array_steps(steps: int, h: float, y, dx, dy, y_lo, y_hi) -> None:
+    """``shear_sweep``'s lo and hi from numpy array blocks: the RK4 tableau's
+    :meth:`Tableau.array_ops` on a stacked (y, x', y', x'', y'') block per
+    stage, whose state is rows 0:3 and whose slope the overlapping rows 2:5,
+    then np.minimum and np.maximum."""
+    n = len(y)
+    blocks = np.empty((len(RK4.a) + 1, 5, n))
+    blocks[0, 0] = y
+    blocks[0, 1] = dx
+    blocks[0, 2] = dy
+    gv = np.empty(n)
+
+    def shear(s):
+        y, dx, dy, ddx, ddy = blocks[s]
+        return [(np.multiply, y, dx, gv), (np.multiply, gv, dx, ddx),
+                (np.subtract, ddx, y, ddx), (np.multiply, gv, dy, ddy)]
+
+    ops = RK4.array_ops(blocks[:, 0:3], blocks[:, 2:5], shear, h,
+                        np.empty((3, n)), np.empty((3, n)))
+    ops += [(np.minimum, y_lo, blocks[0, 0], y_lo), (np.maximum, y_hi, blocks[0, 0], y_hi)]
+    for _ in range(steps):
+        for ufunc, x1, x2, out in ops:
+            ufunc(x1, x2, out=out)
 
 
 def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720,
@@ -230,18 +339,23 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     record the extreme heights reached; the negative-control evidence that
     points in disjoint strips cannot be joined by a geodesic arc.
 
-    The RK4 tableau steps all angles at once as arrays, with E = 1 and no
+    The RK4 tableau steps every angle as one lane, with E = 1 and no
     boundary, on the shear's own equation x'' = y x' x' - y, y'' = y x' y',
-    with the scalar step's operations in its order.  x feeds nothing back,
-    so the state is (y, x', y'), stacked with the accelerations as the rows
-    y, x', y', x'', y'' of one preallocated block per stage: a stage's state
-    is rows 0:3 and its slope the overlapping rows 2:5.  The flow is even in
-    the velocity, so the backward half of each geodesic is the forward run
-    from the exactly negated launch velocity: with ``both_directions`` those
-    launches join the same batch and the two halves' extremes are merged.
-    ``n_angles`` must be an int >= 1, ``h`` finite and positive and
-    ``t_max`` finite and >= 0; anything else raises ValueError.
+    with the scalar step's operations in its order; x feeds nothing back,
+    so a lane is (y, x', y').  The lanes run in one compiled C loop where
+    the system ``cc`` builds one, and as numpy array blocks otherwise, with
+    bitwise the same results; ``SweepResult.kernel`` says which ran.  The
+    flow is even in the velocity, so the backward half of each geodesic is
+    the forward run from the exactly negated launch velocity: with
+    ``both_directions`` those launches join the same batch and the two
+    halves' extremes are merged.  ``origin`` must be finite, ``n_angles``
+    an int >= 1, ``h`` finite and positive, ``t_max`` finite and >= 0, and
+    the step count t_max / h must fit a signed 64-bit integer; anything
+    else raises ValueError.
     """
+    x0, y0 = (float(c) for c in origin)
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise ValueError(f"origin must be finite, got {origin!r}")
     if isinstance(n_angles, bool) or not isinstance(n_angles, (int, np.integer)) \
             or n_angles < 1:
         raise ValueError(f"n_angles must be an int >= 1, got {n_angles!r}")
@@ -249,35 +363,25 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
         raise ValueError(f"step h must be finite and positive, got {h!r}")
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max!r}")
-    if not math.isfinite(t_max / h):
+    if not math.isfinite(t_max / h) or round(t_max / h) >= 2 ** 63:
         raise ValueError(f"t_max {t_max!r} over step {h!r} overflows the step count")
+    steps = int(round(t_max / h))
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     dx = np.cos(angles)
     dy = np.sin(angles)
     if both_directions:
         dx = np.concatenate([dx, -dx])
         dy = np.concatenate([dy, -dy])
-    blocks = np.empty((len(RK4.a) + 1, 5, len(dx)))
-    y = blocks[0, 0]
-    y[:] = float(origin[1])
-    blocks[0, 1] = dx
-    blocks[0, 2] = dy
+    y = np.full(len(dx), y0)
     y_lo = y.copy()
     y_hi = y.copy()
-    gv = np.empty(len(dx))
-
-    def shear(s):
-        y, dx, dy, ddx, ddy = blocks[s]
-        return [(np.multiply, y, dx, gv), (np.multiply, gv, dx, ddx),
-                (np.subtract, ddx, y, ddx), (np.multiply, gv, dy, ddy)]
-
-    ops = RK4.array_ops(blocks[:, 0:3], blocks[:, 2:5], shear, h,
-                        np.empty((3, len(dx))), np.empty((3, len(dx))))
-    ops += [(np.minimum, y_lo, y, y_lo), (np.maximum, y_hi, y, y_hi)]
-    for _ in range(int(round(t_max / h))):
-        for ufunc, x1, x2, out in ops:
-            ufunc(x1, x2, out=out)
+    kernel = _sweep_kernel()
+    if kernel is None:
+        _array_steps(steps, h, y, dx, dy, y_lo, y_hi)
+    else:
+        kernel(len(y), steps, h, y, dx, dy, y_lo, y_hi)
     if both_directions:
         y_lo = np.minimum(y_lo[:n_angles], y_lo[n_angles:])
         y_hi = np.maximum(y_hi[:n_angles], y_hi[n_angles:])
-    return SweepResult(angles=angles, y_min=y_lo, y_max=y_hi)
+    return SweepResult(angles=angles, y_min=y_lo, y_max=y_hi,
+                       kernel="numpy" if kernel is None else "c")

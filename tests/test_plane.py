@@ -1,9 +1,14 @@
+import functools
 import math
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geometry_checks import constant_field
+from torsiongeo import plane
 from torsiongeo.geometry import euclidean_plane
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, integrate_two_sided
 from torsiongeo.plane import (arcsin_invariant, flat_invariant, plane_curvature,
@@ -372,7 +377,64 @@ def test_sweep_matches_hand_written_rk4_bitwise(origin, n_angles, t_max, both_di
 @pytest.mark.parametrize("bad", [{"h": -1e-3}, {"h": 0.0}, {"h": math.nan}, {"h": math.inf},
                                  {"n_angles": 0}, {"n_angles": -3}, {"n_angles": 2.5},
                                  {"n_angles": True}, {"t_max": math.inf}, {"t_max": -1.0},
-                                 {"t_max": math.nan}, {"t_max": 1e300, "h": 1e-10}])
+                                 {"t_max": math.nan}, {"t_max": 1e300, "h": 1e-10},
+                                 # a step count past the kernel's 64-bit counter
+                                 {"t_max": 1e300, "h": 1.0}, {"t_max": 2.0 ** 63, "h": 1.0},
+                                 {"origin": (0.0, math.nan)}, {"origin": (0.0, math.inf)},
+                                 {"origin": (0.0, -math.inf)}, {"origin": (math.nan, 1.0)}])
 def test_sweep_rejects_bad_inputs(bad):
     with pytest.raises(ValueError):
         shooting_sweep(**bad)
+
+
+def _sweep_bytes(sweep):
+    return sweep.y_min.tobytes(), sweep.y_max.tobytes()
+
+
+@given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.integers(1, 40),
+       st.floats(0.0, 0.5), st.floats(1e-3, 1e-1), st.booleans())
+@example(0.0, 0.0, 7, 0.3, 1e-2, True)
+@example(0.0, -0.0, 8, 0.3, 1e-2, False)
+# a blow-up: 12 of the 32 heights end non-finite, by inf - inf and 0 * inf
+@example(0.0, 8.0, 16, 2.0, 0.3, True)
+@settings(max_examples=25)
+def test_compiled_kernel_fallback_and_hand_written_loop_agree_bitwise(x0, y0, n_angles, t_max,
+                                                                       h, both_directions):
+    kwargs = dict(origin=(x0, y0), n_angles=n_angles, t_max=t_max, h=h,
+                  both_directions=both_directions)
+    with np.errstate(all="ignore"):
+        compiled = shooting_sweep(**kwargs)
+        with mock.patch.object(plane, "_sweep_kernel", lambda: None):
+            fallback = shooting_sweep(**kwargs)
+        oracle = _hand_written_sweep((x0, y0), n_angles, t_max, h, both_directions)
+    assert fallback.kernel == "numpy"
+    assert _sweep_bytes(compiled) == _sweep_bytes(fallback)
+    assert _sweep_bytes(compiled) == tuple(a.tobytes() for a in oracle)
+
+
+def test_blow_up_example_has_non_finite_lanes():
+    with np.errstate(all="ignore"):
+        sweep = shooting_sweep(origin=(0.0, 8.0), n_angles=16, t_max=2.0, h=0.3)
+    heights = np.concatenate([sweep.y_min, sweep.y_max])
+    assert np.count_nonzero(~np.isfinite(heights)) == 12
+
+
+@pytest.mark.parametrize("broken", ["no cc on the path", "source that does not compile"])
+def test_sweep_falls_back_to_numpy_without_a_kernel(monkeypatch, broken):
+    compiled = shooting_sweep(origin=(0.3, -0.7), n_angles=9, t_max=1.0, h=1e-2)
+    # a fresh loader, so the process's compiled kernel stays cached
+    monkeypatch.setattr(plane, "_sweep_kernel", functools.cache(plane._sweep_kernel.__wrapped__))
+    if broken == "no cc on the path":
+        monkeypatch.setenv("PATH", "")
+    else:
+        monkeypatch.setattr(plane, "_kernel_source", lambda: "not C\n")
+    assert plane._sweep_kernel() is None
+    fallback = shooting_sweep(origin=(0.3, -0.7), n_angles=9, t_max=1.0, h=1e-2)
+    assert fallback.kernel == "numpy"
+    assert _sweep_bytes(fallback) == _sweep_bytes(compiled)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on the path")
+def test_sweep_runs_the_compiled_kernel_where_cc_exists():
+    # a broken build would fall back silently and lose the kernel's speed
+    assert shooting_sweep(n_angles=4, t_max=0.1).kernel == "c"
