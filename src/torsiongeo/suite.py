@@ -285,6 +285,17 @@ def criterion_strips(ctx: SuiteContext) -> CriterionResult:
             target.lower, sb.upper, op=">")
     res.add("sweep max height stays below the disjoint strip",
             float(np.max(sweep.y_max)), target.lower, op="<")
+
+    # each launch stays in its own strip, not only below the target's
+    excess = -math.inf
+    for a, lo, hi in zip(sweep.angles, sweep.y_min, sweep.y_max):
+        own = strip_bounds(1.0, math.sin(a), math.cos(a))
+        excess = max(excess, hi - own.upper, own.lower - lo)
+    res.add("worst sweep excess over each angle's own strip", excess, 1e-3)
+    # from y0 = 1 the upper levels sqrt(1 - 2 theta0) on (-pi, 0) and
+    # sqrt(1 + 2 pi - 2 theta0) on (0, pi) approach sqrt(1 + 2 pi) at most
+    res.add("closed-form supremum sqrt(1 + 2 pi) stays below the disjoint strip",
+            math.sqrt(1.0 + 2.0 * math.pi), target.lower, op="<")
     return res
 
 

@@ -438,3 +438,13 @@ def test_sweep_falls_back_to_numpy_without_a_kernel(monkeypatch, broken):
 def test_sweep_runs_the_compiled_kernel_where_cc_exists():
     # a broken build would fall back silently and lose the kernel's speed
     assert shooting_sweep(n_angles=4, t_max=0.1).kernel == "c"
+
+
+@given(st.floats(-4.0, 4.0), st.floats(-3.0, 3.0), st.integers(1, 64), st.floats(0.0, 5.0))
+@settings(max_examples=50)
+def test_every_sweep_launch_stays_in_its_own_strip(x0, y0, n_angles, t_max):
+    # c7 measures 2.9e-11 over and 3.9e-12 under the levels; 1e-3 is its bound
+    sweep = shooting_sweep(origin=(x0, y0), n_angles=n_angles, t_max=t_max, h=2e-3)
+    for a, lo, hi in zip(sweep.angles, sweep.y_min, sweep.y_max):
+        own = strip_bounds(y0, math.sin(a), math.cos(a))
+        assert own.lower - 1e-3 < lo <= y0 <= hi < own.upper + 1e-3
