@@ -169,7 +169,9 @@ class Tableau:
     coefficients are skipped and unit ones dropped; a lone coefficient
     multiplies h before the slope, one array op instead of two in a sweep.
     :meth:`emit` writes the scalar step and :meth:`array_ops` the array one,
-    with the same operations in the same order.
+    with the same operations in the same order.  The assignments :meth:`emit`
+    writes are also valid C with the same grouping, which the shooting
+    sweep's compiled kernel relies on.
     """
 
     name: str

@@ -365,7 +365,7 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
         raise ValueError(f"t_max must be finite and >= 0, got {t_max!r}")
     if not math.isfinite(t_max / h) or round(t_max / h) >= 2 ** 63:
         raise ValueError(f"t_max {t_max!r} over step {h!r} overflows the step count")
-    steps = int(round(t_max / h))
+    steps = round(t_max / h)
     angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
     dx = np.cos(angles)
     dy = np.sin(angles)
