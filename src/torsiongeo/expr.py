@@ -519,15 +519,17 @@ class FusedRHS:
         """``tableau``'s step ``(u, v, du, dv, h)`` at launch speed E2 in the
         open box ``bounds``.  The step is compiled into the RHS's own module
         on its first use there, with ``names`` as extra globals, and kept
-        there.  A failing expression raises the RHS's ConfigError, at the
-        stage's point."""
+        there with its source, as ``_source_<tableau name>``, from which
+        :mod:`native` builds the compiled march.  A failing expression raises
+        the RHS's ConfigError, at the stage's point."""
         namespace = self.fn.__globals__
         key = f"_step_{tableau.name}"
         step = namespace.get(key)
         if step is None:
             source, owners = _step_source(self.body, self.tail, tableau)
             namespace.update(names, **{f"_fail_{tableau.name}": partial(_failure, self.srcs,
-                                                                         owners)})
+                                                                         owners),
+                                       f"_source_{tableau.name}": source})
             scope = {}
             exec(_code(source, f"{namespace['__name__']} step_{tableau.name}"), namespace, scope)
             step = namespace[key] = scope["step"]

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import native
 from .expr import FusedRHS
 from .geometry import ChartGeometry, VectorFieldSpec, cached_runtime, positive_part
 
@@ -285,8 +286,8 @@ def _run(march, method: str, chart: ChartGeometry, field: VectorFieldSpec,
     the reflection (t, x') -> (-t, -x') of a forward run from -t0 with the
     launch velocity negated.  Both steppers commute with that reflection
     bitwise, so ``march`` only ever steps forward.  It takes its steps
-    from ``make_step(tableau)`` and returns ``(t, rows, stop)``: the sample
-    times, one (u, v, du, dv) row per sample and the stop reason.
+    from ``make_step(tableau)`` and returns ``(t, cols, stop)``: the sample
+    times, the (u, v, du, dv) columns and the stop reason.
     """
     chart.require_inside(initial.u, initial.v)
     g11, g12, g22 = chart.metric(initial.u, initial.v)
@@ -300,10 +301,8 @@ def _run(march, method: str, chart: ChartGeometry, field: VectorFieldSpec,
         return _make_step(chart, field, E2, tableau)
 
     sign = 1.0 if settings.t1 >= settings.t0 else -1.0
-    t, rows, stop = march(make_step, sign * settings.t0, sign * settings.t1,
-                          (initial.u, initial.v, sign * du, sign * dv), settings)
-    u, v, du, dv = np.array(rows).T
-    del rows  # the rows take ~5x the memory of their columns; free them first
+    t, (u, v, du, dv), stop = march(make_step, sign * settings.t0, sign * settings.t1,
+                                    (initial.u, initial.v, sign * du, sign * dv), settings)
     if sign < 0:
         t, u, v, du, dv = -t[::-1], u[::-1], v[::-1], -du[::-1], -dv[::-1]
 
@@ -334,6 +333,17 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
     return _run(_rk4_march, "rk4", chart, field, initial, settings, scenario_id)
 
 
+#: The planned step count from which an RK4 march with no kernel loaded
+#: builds one (see :func:`native.rk4_kernel`).  A ``cc`` build takes
+#: 70-135 ms and a Python step 2.5-3.9 us (catalog texts, 2-vCPU host,
+#: CPython 3.11, GCC 12), so the build pays for itself over 20 000-50 000
+#: steps: one two-sided run at this count a side, whose halves share one
+#: text, and any later march of the text in the process, which finds the
+#: kernel loaded.  A shorter march with no kernel loaded runs in Python, so
+#: a one-shot run of a short span builds nothing.
+NATIVE_MIN_STEPS = 10_000
+
+
 def _rk4_march(make_step, t0, t1, y, settings):
     step = make_step(RK4)
     h = settings.h
@@ -343,11 +353,18 @@ def _rk4_march(make_step, t0, t1, y, settings):
     if rem <= 1e-9 * h:
         rem = 0.0
     total = n_full + (1 if rem > 0.0 else 0)
-    rows = [y]
+    n = min(total, settings.max_steps)
     stop = STOP_MAX_STEPS if total > settings.max_steps else STOP_TIME
+    launch, blocks, k = y, [], 0
+    kernel = native.rk4_kernel(step, load=n >= NATIVE_MIN_STEPS)
+    if kernel is not None:
+        # the compiled loop stops before any step that leaves the box,
+        # fails a check or raises a flag; the Python step takes it from there
+        blocks, k, y = kernel.march(step, y, n, n_full, h, rem)
+    rows = []
     h_part = None
     try:
-        for k in range(min(total, settings.max_steps)):
+        for k in range(k, n):
             y = step(*y, h if k < n_full else rem)
             rows.append(y)
     except _BoundaryHit:
@@ -356,16 +373,18 @@ def _rk4_march(make_step, t0, t1, y, settings):
         if partial is not None:
             h_part, y = partial
             rows.append(y)
+    cols = np.concatenate([np.reshape(launch, (4, 1)), *blocks, np.reshape(rows, (-1, 4)).T],
+                          axis=1)
 
     # Times come from k * h, not from accumulation, so the stored grid is
     # exactly uniform apart from an optional short final step.  The launch
     # time is t0 itself: t0 + 0.0 would turn a backward run's -0.0 into
     # +0.0, and its reflection into -0.0.
-    t = t0 + np.minimum(np.arange(len(rows)) * h, span)
+    t = t0 + np.minimum(np.arange(cols.shape[1]) * h, span)
     t[0] = t0
     if h_part is not None:
         t[-1] = t[-2] + h_part
-    return t, rows, stop
+    return t, cols, stop
 
 
 def _bisect_exit(step, u, v, du, dv, h):
@@ -459,7 +478,7 @@ def _rkf45_march(make_step, t0, t1, y, settings):
         factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
         h *= factor
 
-    return np.array(ts), rows, stop
+    return np.array(ts), np.array(rows).T, stop
 
 
 def integrate_any(chart: ChartGeometry, field: VectorFieldSpec,

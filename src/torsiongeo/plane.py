@@ -14,14 +14,13 @@ as lanes of one compiled loop, or of numpy array blocks where none builds.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .audit import InvariantReport, make_report
 from .geometry import PLANE, FieldSource, VectorFieldSpec, built_in_runtime
 from .integrate import RK4, GeodesicState, Trace
@@ -273,34 +272,16 @@ def _kernel_source() -> str:
         ""])
 
 
-#: Strict IEEE double arithmetic: no FMA contraction (clang contracts by
-#: default, even under -std=c99) and no fast-math, so each operation rounds
-#: as numpy's does and ``/ 6.0`` stays a division.
-_CC_FLAGS = ("-std=c99", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-@functools.cache
 def _sweep_kernel():
-    """The compiled ``shear_sweep``, built by the system ``cc`` in a private
-    temporary directory on the first call; None where it does not build or
-    load, and the sweep then steps numpy array blocks.  The modules are
-    imported here so that importing the package does not pay for them."""
+    """The compiled ``shear_sweep`` (see :func:`native.build`), or None where
+    it does not build or load, and the sweep then steps numpy array blocks."""
+    library = native.build(_kernel_source())
+    if library is None:
+        return None
     import ctypes
-    import subprocess
-    import tempfile
 
     lanes = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            source = os.path.join(tmp, "sweep.c")
-            library = os.path.join(tmp, "sweep.so")
-            with open(source, "w") as fh:
-                fh.write(_kernel_source())
-            subprocess.run(["cc", *_CC_FLAGS, "-o", library, source],
-                           capture_output=True, timeout=120, check=True)
-            kernel = ctypes.CDLL(library).shear_sweep
-    except (OSError, subprocess.SubprocessError):
-        return None
+    kernel = library.shear_sweep
     kernel.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
                        lanes, lanes, lanes, lanes, lanes]
     kernel.restype = None

@@ -1,21 +1,41 @@
-"""The RK4 row march against the five-list march it replaced.
+"""The RK4 row march, Python and compiled, against the five-list march it
+replaced.
 
 ``reference_rk4_march`` is the march as it was before it collected one
 (u, v, du, dv) row per sample: five parallel lists, and each time computed
-as ``t0 + min(k * h, span)`` inside the loop.  The row march must give the
-same bits in every column and the same stop reason.
+as ``t0 + min(k * h, span)`` inside the loop.  The march must give the
+same bits in every column and the same stop reason, both where it runs
+the Python step and where it runs the compiled C loop of that step's
+text (``native.rk4_kernel``), and fail exactly as the Python step does.
 """
 
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from torsiongeo.integrate import (RK4, STOP_BOUNDARY, STOP_MAX_STEPS, STOP_TIME,
-                                  IntegratorSettings, _BoundaryHit, _bisect_exit, _make_step,
-                                  _rk4_march)
-from torsiongeo.scenarios import CATALOG, CATALOG_IDS, build_runtime, run_scenario
+from torsiongeo import native
+from torsiongeo.conformal import conformal_metric
+from torsiongeo.errors import ConfigError, MetricDegeneracyError
+from torsiongeo.geometry import VectorFieldSpec
+from torsiongeo.integrate import (COLUMNS, NATIVE_MIN_STEPS, RK4, STOP_BOUNDARY, STOP_MAX_STEPS,
+                                  STOP_TIME, GeodesicState, IntegratorSettings, _BoundaryHit,
+                                  _bisect_exit, _make_step, _rk4_march, integrate)
+from torsiongeo.scenarios import (CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime, run_config,
+                                  run_scenario)
 from torsiongeo.traceio import trace_to_csv
+
+HAVE_CC = shutil.which("cc") is not None
+BUILT_IN = ("plane-zero", "plane-winding", "plane-shear", "halfplane-sigma", "sphere",
+            "pseudosphere", "catenoid")
 
 
 def reference_rk4_march(make_step, t0, t1, y, settings):
@@ -65,6 +85,19 @@ def reference_rk4_march(make_step, t0, t1, y, settings):
     return np.array(ts), np.array(us), np.array(vs), np.array(dus), np.array(dvs), stop
 
 
+def march_args(rt, state, settings, t0=0.0, t1=None):
+    """(make_step, t0, t1, y, settings) of the forward march from ``state``
+    on runtime ``rt``, at the launch speed ``integrate._run`` computes."""
+    u, v, du, dv = state
+    g11, g12, g22 = rt.chart.metric(u, v)
+    E2 = g11 * du * du + 2.0 * g12 * du * dv + g22 * dv * dv
+
+    def make_step(tableau):
+        return _make_step(rt.chart, rt.field, E2, tableau)
+
+    return make_step, t0, settings.t1 if t1 is None else t1, state, settings
+
+
 def halves(sid, max_steps=5_000_000):
     """The forward and backward march of catalog scenario ``sid``, each as
     (make_step, t0, t1, y, settings): the backward half steps forward from
@@ -72,34 +105,47 @@ def halves(sid, max_steps=5_000_000):
     scen = CATALOG[sid]
     rt = build_runtime(scen.runtime)
     s = scen.launch_state()
-    g11, g12, g22 = rt.chart.metric(s.u, s.v)
-    E2 = g11 * s.du * s.du + 2.0 * g12 * s.du * s.dv + g22 * s.dv * s.dv
     settings = IntegratorSettings(h=scen.h, max_steps=max_steps)
-
-    def make_step(tableau):
-        return _make_step(rt.chart, rt.field, E2, tableau)
-
     t_min, t_max = scen.span
-    return [(make_step, 0.0, t_max, (s.u, s.v, s.du, s.dv), settings),
-            (make_step, -0.0, -t_min, (s.u, s.v, -s.du, -s.dv), settings)]
+    return [march_args(rt, (s.u, s.v, s.du, s.dv), settings, 0.0, t_max),
+            march_args(rt, (s.u, s.v, -s.du, -s.dv), settings, -0.0, -t_min)]
+
+
+def python_only():
+    """Within it, no march finds a compiled kernel."""
+    return mock.patch.object(native, "rk4_kernel", lambda step, load: None)
+
+
+def python_march(*args):
+    with python_only():
+        return _rk4_march(*args)
+
+
+def compiled_march(make_step, *args):
+    """The march with its text's kernel loaded, so that it takes the
+    compiled loop whatever its length (the Python one where no cc builds)."""
+    kernel = native.rk4_kernel(make_step(RK4), load=True)
+    assert (kernel is not None) == HAVE_CC
+    return _rk4_march(make_step, *args)
 
 
 def march_bits(march, args):
     """The columns (t, u, v, du, dv) of a march as bytes, and its stop reason."""
     out = march(*args)
-    if march is _rk4_march:
-        t, rows, stop = out
-        cols = (t, *np.array(rows).T)
+    if len(out) == 3:
+        t, cols, stop = out
+        cols = (t, *cols)
     else:
         *cols, stop = out
     return [np.ascontiguousarray(c).tobytes() for c in cols], stop
 
 
 def assert_marches_agree(args):
-    got, stop = march_bits(_rk4_march, args)
     want, want_stop = march_bits(reference_rk4_march, args)
-    assert stop == want_stop
-    assert got == want
+    for march in (python_march, compiled_march):
+        got, stop = march_bits(march, args)
+        assert stop == want_stop
+        assert got == want
     return stop
 
 
@@ -140,3 +186,184 @@ def test_two_sided_launch_sample_is_positive_zero():
     i = int(np.flatnonzero(tr.t == 0.0)[0])
     assert math.copysign(1.0, tr.t[i]) == 1.0
     assert trace_to_csv(tr).splitlines()[1 + i].startswith("0,")
+
+
+class LeviCivita:
+    """The Levi-Civita runtime of a chart, as ``levi_civita_integrate`` steps it."""
+
+    def __init__(self, chart):
+        self.chart, self.field = chart, VectorFieldSpec.zero()
+
+
+@pytest.mark.parametrize("key, start", [("sphere", (1.0, 0.0)), ("pseudosphere", (1.0, 0.0)),
+                                        ("catenoid", (0.0, 0.0)), ("halfplane-sigma", (0.0, 1.0))])
+def test_levi_civita_marches_of_the_conformal_charts_agree(key, start):
+    # criterion 2 steps these charts' classical geodesics for 5 000-9 000 steps
+    rt = build_runtime(key)
+    lc = LeviCivita(conformal_metric(rt.chart, rt.field))
+    assert lc.chart.name.endswith("~conformal")
+    assert assert_marches_agree(march_args(lc, (*start, 0.6, 0.8),
+                                           IntegratorSettings(h=1e-3, t1=5.0))) == STOP_TIME
+
+
+@given(st.sampled_from(BUILT_IN), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(-math.pi, math.pi), st.floats(0.25, 2.0), st.floats(1e-3, 5e-2),
+       st.integers(1, 400))
+# out through the sphere's box along a meridian, and down through the half-plane's
+@example("sphere", 0.5, 0.5, 0.0, 1.0, 5e-2, 400)
+@example("halfplane-sigma", 0.5, 0.1, -1.5, 1.0, 5e-2, 400)
+@settings(max_examples=40)
+def test_random_launches_march_alike_on_the_built_in_runtimes(key, fu, fv, angle, E, h, steps):
+    rt = build_runtime(key)
+    a, b, c, d = rt.chart.sample_box
+    state = (a + fu * (b - a), c + fv * (d - c), E * math.cos(angle), E * math.sin(angle))
+    assert_marches_agree(march_args(rt, state, IntegratorSettings(h=h, t1=steps * h)))
+
+
+def test_the_sample_launches_leave_the_box():
+    for key, fu, fv, angle in (("sphere", 0.5, 0.5, 0.0), ("halfplane-sigma", 0.5, 0.1, -1.5)):
+        rt = build_runtime(key)
+        a, b, c, d = rt.chart.sample_box
+        state = (a + fu * (b - a), c + fv * (d - c), math.cos(angle), math.sin(angle))
+        args = march_args(rt, state, IntegratorSettings(h=5e-2, t1=20.0))
+        assert march_bits(compiled_march, args)[1] == STOP_BOUNDARY
+
+
+# ---------------------------------------------------------------------------
+# Failures through the compiled loop: each span plans at least
+# NATIVE_MIN_STEPS steps, so the march builds its kernel, which steps until
+# the failing step and hands it to the Python step
+# ---------------------------------------------------------------------------
+
+
+def outcome(run):
+    """What ``run()`` gives: a trace's column bytes and stop reason, or the
+    exception's type and text."""
+    try:
+        tr = run()
+    except Exception as exc:  # noqa: BLE001 - any exception must match
+        return type(exc), str(exc)
+    return [getattr(tr, c).tobytes() for c in COLUMNS], tr.stop_reason
+
+
+def assert_runs_agree(run):
+    """``run()`` with the compiled loop gives what it gives without; returns
+    the outcome and the steps each compiled march took before it stopped."""
+    with python_only():
+        want = outcome(run)
+    taken = []
+    real = native.Kernel.march
+
+    def spy(self, *args):
+        out = real(self, *args)
+        taken.append(out[1])
+        return out
+
+    with mock.patch.object(native.Kernel, "march", spy):
+        got = outcome(run)
+    assert got == want
+    assert bool(taken) == HAVE_CC
+    return got, taken
+
+
+def config(chart, field, state, span):
+    return ScenarioConfig.from_dict({
+        "version": 1, "id": "long", "chart": chart, "field": field, "span": span,
+        "initial": {"position": list(state[:2]), "velocity": list(state[2:])},
+        "integrator": {"method": "rk4", "h": 1e-3}})
+
+
+@pytest.mark.parametrize("field, state, what", [
+    ({"f": "log(x)", "g": "0"}, (0.2, 0.5, -1.0, 0.0), "expression 'log(x)'"),
+    ({"p": "x*sqrt(y)"}, (0.5, 0.2, 0.0, -1.0), "expression 'x*sqrt(y)'"),
+    # only the unread value sigma = log(x) fails past x = 0: its partials
+    # 1/x and 0 do not, so the C loop must compute it too
+    ({"sigma": "log(x)"}, (0.5, 0.0, -1.0, 0.0), "expression 'log(x)'")])
+def test_a_compiled_march_leaving_an_expression_s_domain_raises_its_config_error(field, state,
+                                                                                 what):
+    cfg = config("plane", field, state, [0.0, 10.0])
+    (kind, text), taken = assert_runs_agree(lambda: run_config(cfg))
+    assert kind is ConfigError
+    assert text.startswith(f"{what} failed at (x, y) = (") and text.endswith(
+        "ValueError: math domain error")
+    assert all(0 < k < NATIVE_MIN_STEPS for k in taken)
+
+
+def test_a_compiled_march_into_a_degenerate_metric_raises_the_python_error():
+    # g = diag(x, 1) degenerates at x = 0, where the launch heads
+    cfg = config({"metric": {"g11": "x", "g22": "1"}}, "zero", (1.0, 0.0, -1.0, 0.0), [0.0, 10.0])
+    (kind, text), taken = assert_runs_agree(lambda: run_config(cfg))
+    assert kind is MetricDegeneracyError
+    assert all(0 < k < NATIVE_MIN_STEPS for k in taken)
+
+
+def test_a_runaway_speed_overflows_in_python_and_stops_at_the_boundary():
+    # E^2 stays at its launch value, so the speed error of this shear launch
+    # grows until the state overflows to inf and leaves the unbounded plane
+    rt = build_runtime("plane-shear")
+    a = 1e-8
+    launch = GeodesicState(0.0, 0.0, -2.5, math.cos(a), math.sin(a))
+    with np.errstate(all="ignore"):  # the diagnostics of the non-finite samples
+        (cols, stop), taken = assert_runs_agree(lambda: integrate(
+            rt.chart, rt.field, launch, IntegratorSettings(t0=0.0, t1=-100.0, h=1e-2)))
+    assert stop == STOP_BOUNDARY
+    assert all(0 < k < NATIVE_MIN_STEPS for k in taken)
+
+
+def test_a_huge_planned_march_that_exits_early_keeps_only_its_rows():
+    # 10^12 planned steps: the compiled march writes its rows a block at a time
+    scen = CATALOG["plane-gradient-halfplane"]
+    s = scen.launch_state()
+    settings = IntegratorSettings(t1=1e9, h=1e-3, max_steps=10 ** 12)
+    args = march_args(build_runtime(scen.runtime), (s.u, s.v, s.du, s.dv), settings)
+    assert assert_marches_agree(args) == STOP_BOUNDARY
+
+
+# ---------------------------------------------------------------------------
+# Which march runs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("broken", ["no cc on the path", "source that does not compile"])
+def test_march_falls_back_to_python_without_a_kernel(monkeypatch, broken):
+    args = halves("sphere-equator")[0]
+    want = march_bits(python_march, args)
+    # a fresh loader and build cache, so the process's kernels stay loaded
+    monkeypatch.setattr(native, "_KERNELS", {})
+    monkeypatch.setattr(native, "build", native.build.__wrapped__)
+    if broken == "no cc on the path":
+        monkeypatch.setenv("PATH", "")
+    else:
+        monkeypatch.setattr(native, "march_source", lambda text: ("not C\n", ()))
+    assert native.rk4_kernel(args[0](RK4), load=True) is None
+    assert march_bits(_rk4_march, args) == want
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on the path")
+def test_a_long_march_runs_the_compiled_loop_where_cc_exists():
+    # a broken build would fall back silently and lose the compiled loop's speed
+    _, taken = assert_runs_agree(lambda: run_scenario(CATALOG["sphere-equator"]))
+    assert taken == [20_000, 20_000]
+
+
+def test_short_marches_and_set_up_start_no_compiler():
+    # the spy counts the cc runs of a fresh process: none for the import,
+    # the runtimes and a march below NATIVE_MIN_STEPS, one for a long march
+    code = "\n".join([
+        "import subprocess",
+        "calls = []",
+        "real = subprocess.run",
+        "subprocess.run = lambda *a, **k: calls.append(a[0][0]) or real(*a, **k)",
+        "import torsiongeo",
+        "from torsiongeo.scenarios import CATALOG, build_runtime, run_scenario",
+        f"for key in {BUILT_IN!r}:",
+        "    build_runtime(key)",
+        "run_scenario(CATALOG['sphere-loxodrome-45'])",
+        "print(calls)",
+        "run_scenario(CATALOG['sphere-equator'])",
+        "print(calls)"])
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PATH": os.environ.get("PATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.splitlines() == ["[]", "['cc']"]

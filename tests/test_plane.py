@@ -1,4 +1,3 @@
-import functools
 import math
 import shutil
 from unittest import mock
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geometry_checks import constant_field
-from torsiongeo import plane
+from torsiongeo import native, plane
 from torsiongeo.geometry import euclidean_plane
 from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, integrate_two_sided
 from torsiongeo.plane import (arcsin_invariant, flat_invariant, plane_curvature,
@@ -422,8 +421,8 @@ def test_blow_up_example_has_non_finite_lanes():
 @pytest.mark.parametrize("broken", ["no cc on the path", "source that does not compile"])
 def test_sweep_falls_back_to_numpy_without_a_kernel(monkeypatch, broken):
     compiled = shooting_sweep(origin=(0.3, -0.7), n_angles=9, t_max=1.0, h=1e-2)
-    # a fresh loader, so the process's compiled kernel stays cached
-    monkeypatch.setattr(plane, "_sweep_kernel", functools.cache(plane._sweep_kernel.__wrapped__))
+    # an uncached build, so the process's compiled kernel stays cached
+    monkeypatch.setattr(native, "build", native.build.__wrapped__)
     if broken == "no cc on the path":
         monkeypatch.setenv("PATH", "")
     else:
