@@ -62,7 +62,7 @@ def build(source: str):
 #: the libm routine of the same name on every finite argument it accepts.
 #: ``hypot`` (CPython has its own algorithm), ``atan2``, ``abs``, two-argument
 #: ``log``, ``**``, ``//``, ``%`` and ``_float`` keep the Python march.
-LIBM_CALLS = frozenset({"sin", "cos", "exp", "log", "sqrt"})
+_LIBM_CALLS = frozenset({"sin", "cos", "exp", "log", "sqrt"})
 _C_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _C_COMPARE = {ast.Lt: "<", ast.Gt: ">"}
 _FOLD = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -74,7 +74,7 @@ _FLAGS = "FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW"
 #: launch speed and box that each run binds as the step's defaults.
 _PARAMS = ("u", "v", "du", "dv", "h", "E2", "u0", "u1", "v0", "v1")
 #: Steps per block of rows between two calls of a compiled march.
-BLOCK = 1 << 16
+_BLOCK = 1 << 16
 
 
 class _Untranslatable(Exception):
@@ -146,7 +146,7 @@ def _translate(text: str) -> tuple[list[str], tuple[str, ...], tuple[str, ...]]:
             terms = [node.left, *node.comparators]
             return "(" + " && ".join(f"({expr(a)} {_C_COMPARE[type(op)]} {expr(b)})" for a, op, b
                                      in zip(terms, node.ops, terms[1:])) + ")"
-        if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in LIBM_CALLS
+        if (kind is ast.Call and type(node.func) is ast.Name and node.func.id in _LIBM_CALLS
                 and len(node.args) == 1 and not node.keywords):
             return f"{node.func.id}({expr(node.args[0])})"
         raise _Untranslatable
@@ -276,7 +276,7 @@ class Kernel:
         state = np.array(y, dtype=float)
         blocks, k = [], 0
         while k < n:
-            block = np.empty((4, min(n - k, BLOCK)))
+            block = np.empty((4, min(n - k, _BLOCK)))
             done = self.fn(k, k + block.shape[1], n_full, g, s, state, block)
             blocks.append(block[:, :done])
             k += done

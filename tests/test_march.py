@@ -123,9 +123,9 @@ def python_march(*args):
 
 def compiled_march(make_step, *args):
     """The march with its text's kernel loaded, so that it takes the
-    compiled loop whatever its length (the Python one where no cc builds)."""
-    kernel = native.rk4_kernel(make_step(RK4), load=True)
-    assert (kernel is not None) == HAVE_CC
+    compiled loop whatever its length, where the text translates and cc
+    builds."""
+    native.rk4_kernel(make_step(RK4), load=True)
     return _rk4_march(make_step, *args)
 
 
@@ -152,6 +152,8 @@ def assert_marches_agree(args):
 @pytest.mark.parametrize("sid", CATALOG_IDS)
 def test_row_march_equals_the_five_list_march_on_the_catalog(sid):
     stops = [assert_marches_agree(args) for args in halves(sid)]
+    make_step = halves(sid)[0][0]
+    assert (native.rk4_kernel(make_step(RK4), load=False) is not None) == HAVE_CC
     if sid in ("sphere-meridian", "pseudosphere-meridian"):
         assert stops == [STOP_BOUNDARY, STOP_BOUNDARY]
 
@@ -227,6 +229,24 @@ def test_the_sample_launches_leave_the_box():
         state = (a + fu * (b - a), c + fv * (d - c), math.cos(angle), math.sin(angle))
         args = march_args(rt, state, IntegratorSettings(h=5e-2, t1=20.0))
         assert march_bits(compiled_march, args)[1] == STOP_BOUNDARY
+
+
+@pytest.mark.parametrize("p, translates", [
+    ("sin(x) * cos(y) + exp(-y) * log(2 + x*x) + sqrt(1 + y*y)", True),
+    # literals keep Python's arithmetic: 1/2 is 0.5, and the int product is
+    # exact before it meets a float, where doubles would round it twice
+    ("x * (1/2) + x * y * (3*5) + 100000001 * 100000003 * 100000005 * x * 1e-24", True),
+    # an int partial, 3, is bound as _float(3)
+    ("x + y * 3", False), ("x**3", False), ("x // 2 + y", False), ("x % 2 + y", False), ("hypot(x, y)", False),
+    ("atan2(y, x)", False), ("abs(x) * y", False), ("log(x*x + 1, 2)", False),
+    ("tanh(x) * y", False)])
+def test_only_texts_that_call_libm_as_math_does_compile(p, translates):
+    rt = config("plane", {"p": p}, (0.3, 0.4, 0.6, 0.8), [0.0, 1.0]).runtime
+    args = march_args(rt, (0.3, 0.4, 0.6, 0.8), IntegratorSettings(h=1e-2, t1=2.0))
+    text = args[0](RK4).__globals__["_source_rk4"]
+    assert (native.march_source(text) is not None) == translates
+    assert assert_marches_agree(args) == STOP_TIME
+    assert (native.rk4_kernel(args[0](RK4), load=False) is not None) == (translates and HAVE_CC)
 
 
 # ---------------------------------------------------------------------------
