@@ -328,7 +328,9 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
     refined by bisection to ``BOUNDARY_TIME_TOL``.  A backward span
     (``t1 < t0``) is integrated forward from the negated launch velocity
     and reflected back.  ``settings.method`` is not read; the trace's
-    settings record ``"rk4"``.
+    settings record ``"rk4"``.  A march of at least ``NATIVE_MIN_STEPS``
+    steps runs a compiled loop of the same step where one builds, with the
+    same bits (see :mod:`native`).
     """
     return _run(_rk4_march, "rk4", chart, field, initial, settings, scenario_id)
 
