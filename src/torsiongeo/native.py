@@ -155,11 +155,12 @@ def _translate(text: str) -> tuple[list[str], tuple[str, ...], tuple[str, ...]]:
         if name in assigned or name in _PARAMS or name.endswith("_"):
             raise _Untranslatable
         assigned.add(name)
-        text = expr(value)
-        if const(value) is not None:
-            consts[name] = const(value)
-        else:
+        text = expr(value)  # raises where a literal does not fit a double
+        folded = const(value)
+        if folded is None:
             lines.append((name, f"const double {name} = {text};"))
+        else:
+            consts[name] = folded
 
     def walk(body) -> None:
         nonlocal returned
