@@ -230,37 +230,44 @@ class SweepResult:
 
 
 def _shear_stage(s, x, y, dx, dy, ddx, ddy):
-    """Stage s of the shear's own equation x'' = y x' x' - y, y'' = y x' y'."""
-    return [f"g{s} = {y} * {dx}", f"{ddx} = g{s} * {dx} - {y}", f"{ddy} = g{s} * {dy}"]
+    """Stage s of x'' = -f + (f x' + g y') x', y'' = -g + (f x' + g y') y'
+    for the shear V = f dx + g dy with f = y + 0.0 x and g = 0.0 x + 0.0 x,
+    the field as the batched loop broadcast it over x.  The zero terms carry
+    x's sign into the slopes: on a lane that stays at y = 0, as the 0 and pi
+    launches from a height of -0.0 do, the signs of the zeros they add decide
+    whether the heights read -0.0 or 0.0."""
+    return [f"z{s} = 0.0 * {x}", f"f{s} = {y} + z{s}", f"e{s} = z{s} + z{s}",
+            f"g{s} = f{s} * {dx} + e{s} * {dy}", f"{ddx} = -f{s} + g{s} * {dx}",
+            f"{ddy} = -e{s} + g{s} * {dy}"]
 
 
 def _kernel_source() -> str:
-    """C source of ``shear_sweep(n, steps, h, y, dx, dy, lo, hi)``, which
+    """C source of ``shear_sweep(n, steps, h, x, y, dx, dy, lo, hi)``, which
     steps n lanes ``steps`` times and folds each new height into lo and hi.
 
     The loop body is the RK4 step :meth:`Tableau.emit` writes for the scalar
     integrator, whose statements are valid C with the same left-to-right
-    grouping, less its box checks and the x statements (x feeds nothing
-    back).  The min and max return the first operand where it is a NaN or
+    grouping, less its box checks.  The min and max return the first operand where it is a NaN or
     the strict winner and the second otherwise, as np.minimum and
     np.maximum do, so an overflowing lane gives the same bytes.
     """
     body = []
     for line in RK4.emit(_shear_stage).splitlines():
         match = re.fullmatch(r"\s*(\w+) = (.+)", line)
-        if match and not match[1].startswith("u"):
+        if match:
             body.append(f"            const double {match[1]} = {match[2]};")
     return "\n".join([
         "#include <math.h>",
         "#include <stdint.h>",
-        "void shear_sweep(int64_t n, int64_t steps, double h, double *restrict y,",
-        "                 double *restrict dx, double *restrict dy,",
+        "void shear_sweep(int64_t n, int64_t steps, double h, double *restrict x,",
+        "                 double *restrict y, double *restrict dx, double *restrict dy,",
         "                 double *restrict lo, double *restrict hi)",
         "{",
         "    for (int64_t k = 0; k < steps; k++) {",
         "        for (int64_t i = 0; i < n; i++) {",
-        "            const double v = y[i], du = dx[i], dv = dy[i];",
+        "            const double u = x[i], v = y[i], du = dx[i], dv = dy[i];",
         *body,
+        "            x[i] = un;",
         "            y[i] = vn;",
         "            dx[i] = pn;",
         "            dy[i] = qn;",
@@ -283,31 +290,31 @@ def _sweep_kernel():
     lanes = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
     kernel = library.shear_sweep
     kernel.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-                       lanes, lanes, lanes, lanes, lanes]
+                       lanes, lanes, lanes, lanes, lanes, lanes]
     kernel.restype = None
     return kernel
 
 
-def _array_steps(steps: int, h: float, y, dx, dy, y_lo, y_hi) -> None:
+def _array_steps(steps: int, h: float, x, y, dx, dy, y_lo, y_hi) -> None:
     """``shear_sweep``'s lo and hi from numpy array blocks: the RK4 tableau's
-    :meth:`Tableau.array_ops` on a stacked (y, x', y', x'', y'') block per
-    stage, whose state is rows 0:3 and whose slope the overlapping rows 2:5,
+    :meth:`Tableau.array_ops` on a stacked (x, y, x', y', x'', y'') block per
+    stage, whose state is rows 0:4 and whose slope the overlapping rows 2:6,
     then np.minimum and np.maximum."""
     n = len(y)
-    blocks = np.empty((len(RK4.a) + 1, 5, n))
-    blocks[0, 0] = y
-    blocks[0, 1] = dx
-    blocks[0, 2] = dy
-    gv = np.empty(n)
+    blocks = np.empty((len(RK4.a) + 1, 6, n))
+    blocks[0, :4] = x, y, dx, dy
+    z, f, e, gv, t = np.empty((5, n))
 
     def shear(s):
-        y, dx, dy, ddx, ddy = blocks[s]
-        return [(np.multiply, y, dx, gv), (np.multiply, gv, dx, ddx),
-                (np.subtract, ddx, y, ddx), (np.multiply, gv, dy, ddy)]
+        x, y, dx, dy, ddx, ddy = blocks[s]
+        return [(np.multiply, 0.0, x, z), (np.add, y, z, f), (np.add, z, z, e),
+                (np.multiply, f, dx, gv), (np.multiply, e, dy, t), (np.add, gv, t, gv),
+                (np.multiply, gv, dx, ddx), (np.subtract, ddx, f, ddx),
+                (np.multiply, gv, dy, ddy), (np.subtract, ddy, e, ddy)]
 
-    ops = RK4.array_ops(blocks[:, 0:3], blocks[:, 2:5], shear, h,
-                        np.empty((3, n)), np.empty((3, n)))
-    ops += [(np.minimum, y_lo, blocks[0, 0], y_lo), (np.maximum, y_hi, blocks[0, 0], y_hi)]
+    ops = RK4.array_ops(blocks[:, 0:4], blocks[:, 2:6], shear, h,
+                        np.empty((4, n)), np.empty((4, n)))
+    ops += [(np.minimum, y_lo, blocks[0, 1], y_lo), (np.maximum, y_hi, blocks[0, 1], y_hi)]
     for _ in range(steps):
         for ufunc, x1, x2, out in ops:
             ufunc(x1, x2, out=out)
@@ -320,10 +327,10 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     record the extreme heights reached; the negative-control evidence that
     points in disjoint strips cannot be joined by a geodesic arc.
 
-    The RK4 tableau steps every angle as one lane, with E = 1 and no
-    boundary, on the shear's own equation x'' = y x' x' - y, y'' = y x' y',
-    with the scalar step's operations in its order; x feeds nothing back,
-    so a lane is (y, x', y').  The lanes run in one compiled C loop where
+    The RK4 tableau steps every angle as one lane (x, y, x', y'), with
+    E = 1 and no boundary, on the geodesic equation of the field as the
+    batched loop broadcast it (see :func:`_shear_stage`), with the scalar
+    step's operations in its order.  The lanes run in one compiled C loop where
     the system ``cc`` builds one, and as numpy array blocks otherwise, with
     bitwise the same results; ``SweepResult.kernel`` says which ran.  The
     flow is even in the velocity, so the backward half of each geodesic is
@@ -353,14 +360,15 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     if both_directions:
         dx = np.concatenate([dx, -dx])
         dy = np.concatenate([dy, -dy])
+    x = np.full(len(dx), x0)
     y = np.full(len(dx), y0)
     y_lo = y.copy()
     y_hi = y.copy()
     kernel = _sweep_kernel()
     if kernel is None:
-        _array_steps(steps, h, y, dx, dy, y_lo, y_hi)
+        _array_steps(steps, h, x, y, dx, dy, y_lo, y_hi)
     else:
-        kernel(len(y), steps, h, y, dx, dy, y_lo, y_hi)
+        kernel(len(y), steps, h, x, y, dx, dy, y_lo, y_hi)
     if both_directions:
         y_lo = np.minimum(y_lo[:n_angles], y_lo[n_angles:])
         y_hi = np.maximum(y_hi[:n_angles], y_hi[n_angles:])

@@ -394,6 +394,10 @@ def _sweep_bytes(sweep):
        st.floats(0.0, 0.5), st.floats(1e-3, 1e-1), st.booleans())
 @example(0.0, 0.0, 7, 0.3, 1e-2, True)
 @example(0.0, -0.0, 8, 0.3, 1e-2, False)
+# the 0 and pi lanes stay at a height of zero, whose sign the x terms decide
+@example(0.0, -0.0, 1, 0.5, 0.0625, True)
+# a lane whose x overflows while its height is still finite
+@example(4.0, 8.827037490723354, 29, 1.8210118514595248, 0.26832482305084654, False)
 # a blow-up: 12 of the 32 heights end non-finite
 @example(0.0, 8.0, 16, 2.0, 0.3, True)
 @settings(max_examples=25)
