@@ -267,7 +267,8 @@ class Kernel:
         Returns the 4-row blocks of the states it took, the number of steps
         and the last state, a tuple of floats; it stops early where the
         Python step must take over.  A global that is not a finite float
-        leaves every step to Python.
+        leaves every step to Python.  Each call passes n_full clipped to
+        its block's end, where it reads the same and fits an int64.
         """
         values = [step.__globals__.get(name) for name in self.globals]
         if not all(type(x) is float and math.isfinite(x) for x in values):
@@ -278,7 +279,8 @@ class Kernel:
         blocks, k = [], 0
         while k < n:
             block = np.empty((4, min(n - k, _BLOCK)))
-            done = self.fn(k, k + block.shape[1], n_full, g, s, state, block)
+            end = k + block.shape[1]
+            done = self.fn(k, end, min(n_full, end), g, s, state, block)
             blocks.append(block[:, :done])
             k += done
             if done < block.shape[1]:

@@ -14,6 +14,7 @@ as lanes of one compiled loop, or of numpy array blocks where none builds.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -279,9 +280,11 @@ def _kernel_source() -> str:
         ""])
 
 
+@functools.cache
 def _sweep_kernel():
-    """The compiled ``shear_sweep`` (see :func:`native.build`), or None where
-    it does not build or load, and the sweep then steps numpy array blocks."""
+    """The compiled ``shear_sweep`` (see :func:`native.build`), loaded on the
+    first call; None where it does not build or load, and the sweep then
+    steps numpy array blocks."""
     library = native.build(_kernel_source())
     if library is None:
         return None

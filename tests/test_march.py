@@ -286,11 +286,11 @@ def assert_runs_agree(run):
     return got, taken
 
 
-def config(chart, field, state, span):
+def config(chart, field, state, span, h=1e-3):
     return ScenarioConfig.from_dict({
         "version": 1, "id": "long", "chart": chart, "field": field, "span": span,
         "initial": {"position": list(state[:2]), "velocity": list(state[2:])},
-        "integrator": {"method": "rk4", "h": 1e-3}})
+        "integrator": {"method": "rk4", "h": h}})
 
 
 @pytest.mark.parametrize("field, state, what", [
@@ -302,17 +302,31 @@ def config(chart, field, state, span):
 def test_a_compiled_march_leaving_an_expression_s_domain_raises_its_config_error(field, state,
                                                                                  what):
     cfg = config("plane", field, state, [0.0, 10.0])
-    (kind, text), taken = assert_runs_agree(lambda: run_config(cfg))
+    (kind, text), taken = assert_runs_agree(lambda: run_config(cfg)[0])
     assert kind is ConfigError
     assert text.startswith(f"{what} failed at (x, y) = (") and text.endswith(
         "ValueError: math domain error")
     assert all(0 < k < NATIVE_MIN_STEPS for k in taken)
 
 
+def test_a_compiled_march_raises_where_only_an_unread_quotient_divides_by_zero():
+    # 0 times the quotient folds, so no statement reads 1/(x - c) or its
+    # partial, and only the volatile sink keeps C dividing.  The field is
+    # zero, so at h = 2^-10 the march from x = 0.5 steps x exactly, and the
+    # midpoint stage of step 256 lands on c, where no sample lies
+    cfg = config("plane", {"sigma": "0*(1/(x - 0.74951171875))"}, (0.5, 0.0, 1.0, 0.0),
+                 [0.0, 10.0], h=2.0 ** -10)
+    (kind, text), taken = assert_runs_agree(lambda: run_config(cfg)[0])
+    assert kind is ConfigError
+    assert text == ("expression '0*(1/(x - 0.74951171875))' failed at (x, y) = "
+                    "(0.74951171875, 0.0): ZeroDivisionError: float division by zero")
+    assert all(0 < k < NATIVE_MIN_STEPS for k in taken)
+
+
 def test_a_compiled_march_into_a_degenerate_metric_raises_the_python_error():
     # g = diag(x, 1) degenerates at x = 0, where the launch heads
     cfg = config({"metric": {"g11": "x", "g22": "1"}}, "zero", (1.0, 0.0, -1.0, 0.0), [0.0, 10.0])
-    (kind, text), taken = assert_runs_agree(lambda: run_config(cfg))
+    (kind, text), taken = assert_runs_agree(lambda: run_config(cfg)[0])
     assert kind is MetricDegeneracyError
     assert all(0 < k < NATIVE_MIN_STEPS for k in taken)
 
@@ -328,6 +342,14 @@ def test_a_runaway_speed_overflows_in_python_and_stops_at_the_boundary():
             rt.chart, rt.field, launch, IntegratorSettings(t0=0.0, t1=-100.0, h=1e-2)))
     assert stop == STOP_BOUNDARY
     assert all(0 < k < NATIVE_MIN_STEPS for k in taken)
+
+
+def test_a_step_count_beyond_int64_steps_h():
+    # 10^19 full steps do not fit the kernel's int64 count; only the first
+    # 20 000 are taken, each of them with h
+    make_step, _, _, y, _ = halves("plane-winding-offset")[0]
+    args = (make_step, 0.0, 1e16, y, IntegratorSettings(t1=1e16, h=1e-3, max_steps=20_000))
+    assert assert_marches_agree(args) == STOP_MAX_STEPS
 
 
 def test_a_huge_planned_march_that_exits_early_keeps_only_its_rows():

@@ -1,3 +1,4 @@
+import functools
 import math
 import shutil
 from unittest import mock
@@ -425,7 +426,9 @@ def test_blow_up_example_has_non_finite_lanes():
 @pytest.mark.parametrize("broken", ["no cc on the path", "source that does not compile"])
 def test_sweep_falls_back_to_numpy_without_a_kernel(monkeypatch, broken):
     compiled = shooting_sweep(origin=(0.3, -0.7), n_angles=9, t_max=1.0, h=1e-2)
-    # an uncached build, so the process's compiled kernel stays cached
+    # a fresh loader and an uncached build, so the process's compiled kernel
+    # stays cached
+    monkeypatch.setattr(plane, "_sweep_kernel", functools.cache(plane._sweep_kernel.__wrapped__))
     monkeypatch.setattr(native, "build", native.build.__wrapped__)
     if broken == "no cc on the path":
         monkeypatch.setenv("PATH", "")
