@@ -329,20 +329,22 @@ def integrate(chart: ChartGeometry, field: VectorFieldSpec,
     (``t1 < t0``) is integrated forward from the negated launch velocity
     and reflected back.  ``settings.method`` is not read; the trace's
     settings record ``"rk4"``.  A march of at least ``NATIVE_MIN_STEPS``
-    steps runs a compiled loop of the same step where one builds, with the
-    same bits (see :mod:`native`).
+    steps, or one whose step text has already stepped that many in Python
+    in earlier marches of the process, runs a compiled loop of the same
+    step where one builds, with the same bits (see :mod:`native`).
     """
     return _run(_rk4_march, "rk4", chart, field, initial, settings, scenario_id)
 
 
 #: The planned step count from which an RK4 march with no kernel loaded
-#: builds one (see :func:`native.rk4_kernel`).  A ``cc`` build takes
-#: 70-135 ms and a Python step 2.5-3.9 us (catalog texts, 2-vCPU host,
-#: CPython 3.11, GCC 12), so the build pays for itself over 20 000-50 000
-#: steps: one two-sided run at this count a side, whose halves share one
-#: text, and any later march of the text in the process, which finds the
-#: kernel loaded.  A shorter march with no kernel loaded runs in Python, so
-#: a one-shot run of a short span builds nothing.
+#: builds one, and the Python steps a text's earlier marches must add up
+#: to before a shorter march of it builds one (see
+#: :func:`native.rk4_kernel`).  A ``cc`` build takes 70-135 ms and a Python
+#: step 2.5-3.9 us (catalog texts, 2-vCPU host, CPython 3.11, GCC 12), so
+#: 10 000 Python steps cost about one build: the rent-or-buy rule pays per
+#: step until the steps paid reach a build's cost, then builds.  Only
+#: earlier marches count, so a one-shot run of a short span builds
+#: nothing, and a text marched again builds once its tally is full.
 NATIVE_MIN_STEPS = 10_000
 
 
@@ -358,7 +360,7 @@ def _rk4_march(make_step, t0, t1, y, settings):
     n = min(total, settings.max_steps)
     stop = STOP_MAX_STEPS if total > settings.max_steps else STOP_TIME
     launch, blocks, k = y, [], 0
-    kernel = native.rk4_kernel(step, load=n >= NATIVE_MIN_STEPS)
+    kernel = native.rk4_kernel(step, n, NATIVE_MIN_STEPS)
     if kernel is not None:
         # the compiled loop stops before any step that leaves the box,
         # fails a check or raises a flag; the Python step takes it from there

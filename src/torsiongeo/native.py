@@ -6,8 +6,10 @@ sweep's kernel and the RK4 march's kernels both go through it.
 :func:`rk4_kernel` translates the RK4 step a runtime's module compiled
 (:meth:`expr.FusedRHS.step`) into one C function that runs a whole march,
 statement by statement, so every step it takes is bitwise the Python
-step's.  Nothing is cached on disk and no option selects a kernel: where
-no kernel translates, builds or loads, the Python code runs instead.
+step's; it builds a text's kernel for a long march, or once the text's
+shorter marches have stepped as long in Python.  Nothing is cached on
+disk and no option selects a kernel: where no kernel translates, builds
+or loads, the Python code runs instead.
 """
 
 from __future__ import annotations
@@ -288,21 +290,40 @@ class Kernel:
         return blocks, k, tuple(state.tolist())
 
 
+#: Each step text's compiled march, or None where it does not translate or
+#: build; a text is tried once per process.
 _KERNELS: dict[str, Kernel | None] = {}
+#: The steps of the marches that rk4_kernel has left to Python in this
+#: process, per text not yet in _KERNELS.
+_STEPPED: dict[str, int] = {}
 
 
-def rk4_kernel(step, load: bool) -> Kernel | None:
+def rk4_kernel(step, n: int, min_steps: int) -> Kernel | None:
     """The compiled march of the text of ``step``, an RK4 step
-    :meth:`expr.FusedRHS.step` returned: the one already loaded in this
-    process, else, where ``load``, one translated and built now; None where
-    none is loaded and ``load`` is false, or where the text does not
-    translate or build (which is not tried again)."""
+    :meth:`expr.FusedRHS.step` returned, for a march of ``n`` steps: the
+    one already loaded in this process; else one translated and built now,
+    where ``n >= min_steps`` or where the earlier marches of the text that
+    this function left to Python add up to at least ``min_steps`` steps;
+    else None, and the march's ``n`` steps count towards the text's build.
+    None too where the text does not translate or build (which is not
+    tried again).
+
+    This is the rent-or-buy rule: a text pays per step in Python until its
+    Python steps add up to the cost of one build, then builds.  Only
+    earlier marches count, so a text marched once builds only where that
+    march is long, and a text marched again builds once, in a later march.
+    A text leaves the tally once its build is tried, so the tally holds
+    only the texts still stepping in Python.
+    """
     text = step.__globals__.get("_source_rk4")
     if text is None:
         return None
     if text not in _KERNELS:
-        if not load:
+        stepped = _STEPPED.get(text, 0)
+        if n < min_steps and stepped < min_steps:
+            _STEPPED[text] = stepped + n
             return None
+        _STEPPED.pop(text, None)
         _KERNELS[text] = _load(text)
     return _KERNELS[text]
 

@@ -260,6 +260,9 @@ def _kernel_source() -> str:
     return "\n".join([
         "#include <math.h>",
         "#include <stdint.h>",
+        "#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)",
+        "__attribute__((target(\"prefer-vector-width=512\")))",
+        "#endif",
         "void shear_sweep(int64_t n, int64_t steps, double h, double *restrict x,",
         "                 double *restrict y, double *restrict dx, double *restrict dy,",
         "                 double *restrict lo, double *restrict hi)",

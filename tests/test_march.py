@@ -113,7 +113,13 @@ def halves(sid, max_steps=5_000_000):
 
 def python_only():
     """Within it, no march finds a compiled kernel."""
-    return mock.patch.object(native, "rk4_kernel", lambda step, load: None)
+    return mock.patch.object(native, "rk4_kernel", lambda step, n, min_steps: None)
+
+
+def loaded(step):
+    """The kernel of the text of ``step`` that this process has loaded,
+    without building one (a march of no steps counts nothing)."""
+    return native.rk4_kernel(step, 0, math.inf)
 
 
 def python_march(*args):
@@ -125,7 +131,7 @@ def compiled_march(make_step, *args):
     """The march with its text's kernel loaded, so that it takes the
     compiled loop whatever its length, where the text translates and cc
     builds."""
-    native.rk4_kernel(make_step(RK4), load=True)
+    native.rk4_kernel(make_step(RK4), 0, 0)
     return _rk4_march(make_step, *args)
 
 
@@ -153,7 +159,7 @@ def assert_marches_agree(args):
 def test_row_march_equals_the_five_list_march_on_the_catalog(sid):
     stops = [assert_marches_agree(args) for args in halves(sid)]
     make_step = halves(sid)[0][0]
-    assert (native.rk4_kernel(make_step(RK4), load=False) is not None) == HAVE_CC
+    assert (loaded(make_step(RK4)) is not None) == HAVE_CC
     if sid in ("sphere-meridian", "pseudosphere-meridian"):
         assert stops == [STOP_BOUNDARY, STOP_BOUNDARY]
 
@@ -246,7 +252,7 @@ def test_only_texts_that_call_libm_as_math_does_compile(p, translates):
     text = args[0](RK4).__globals__["_source_rk4"]
     assert (native.march_source(text) is not None) == translates
     assert assert_marches_agree(args) == STOP_TIME
-    assert (native.rk4_kernel(args[0](RK4), load=False) is not None) == (translates and HAVE_CC)
+    assert (loaded(args[0](RK4)) is not None) == (translates and HAVE_CC)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +373,13 @@ def test_march_falls_back_to_python_without_a_kernel(monkeypatch, broken):
     want = march_bits(python_march, args)
     # a fresh loader and build cache, so the process's kernels stay loaded
     monkeypatch.setattr(native, "_KERNELS", {})
+    monkeypatch.setattr(native, "_STEPPED", {})
     monkeypatch.setattr(native, "build", native.build.__wrapped__)
     if broken == "no cc on the path":
         monkeypatch.setenv("PATH", "")
     else:
         monkeypatch.setattr(native, "march_source", lambda text: ("not C\n", ()))
-    assert native.rk4_kernel(args[0](RK4), load=True) is None
+    assert native.rk4_kernel(args[0](RK4), 0, 0) is None
     assert march_bits(_rk4_march, args) == want
 
 
@@ -404,3 +411,72 @@ def test_short_marches_and_set_up_start_no_compiler():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.splitlines() == ["[]", "['cc']"]
+
+
+def fresh_process(*lines):
+    """The lines of standard output of ``lines`` run in a fresh process,
+    where ``calls`` lists the programs that ``subprocess.run`` started."""
+    code = "\n".join([
+        "import subprocess",
+        "calls = []",
+        "real = subprocess.run",
+        "subprocess.run = lambda *a, **k: calls.append(a[0][0]) or real(*a, **k)",
+        *lines])
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "PATH": os.environ.get("PATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    return out.stdout.splitlines()
+
+
+def test_a_repeated_short_march_builds_once_its_python_steps_reach_the_threshold():
+    # sphere-loxodrome-45 plans 2 000 steps a side, so three runs are 12 000
+    # Python steps of one text; the third run's backward half is the first
+    # march whose earlier steps reach NATIVE_MIN_STEPS.  Once it tries the
+    # build, the text leaves the tally, whether or not cc exists
+    assert NATIVE_MIN_STEPS == 10_000
+    out = fresh_process(
+        "import hashlib",
+        "from torsiongeo import native",
+        "from torsiongeo.integrate import COLUMNS",
+        "from torsiongeo.scenarios import CATALOG, run_scenario",
+        "for _ in range(3):",
+        "    tr = run_scenario(CATALOG['sphere-loxodrome-45'])",
+        "    digest = hashlib.sha256(b''.join(getattr(tr, c).tobytes() for c in COLUMNS))",
+        "    print(len(calls), sorted(native._STEPPED.values()), digest.hexdigest())")
+    assert [line.rsplit(" ", 1)[0] for line in out] == [
+        "0 [4000]", "0 [8000]", f"{int(HAVE_CC)} []"]
+    assert len({line.rsplit(" ", 1)[1] for line in out}) == 1
+
+
+def test_criterion_2_builds_its_conformal_kernels_in_later_rounds():
+    # c2's Levi-Civita marches plan 5 000-9 000 steps each, on four
+    # ~conformal charts; the base traces c2 reads are computed first, so
+    # only those marches run in the rounds
+    out = fresh_process(
+        "import math",
+        "from torsiongeo import native",
+        "from torsiongeo.conformal import conformal_metric",
+        "from torsiongeo.geometry import VectorFieldSpec",
+        "from torsiongeo.integrate import RK4, _make_step",
+        "from torsiongeo.scenarios import build_runtime",
+        "from torsiongeo.suite import SuiteContext, criterion_conformal_equivalence",
+        "ctx = SuiteContext()",
+        "for sid in ('sphere-loxodrome-45', 'catenoid-loxodrome-45', 'plane-gradient-halfplane'):",
+        "    ctx.trace(sid)",
+        "calls.clear()",
+        "def loaded(key):",
+        "    rt = build_runtime(key)",
+        "    chart = conformal_metric(rt.chart, rt.field)",
+        "    step = _make_step(chart, VectorFieldSpec.zero(), 1.0, RK4)",
+        "    return native.rk4_kernel(step, 0, math.inf) is not None",
+        "for _ in range(3):",
+        "    res = criterion_conformal_equivalence(ctx)",
+        "    print(len(calls), [loaded(k) for k in",
+        "                       ('sphere', 'pseudosphere', 'catenoid', 'halfplane-sigma')])",
+        "    print(res.detail_lines())")
+    rounds = [(out[i], out[i + 1]) for i in range(0, len(out), 2)]
+    assert len(rounds) == 3
+    assert rounds[0][0] == "0 [False, False, False, False]"
+    assert rounds[2][0].endswith(f"[{', '.join([str(HAVE_CC)] * 4)}]")
+    assert len({lines for _, lines in rounds}) == 1

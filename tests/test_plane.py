@@ -446,6 +446,33 @@ def test_sweep_runs_the_compiled_kernel_where_cc_exists():
     assert shooting_sweep(n_angles=4, t_max=0.1).kernel == "c"
 
 
+@pytest.mark.parametrize("n_angles", [1, 7, 8, 9, 15, 17, 33, 1440])
+@pytest.mark.parametrize("both_directions", [True, False])
+def test_compiled_sweep_equals_the_array_blocks_at_every_remainder(n_angles, both_directions):
+    # a 512-bit loop steps 8 lanes at once and the rest in its epilogue; the
+    # batch holds n_angles lanes, or twice that with both directions
+    kwargs = dict(origin=(0.3, -0.7), n_angles=n_angles, t_max=1.0, h=1e-2,
+                  both_directions=both_directions)
+    compiled = shooting_sweep(**kwargs)
+    with mock.patch.object(plane, "_sweep_kernel", lambda: None):
+        fallback = shooting_sweep(**kwargs)
+    assert compiled.kernel == ("c" if shutil.which("cc") else "numpy")
+    assert fallback.kernel == "numpy"
+    assert _sweep_bytes(compiled) == _sweep_bytes(fallback)
+
+
+def test_the_sweep_asks_for_512_bit_vectors_only_under_gcc_on_x86_64():
+    lines = plane._kernel_source().splitlines()
+    wide = [i for i, line in enumerate(lines) if "prefer-vector-width" in line]
+    assert len(wide) == 1
+    i = wide[0]
+    assert lines[i - 1:i + 2] == [
+        "#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)",
+        '__attribute__((target("prefer-vector-width=512")))',
+        "#endif"]
+    assert lines[i + 2].startswith("void shear_sweep(")
+
+
 @given(st.floats(-4.0, 4.0), st.floats(-3.0, 3.0), st.integers(1, 64), st.floats(0.0, 5.0))
 @settings(max_examples=50)
 def test_every_sweep_launch_stays_in_its_own_strip(x0, y0, n_angles, t_max):
