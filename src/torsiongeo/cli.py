@@ -27,6 +27,8 @@ from .traceio import all_passed, read_trace_csv, write_reports_json, write_trace
 
 USAGE_ERROR = 2
 REPORT_FAILURE = 1
+#: The artifacts ``integrate --format`` writes.
+FORMATS = {"csv", "json", "svg"}
 
 
 def _out_dir(args) -> Path:
@@ -38,6 +40,10 @@ def _out_dir(args) -> Path:
 def _cmd_integrate(args) -> int:
     if bool(args.config) == bool(args.scenario):
         raise ConfigError("give exactly one of --config or --scenario")
+    formats = set((args.format or "csv,json").split(","))
+    if not formats <= FORMATS:
+        raise ConfigError(f"unknown format {', '.join(sorted(formats - FORMATS))!r}; "
+                          f"known: {', '.join(sorted(FORMATS))}")
     if args.config:
         config = ScenarioConfig.from_file(args.config)
     else:
@@ -50,7 +56,6 @@ def _cmd_integrate(args) -> int:
     trace, reports = run_config(config)
     sid = config.scenario.id
     out = _out_dir(args)
-    formats = set((args.format or "csv,json").split(","))
     written = []
     if "csv" in formats:
         written.append(write_trace_csv(trace, out / f"{sid}.csv"))
@@ -150,7 +155,10 @@ def _cmd_strip_bounds(args) -> int:
 def _cmd_plot(args) -> int:
     traces: list[Trace] = []
     for path in args.csv or []:
-        traces.append(read_trace_csv(path))
+        try:
+            traces.append(read_trace_csv(path))
+        except OSError as exc:
+            raise ConfigError(f"cannot read trace CSV: {exc}") from exc
     for sid in args.scenario or []:
         base = CATALOG.get(sid)
         if base is None:
@@ -251,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the acceptance suite")
     p.add_argument("--criteria", type=int, action="append",
-                   help="criterion index (repeatable; default all)")
+                   choices=range(1, len(suite.ALL_CRITERIA) + 1), metavar="N",
+                   help=f"criterion index 1-{len(suite.ALL_CRITERIA)} (repeatable; default all)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", help="write suite-summary.json here")
     p.add_argument("--verbose", action="store_true")

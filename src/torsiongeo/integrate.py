@@ -167,12 +167,10 @@ class Tableau:
     ``a`` holds the Butcher matrix rows below the diagonal (the system is
     autonomous, so the nodes are not needed), ``b`` the weights, each divided
     by ``divisor``, and ``err`` the optional error-estimate weights.  Zero
-    coefficients are skipped and unit ones dropped; a lone coefficient
-    multiplies h before the slope, one array op instead of two in a sweep.
-    :meth:`emit` writes the scalar step and :meth:`array_ops` the array one,
-    with the same operations in the same order.  The assignments :meth:`emit`
-    writes are also valid C with the same grouping, which the shooting
-    sweep's compiled kernel relies on.
+    coefficients are skipped and unit ones dropped, and a lone coefficient
+    multiplies h before the slope.  The assignments :meth:`emit` writes are
+    also valid C with the same grouping, which the compiled marches and the
+    shooting sweep's two kernels rely on.
     """
 
     name: str
@@ -221,37 +219,6 @@ class Tableau:
                       for j, n in enumerate(("eu", "ev", "ep", "eq"))]
             lines.append("    return (un, vn, pn, qn), (eu, ev, ep, eq)")
         return "\n".join(lines) + "\n"
-
-    def array_ops(self, states, slopes, rhs, h, tmp, acc) -> list[tuple]:
-        """One step on array blocks as ``(ufunc, x1, x2, out)`` calls.
-
-        Stage s's state is the block ``states[s]`` and its slope
-        ``slopes[s]``, which ``rhs(s)``'s calls fill from the state; the
-        step overwrites ``states[0]``.  ``tmp`` and ``acc`` are scratch
-        blocks of the state's shape.
-        """
-        ops = rhs(0)
-
-        def update(out, weights, den=1.0):
-            (w, k), *rest = [(w, k) for w, k in zip(weights, slopes) if w != 0.0]
-            if not rest and den == 1.0:
-                return [(np.multiply, k, h if w == 1.0 else w * h, tmp),
-                        (np.add, states[0], tmp, out)]
-            calls, total = ([], k) if w == 1.0 else ([(np.multiply, k, w, acc)], acc)
-            for w, k in rest:
-                if w != 1.0:
-                    calls.append((np.multiply, k, w, tmp))
-                    k = tmp
-                calls.append((np.add, total, k, acc))
-                total = acc
-            calls.append((np.multiply, total, h, acc))
-            if den != 1.0:
-                calls.append((np.divide, acc, den, acc))
-            return calls + [(np.add, states[0], acc, out)]
-
-        for s, row in enumerate(self.a, start=1):
-            ops += update(states[s], row) + rhs(s)
-        return ops + update(states[0], self.b, self.divisor)
 
 
 RK4 = Tableau("rk4", ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)

@@ -9,7 +9,8 @@ velocity angle theta; its singular levels, where y' = 0, confine generic
 geodesics to horizontal strips.
 
 Pure computations throughout; the shooting sweep steps its launch angles
-as lanes of one compiled loop, or of numpy array blocks where none builds.
+as lanes of one compiled loop, or as numpy lane arrays where none builds,
+both from the one RK4 step text the tableau emits.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import native
 from .audit import InvariantReport, make_report
+from .expr import _code
 from .geometry import PLANE, FieldSource, VectorFieldSpec, built_in_runtime
 from .integrate import RK4, GeodesicState, Trace
 
@@ -118,35 +120,39 @@ def strip_bounds(y0: float, dy0: float, dx0: float) -> StripBounds:
     """Strip of the shear-field geodesic launched at height y0 with
     velocity (dx0, dy0), |velocity| = 1.
 
-    Along the geodesic y' = sin(y^2/2 - c), with c = y0^2/2 - atan2(dy0, dx0),
-    so the strip lies between the nearest roots y = +/-sqrt(2 (c + k pi)) of
-    the right side (-inf or inf where none lies within 256 values of k).  A
-    horizontal launch (dy0 = 0) makes y0 itself a root and the strip
-    degenerates to the line y = y0.
+    Along the geodesic y' = sin(y^2/2 - c), with c = y0^2/2 - theta0 for the
+    launch angle theta0 = atan2(dy0, dx0) in (-pi, pi], so the strip lies
+    between the nearest roots y = +/-sqrt(2 (c + k pi)) of the right side.
+    The launch lies on the level of k = theta0 / pi, so its neighbours have
+    k = -1, 0 or 1, and the root nearest to y = 0 is one of theirs too; k
+    runs over -2..2, as a level can round past y0.  A horizontal launch
+    (dy0 = 0) makes y0 itself a root and the strip degenerates to the line
+    y = y0.  A non-finite input, or a launch so high that c or a
+    neighbouring level overflows, raises ValueError.
     """
+    if not (math.isfinite(y0) and math.isfinite(dy0) and math.isfinite(dx0)):
+        raise ValueError(f"launch must be finite, got y0 = {y0}, velocity = ({dx0}, {dy0})")
     _require_unit_speed(math.hypot(dx0, dy0))
     c = 0.5 * y0 * y0 - math.atan2(dy0, dx0)
+    if not math.isfinite(c):
+        raise ValueError(f"launch height {y0} overflows the shear invariant")
     if dy0 == 0.0:
         return StripBounds(c=c, lower=y0, upper=y0)
     levels: list[float] = []
-    k0 = math.ceil(-c / math.pi)
-    for k in range(k0, k0 + 256):
+    for k in range(-2, 3):
         val = 2.0 * (c + k * math.pi)
         if val < 0.0:
             continue
+        if val == math.inf:
+            raise ValueError(f"launch height {y0} overflows its singular levels")
         m = math.sqrt(val)
         levels.extend([m, -m] if m > 0.0 else [0.0])
-        if m > abs(y0) + 1.0:
-            break
     # a root that rounds onto y0 lies at y0 + (k pi - theta0) / y0 to first
-    # order, for the launch angle theta0 = y0^2/2 - c; theta0 - k pi is then
-    # small with the sign of dy0 dx0, so the root lies on the side of
-    # -dy0 dx0 y0
+    # order; theta0 - k pi is then small with the sign of dy0 dx0, so the
+    # root lies on the side of -dy0 dx0 y0
     side = -dy0 * dx0 * y0
-    lower = max((lv for lv in levels if lv < y0 or (lv == y0 and side < 0.0)),
-                default=-math.inf)
-    upper = min((lv for lv in levels if lv > y0 or (lv == y0 and side > 0.0)),
-                default=math.inf)
+    lower = max(lv for lv in levels if lv < y0 or (lv == y0 and side < 0.0))
+    upper = min(lv for lv in levels if lv > y0 or (lv == y0 and side > 0.0))
     return StripBounds(c=c, lower=lower, upper=upper)
 
 
@@ -222,7 +228,7 @@ def strip_quadrature(y0: float, y: float, strip: StripBounds) -> StripTime:
 @dataclass
 class SweepResult:
     """Each angle's lowest and highest height, and the kernel that stepped
-    them: ``"c"`` for the compiled loop, ``"numpy"`` for the array blocks."""
+    them: ``"c"`` for the compiled loop, ``"numpy"`` for the lane arrays."""
 
     angles: np.ndarray
     y_min: np.ndarray
@@ -242,21 +248,26 @@ def _shear_stage(s, x, y, dx, dy, ddx, ddy):
             f"{ddy} = -e{s} + g{s} * {dy}"]
 
 
+def _statements() -> list[tuple[str, str]]:
+    """The ``(name, value)`` assignments of the RK4 step :meth:`Tableau.emit`
+    writes for :func:`_shear_stage`, in order and less its box checks: one
+    step of the lane (u, v, du, dv) to (un, vn, pn, qn), which both sweep
+    kernels run.  They use only + - * / and unary minus, which C doubles,
+    Python floats and numpy arrays round alike, with the same left-to-right
+    grouping, so the two kernels give the same bits."""
+    return [(m[1], m[2]) for line in RK4.emit(_shear_stage).splitlines()
+            if (m := re.fullmatch(r"\s*(\w+) = (.+)", line))]
+
+
 def _kernel_source() -> str:
     """C source of ``shear_sweep(n, steps, h, x, y, dx, dy, lo, hi)``, which
     steps n lanes ``steps`` times and folds each new height into lo and hi.
 
-    The loop body is the RK4 step :meth:`Tableau.emit` writes for the scalar
-    integrator, whose statements are valid C with the same left-to-right
-    grouping, less its box checks.  The min and max return the first operand where it is a NaN or
-    the strict winner and the second otherwise, as np.minimum and
-    np.maximum do, so an overflowing lane gives the same bytes.
+    The loop body is :func:`_statements`, each a ``const double``.  The min
+    and max return the first operand where it is a NaN or the strict winner
+    and the second otherwise, as np.minimum and np.maximum do, so an
+    overflowing lane gives the same bytes.
     """
-    body = []
-    for line in RK4.emit(_shear_stage).splitlines():
-        match = re.fullmatch(r"\s*(\w+) = (.+)", line)
-        if match:
-            body.append(f"            const double {match[1]} = {match[2]};")
     return "\n".join([
         "#include <math.h>",
         "#include <stdint.h>",
@@ -270,7 +281,7 @@ def _kernel_source() -> str:
         "    for (int64_t k = 0; k < steps; k++) {",
         "        for (int64_t i = 0; i < n; i++) {",
         "            const double u = x[i], v = y[i], du = dx[i], dv = dy[i];",
-        *body,
+        *(f"            const double {name} = {value};" for name, value in _statements()),
         "            x[i] = un;",
         "            y[i] = vn;",
         "            dx[i] = pn;",
@@ -287,7 +298,7 @@ def _kernel_source() -> str:
 def _sweep_kernel():
     """The compiled ``shear_sweep`` (see :func:`native.build`), loaded on the
     first call; None where it does not build or load, and the sweep then
-    steps numpy array blocks."""
+    steps numpy lane arrays (see :func:`_lanes`)."""
     library = native.build(_kernel_source())
     if library is None:
         return None
@@ -301,29 +312,27 @@ def _sweep_kernel():
     return kernel
 
 
+@functools.cache
+def _lanes():
+    """``lanes(u, v, du, dv, h) -> (un, vn, pn, qn)``, :func:`_statements`
+    as one Python function; called on numpy lane arrays, it steps them all
+    as the compiled loop does, bit for bit."""
+    source = "\n".join(["def lanes(u, v, du, dv, h):",
+                        *(f"    {name} = {value}" for name, value in _statements()),
+                        "    return un, vn, pn, qn", ""])
+    namespace: dict = {}
+    exec(_code(source, "shear-sweep lanes"), namespace)
+    return namespace["lanes"]
+
+
 def _array_steps(steps: int, h: float, x, y, dx, dy, y_lo, y_hi) -> None:
-    """``shear_sweep``'s lo and hi from numpy array blocks: the RK4 tableau's
-    :meth:`Tableau.array_ops` on a stacked (x, y, x', y', x'', y'') block per
-    stage, whose state is rows 0:4 and whose slope the overlapping rows 2:6,
-    then np.minimum and np.maximum."""
-    n = len(y)
-    blocks = np.empty((len(RK4.a) + 1, 6, n))
-    blocks[0, :4] = x, y, dx, dy
-    z, f, e, gv, t = np.empty((5, n))
-
-    def shear(s):
-        x, y, dx, dy, ddx, ddy = blocks[s]
-        return [(np.multiply, 0.0, x, z), (np.add, y, z, f), (np.add, z, z, e),
-                (np.multiply, f, dx, gv), (np.multiply, e, dy, t), (np.add, gv, t, gv),
-                (np.multiply, gv, dx, ddx), (np.subtract, ddx, f, ddx),
-                (np.multiply, gv, dy, ddy), (np.subtract, ddy, e, ddy)]
-
-    ops = RK4.array_ops(blocks[:, 0:4], blocks[:, 2:6], shear, h,
-                        np.empty((4, n)), np.empty((4, n)))
-    ops += [(np.minimum, y_lo, blocks[0, 1], y_lo), (np.maximum, y_hi, blocks[0, 1], y_hi)]
+    """``shear_sweep``'s lo and hi from numpy lane arrays: :func:`_lanes`
+    once per step, then np.minimum and np.maximum."""
+    lanes = _lanes()
     for _ in range(steps):
-        for ufunc, x1, x2, out in ops:
-            ufunc(x1, x2, out=out)
+        x, y, dx, dy = lanes(x, y, dx, dy, h)
+        np.minimum(y_lo, y, out=y_lo)
+        np.maximum(y_hi, y, out=y_hi)
 
 
 def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720,
@@ -335,10 +344,11 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
 
     The RK4 tableau steps every angle as one lane (x, y, x', y'), with
     E = 1 and no boundary, on the geodesic equation of the field as the
-    batched loop broadcast it (see :func:`_shear_stage`), with the scalar
-    step's operations in its order.  The lanes run in one compiled C loop where
-    the system ``cc`` builds one, and as numpy array blocks otherwise, with
-    bitwise the same results; ``SweepResult.kernel`` says which ran.  The
+    batched loop broadcast it (see :func:`_shear_stage`).  Both kernels run
+    the scalar step's statements (see :func:`_statements`): in one compiled
+    C loop where the system ``cc`` builds one, and on numpy lane arrays
+    otherwise, with bitwise the same results; ``SweepResult.kernel`` says
+    which ran.  The
     flow is even in the velocity, so the backward half of each geodesic is
     the forward run from the exactly negated launch velocity: with
     ``both_directions`` those launches join the same batch and the two

@@ -98,7 +98,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["integrate", "--out-dir", str(tmp_path)]) == 2
     assert main(["integrate", "--scenario", "no-such", "--out-dir", str(tmp_path)]) == 2
     assert main(["no-such-command"]) == 2
-    capsys.readouterr()
+    # a launch height whose shear invariant overflows, and a non-finite one
+    assert main(["strip-bounds", "--y0", "1e200", "--vx", "1", "--vy", "1"]) == 2
+    assert main(["strip-bounds", "--y0", "nan", "--vx", "1", "--vy", "1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
     # nested JSON values of the wrong shape
     for i, cfg in enumerate([
         dict(CONFIG, integrator="rk4"),
@@ -257,6 +260,34 @@ def test_strip_bounds_verify_integrates_the_exact_launch(capsys):
     assert "strip = (-1.72712276586, 1.72712276586)" in out
     assert "confinement: PASS" in out
     assert code == 0
+
+
+@pytest.mark.parametrize("criterion", ["0", "11", "99"])
+def test_suite_rejects_a_criterion_outside_1_to_10(criterion, capsys):
+    assert main(["suite", "--criteria", criterion]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+
+
+def test_plot_of_a_missing_csv_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["plot", "--csv", str(missing), "--out", str(tmp_path / "fig.svg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read trace CSV: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "fig.svg").exists()
+
+
+@pytest.mark.parametrize("formats", ["xyz", "csv,xyz", "csv,,json"])
+def test_integrate_rejects_an_unknown_format_before_it_runs(formats, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["integrate", "--scenario", "plane-straight", "--format", formats,
+                 "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown format ")
+    assert not out.exists()
 
 
 def test_mercator_subcommand(tmp_path, capsys):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geometry_checks import constant_field
 from torsiongeo import native, plane
@@ -268,6 +268,36 @@ def test_strip_bounds_bracket_and_are_levels_for_random_launches():
             assert abs(math.sin(0.5 * level ** 2 - sb.c)) < 1e-9
 
     run()
+
+
+@given(st.floats(3.0, 1e3), st.booleans(), st.floats(-math.pi, math.pi))
+@example(50.0, False, math.atan2(0.6, 0.8))
+@settings(max_examples=200)
+def test_strip_bounds_of_high_launches_are_the_neighbouring_levels(height, below, angle):
+    # the launch sits on the level y^2 = y0^2 + 2 (k pi - theta0) at
+    # k = theta0 / pi; its neighbours are the levels at floor(theta0 / pi)
+    # and the next k, mirrored for a launch below the axis
+    y0 = -height if below else height
+    dx0, dy0 = math.cos(angle), math.sin(angle)
+    assume(abs(dy0) > 1e-6)
+    theta0 = math.atan2(dy0, dx0)
+    k = math.floor(theta0 / math.pi)
+    near, far = (math.sqrt(y0 * y0 + 2.0 * (j * math.pi - theta0)) for j in (k, k + 1))
+    sb = strip_bounds(y0, dy0, dx0)
+    lower, upper = (-far, -near) if below else (near, far)
+    assert sb.lower == pytest.approx(lower, rel=1e-12)
+    assert sb.upper == pytest.approx(upper, rel=1e-12)
+    assert sb.lower < y0 < sb.upper
+
+
+@pytest.mark.parametrize("y0, dy0, dx0", [
+    (math.nan, 0.6, 0.8), (math.inf, 0.6, 0.8), (1.0, math.nan, 0.8), (1.0, 0.6, math.nan),
+    (1e200, 0.6, 0.8),  # y0^2 / 2 overflows
+    (1.5e154, 0.6, 0.8),  # c is finite, 2 (c + k pi) is not
+])
+def test_strip_bounds_reject_non_finite_launches_and_levels(y0, dy0, dx0):
+    with pytest.raises(ValueError):
+        strip_bounds(y0, dy0, dx0)
 
 
 @pytest.mark.parametrize("y0, dy0, dx0, lower, upper", [
