@@ -39,7 +39,7 @@ class DifferenceTensor:
 
     Construction enforces the defining antisymmetry A[x, j, k] = -A[x, k, j]
     exactly: arrays within roundoff of the class are projected onto it,
-    anything further away is rejected.
+    anything further away, or not finite once projected, is rejected.
     """
 
     values: np.ndarray
@@ -49,10 +49,13 @@ class DifferenceTensor:
         if a.ndim != 3 or len(set(a.shape)) != 1:
             raise ValueError(f"expected a cubic (n, n, n) array, got shape {a.shape}")
         swapped = a.swapaxes(1, 2)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a + swapped)) > _CLASS_TOL * scale:
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.values = 0.5 * (a - swapped)
+            excess = np.max(np.abs(a + swapped))
+        if not np.all(np.isfinite(self.values)):  # a non-finite entry of a ends here too
+            raise ValueError("tensor entries must be finite, also once antisymmetrized")
+        if excess > _CLASS_TOL * max(1.0, float(np.max(np.abs(a)))):
             raise ValueError("tensor is not antisymmetric in its last two slots")
-        self.values = 0.5 * (a - swapped)
 
     @property
     def n(self) -> int:

@@ -168,9 +168,7 @@ class Tableau:
     autonomous, so the nodes are not needed), ``b`` the weights, each divided
     by ``divisor``, and ``err`` the optional error-estimate weights.  Zero
     coefficients are skipped and unit ones dropped, and a lone coefficient
-    multiplies h before the slope.  The assignments :meth:`emit` writes are
-    also valid C with the same grouping, which the compiled marches and the
-    shooting sweep's two kernels rely on.
+    multiplies h before the slope.
     """
 
     name: str
@@ -321,7 +319,7 @@ def _rk4_march(make_step, t0, t1, y, settings):
     span = t1 - t0
     n_full = int(math.floor(span / h + 1e-9))
     rem = span - n_full * h
-    if rem <= 1e-9 * h:
+    if n_full >= 1 and rem <= 1e-9 * h:  # a span shorter than h takes one short step
         rem = 0.0
     total = n_full + (1 if rem > 0.0 else 0)
     n = min(total, settings.max_steps)

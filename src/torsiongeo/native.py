@@ -1,14 +1,13 @@
 """Compiled C loops built from the statement text the RK tableaux emit.
 
-:func:`build` compiles one C source with the system ``cc`` into a library
-loaded with ``ctypes``, once per process and source text; the shooting
-sweep's kernel and the RK4 march's kernels both go through it.
-:func:`rk4_kernel` translates the RK4 step a runtime's module compiled
+:func:`load` builds one C source with the system ``cc`` and binds one of
+its functions, once per process and source text.  :func:`rk4_kernel`
+translates the RK4 step a runtime's module compiled
 (:meth:`expr.FusedRHS.step`) into one C function that runs a whole march,
 statement by statement, so every step it takes is bitwise the Python
-step's; it builds a text's kernel for a long march, or once the text's
-shorter marches have stepped as long in Python.  Nothing is cached on
-disk and no option selects a kernel: where no kernel translates, builds
+step's; :func:`lanes_source` translates a step less its guards
+(:func:`unguarded`) into a loop over arrays of lanes.  Nothing is cached
+on disk and no option selects a kernel: where no kernel translates, builds
 or loads, the Python code runs instead.
 """
 
@@ -56,9 +55,24 @@ def build(source: str):
         return None
 
 
-# ---------------------------------------------------------------------------
-# The RK4 march
-# ---------------------------------------------------------------------------
+def load(source: str | None, name: str, *argtypes, restype=None):
+    """The function ``name`` of the library :func:`build` makes from
+    ``source``, taking ``argtypes`` and returning ``restype``: ``int`` for
+    int64_t, ``float`` for double, ``np.ndarray`` for a C-contiguous array of
+    doubles, None for void.  None where ``source`` is None or no library
+    with ``name`` builds and loads."""
+    library = None if source is None else build(source)
+    fn = getattr(library, name, None)
+    if fn is None:
+        return None
+    import ctypes
+
+    kinds = {int: ctypes.c_int64, float: ctypes.c_double, None: None,
+             np.ndarray: np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")}
+    fn.argtypes = [kinds[kind] for kind in argtypes]
+    fn.restype = kinds[restype]
+    return fn
+
 
 #: The calls a step may make in C: those for which CPython's ``math`` calls
 #: the libm routine of the same name on every finite argument it accepts.
@@ -83,9 +97,9 @@ class _Untranslatable(Exception):
     """A step text holds something the C loop cannot do bitwise."""
 
 
-def _translate(text: str) -> tuple[list[str], tuple[str, ...], tuple[str, ...]]:
-    """The C statements of an emitted step's body, the globals it reads (in
-    the order the kernel takes them) and the four names it returns.
+def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
+    """The C statements of an emitted step's body, the names it reads and
+    does not assign, and the four values it returns.
 
     Each assignment becomes a ``const double``, fully parenthesized as
     Python grouped it, and each ``if ...: raise`` a ``break``; a ``try``
@@ -197,7 +211,7 @@ def _translate(text: str) -> tuple[list[str], tuple[str, ...], tuple[str, ...]]:
         out.append(line)
         if name is not None and name not in read:
             out.append(f"sink_ = {name};")
-    return out, tuple(sorted(read - assigned - set(_PARAMS))), returned
+    return out, read - assigned, returned
 
 
 def march_source(text: str) -> tuple[str, tuple[str, ...]] | None:
@@ -219,9 +233,10 @@ def march_source(text: str) -> tuple[str, tuple[str, ...]] | None:
     of the span the test covers.  The caller's flags are restored.
     """
     try:
-        body, globals_, returned = _translate(text)
+        body, reads, returned = _translate(text)
     except (_Untranslatable, SyntaxError, RecursionError):
         return None
+    globals_ = tuple(sorted(reads - set(_PARAMS)))
     loads = [f"    const double {name} = g_[{i}];" for i, name in enumerate(globals_)]
     state = _PARAMS[:4]
     return "\n".join([
@@ -254,6 +269,64 @@ def march_source(text: str) -> tuple[str, tuple[str, ...]] | None:
         "    return i_;",
         "}",
         ""]), globals_
+
+
+def unguarded(text: str) -> str:
+    """The step ``text`` less its guards: each ``if ...: raise`` dropped
+    and each ``try`` replaced by its body, so that a step that would raise
+    goes on, as a lane of numpy arrays does.  ``ast`` writes the rest back
+    with each operation grouped as the text grouped it."""
+    tree = ast.parse(text)
+
+    def strip(body):
+        kept = []
+        for stmt in body:
+            if type(stmt) is ast.Try and not (stmt.orelse or stmt.finalbody):
+                kept += strip(stmt.body)
+            elif not (type(stmt) is ast.If and not stmt.orelse
+                      and [type(s) for s in stmt.body] == [ast.Raise]):
+                kept.append(stmt)
+        return kept
+
+    tree.body[0].body = strip(tree.body[0].body)
+    return ast.unparse(tree)
+
+
+def lanes_source(text: str) -> str | None:
+    """The C source of ``lanes(n_, steps_, h, u_, v_, du_, dv_, lo_, hi_)``,
+    which steps n_ lanes steps_ times by the step ``text`` less its guards
+    (see :func:`unguarded`) and folds each new v into lo_ and hi_ as
+    np.minimum and np.maximum do, NaNs included; None where the text does
+    not translate, or reads a global, the launch speed or the box.  A
+    statement no other reads is dropped, as the loop tests no flags.
+    """
+    try:
+        body, reads, returned = _translate(unguarded(text))
+    except (_Untranslatable, SyntaxError, RecursionError):
+        return None
+    if reads - set(_PARAMS[:5]):
+        return None
+    v = returned[1]
+    arrays = ", ".join(f"double *restrict {name}_" for name in (*_PARAMS[:4], "lo", "hi"))
+    return "\n".join([
+        "#include <math.h>",
+        "#include <stdint.h>",
+        "#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)",
+        "__attribute__((target(\"prefer-vector-width=512\")))",
+        "#endif",
+        f"void lanes(int64_t n_, int64_t steps_, double h, {arrays})",
+        "{",
+        "    for (int64_t k_ = 0; k_ < steps_; k_++) {",
+        "        for (int64_t i_ = 0; i_ < n_; i_++) {",
+        "            const double u = u_[i_], v = v_[i_], du = du_[i_], dv = dv_[i_];",
+        *(f"            {line}" for line in body if not line.startswith("sink_")),
+        *(f"            {name}_[i_] = {value};" for name, value in zip(_PARAMS, returned)),
+        f"            lo_[i_] = (lo_[i_] < {v} || isnan(lo_[i_])) ? lo_[i_] : {v};",
+        f"            hi_[i_] = (hi_[i_] > {v} || isnan(hi_[i_])) ? hi_[i_] : {v};",
+        "        }",
+        "    }",
+        "}",
+        ""])
 
 
 class Kernel:
@@ -329,20 +402,6 @@ def rk4_kernel(step, n: int, min_steps: int) -> Kernel | None:
 
 
 def _load(text: str) -> Kernel | None:
-    translated = march_source(text)
-    if translated is None:
-        return None
-    source, globals_ = translated
-    library = build(source)
-    if library is None:
-        return None
-    import ctypes
-
-    def array(ndim):
-        return np.ctypeslib.ndpointer(np.float64, ndim=ndim, flags="C_CONTIGUOUS")
-
-    fn = library.rk4_march
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                   array(1), array(1), array(1), array(2)]
-    fn.restype = ctypes.c_int64
-    return Kernel(fn, globals_)
+    source, globals_ = march_source(text) or (None, ())
+    fn = load(source, "rk4_march", int, int, int, *[np.ndarray] * 4, restype=int)
+    return None if fn is None else Kernel(fn, globals_)

@@ -9,15 +9,15 @@ velocity angle theta; its singular levels, where y' = 0, confine generic
 geodesics to horizontal strips.
 
 Pure computations throughout; the shooting sweep steps its launch angles
-as lanes of one compiled loop, or as numpy lane arrays where none builds,
-both from the one RK4 step text the tableau emits.
+as lanes of one loop that :mod:`native` compiles, or as numpy lane arrays
+where none builds, both from the one RK4 step text the tableau emits, less
+its box checks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,91 +248,26 @@ def _shear_stage(s, x, y, dx, dy, ddx, ddy):
             f"{ddy} = -e{s} + g{s} * {dy}"]
 
 
-def _statements() -> list[tuple[str, str]]:
-    """The ``(name, value)`` assignments of the RK4 step :meth:`Tableau.emit`
-    writes for :func:`_shear_stage`, in order and less its box checks: one
-    step of the lane (u, v, du, dv) to (un, vn, pn, qn), which both sweep
-    kernels run.  They use only + - * / and unary minus, which C doubles,
-    Python floats and numpy arrays round alike, with the same left-to-right
-    grouping, so the two kernels give the same bits."""
-    return [(m[1], m[2]) for line in RK4.emit(_shear_stage).splitlines()
-            if (m := re.fullmatch(r"\s*(\w+) = (.+)", line))]
-
-
-def _kernel_source() -> str:
-    """C source of ``shear_sweep(n, steps, h, x, y, dx, dy, lo, hi)``, which
-    steps n lanes ``steps`` times and folds each new height into lo and hi.
-
-    The loop body is :func:`_statements`, each a ``const double``.  The min
-    and max return the first operand where it is a NaN or the strict winner
-    and the second otherwise, as np.minimum and np.maximum do, so an
-    overflowing lane gives the same bytes.
-    """
-    return "\n".join([
-        "#include <math.h>",
-        "#include <stdint.h>",
-        "#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)",
-        "__attribute__((target(\"prefer-vector-width=512\")))",
-        "#endif",
-        "void shear_sweep(int64_t n, int64_t steps, double h, double *restrict x,",
-        "                 double *restrict y, double *restrict dx, double *restrict dy,",
-        "                 double *restrict lo, double *restrict hi)",
-        "{",
-        "    for (int64_t k = 0; k < steps; k++) {",
-        "        for (int64_t i = 0; i < n; i++) {",
-        "            const double u = x[i], v = y[i], du = dx[i], dv = dy[i];",
-        *(f"            const double {name} = {value};" for name, value in _statements()),
-        "            x[i] = un;",
-        "            y[i] = vn;",
-        "            dx[i] = pn;",
-        "            dy[i] = qn;",
-        "            lo[i] = (lo[i] < vn || isnan(lo[i])) ? lo[i] : vn;",
-        "            hi[i] = (hi[i] > vn || isnan(hi[i])) ? hi[i] : vn;",
-        "        }",
-        "    }",
-        "}",
-        ""])
-
-
 @functools.cache
 def _sweep_kernel():
-    """The compiled ``shear_sweep`` (see :func:`native.build`), loaded on the
-    first call; None where it does not build or load, and the sweep then
-    steps numpy lane arrays (see :func:`_lanes`)."""
-    library = native.build(_kernel_source())
-    if library is None:
-        return None
-    import ctypes
-
-    lanes = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    kernel = library.shear_sweep
-    kernel.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-                       lanes, lanes, lanes, lanes, lanes, lanes]
-    kernel.restype = None
-    return kernel
+    """The compiled lane loop of the sweep's step (see
+    :func:`native.lanes_source`), loaded on the first call; None where it
+    does not build or load, and the sweep then steps numpy lane arrays (see
+    :func:`_lanes`)."""
+    return native.load(native.lanes_source(RK4.emit(_shear_stage)), "lanes",
+                       int, int, float, *[np.ndarray] * 6)
 
 
 @functools.cache
 def _lanes():
-    """``lanes(u, v, du, dv, h) -> (un, vn, pn, qn)``, :func:`_statements`
-    as one Python function; called on numpy lane arrays, it steps them all
-    as the compiled loop does, bit for bit."""
-    source = "\n".join(["def lanes(u, v, du, dv, h):",
-                        *(f"    {name} = {value}" for name, value in _statements()),
-                        "    return un, vn, pn, qn", ""])
+    """``step(u, v, du, dv, h) -> (un, vn, pn, qn)``, the sweep's RK4 step
+    less its box checks (see :func:`native.unguarded`).  It uses only + - *
+    / and unary minus, which C doubles, Python floats and numpy arrays round
+    alike, with the same grouping, so on numpy lane arrays it steps every
+    lane as the compiled loop does, bit for bit."""
     namespace: dict = {}
-    exec(_code(source, "shear-sweep lanes"), namespace)
-    return namespace["lanes"]
-
-
-def _array_steps(steps: int, h: float, x, y, dx, dy, y_lo, y_hi) -> None:
-    """``shear_sweep``'s lo and hi from numpy lane arrays: :func:`_lanes`
-    once per step, then np.minimum and np.maximum."""
-    lanes = _lanes()
-    for _ in range(steps):
-        x, y, dx, dy = lanes(x, y, dx, dy, h)
-        np.minimum(y_lo, y, out=y_lo)
-        np.maximum(y_hi, y, out=y_hi)
+    exec(_code(native.unguarded(RK4.emit(_shear_stage)), "shear-sweep lanes"), namespace)
+    return namespace["step"]
 
 
 def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720,
@@ -345,17 +280,16 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     The RK4 tableau steps every angle as one lane (x, y, x', y'), with
     E = 1 and no boundary, on the geodesic equation of the field as the
     batched loop broadcast it (see :func:`_shear_stage`).  Both kernels run
-    the scalar step's statements (see :func:`_statements`): in one compiled
-    C loop where the system ``cc`` builds one, and on numpy lane arrays
-    otherwise, with bitwise the same results; ``SweepResult.kernel`` says
-    which ran.  The
-    flow is even in the velocity, so the backward half of each geodesic is
-    the forward run from the exactly negated launch velocity: with
-    ``both_directions`` those launches join the same batch and the two
-    halves' extremes are merged.  ``origin`` must be finite, ``n_angles``
-    an int >= 1, ``h`` finite and positive, ``t_max`` finite and >= 0, and
-    the step count t_max / h must fit a signed 64-bit integer; anything
-    else raises ValueError.
+    the scalar step's statements less its box checks: in one compiled C loop
+    where the system ``cc`` builds one (see :func:`native.lanes_source`),
+    and on numpy lane arrays otherwise, with bitwise the same results;
+    ``SweepResult.kernel`` says which ran.  The flow is even in the
+    velocity, so the backward half of each geodesic is the forward run from
+    the exactly negated launch velocity: with ``both_directions`` those
+    launches join the same batch and the two halves' extremes are merged.
+    ``origin`` must be finite, ``n_angles`` an int >= 1, ``h`` finite and
+    positive, ``t_max`` finite and >= 0, and the step count t_max / h must
+    fit a signed 64-bit integer; anything else raises ValueError.
     """
     x0, y0 = (float(c) for c in origin)
     if not (math.isfinite(x0) and math.isfinite(y0)):
@@ -381,10 +315,14 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     y_lo = y.copy()
     y_hi = y.copy()
     kernel = _sweep_kernel()
-    if kernel is None:
-        _array_steps(steps, h, x, y, dx, dy, y_lo, y_hi)
-    else:
+    if kernel is not None:
         kernel(len(y), steps, h, x, y, dx, dy, y_lo, y_hi)
+    else:
+        lanes = _lanes()
+        for _ in range(steps):
+            x, y, dx, dy = lanes(x, y, dx, dy, h)
+            np.minimum(y_lo, y, out=y_lo)
+            np.maximum(y_hi, y, out=y_hi)
     if both_directions:
         y_lo = np.minimum(y_lo[:n_angles], y_lo[n_angles:])
         y_hi = np.maximum(y_hi[:n_angles], y_hi[n_angles:])

@@ -242,6 +242,7 @@ def sphere_angle_cosines(colat: np.ndarray, lon: np.ndarray, t: np.ndarray) -> n
 
 def embed(surface: CatalogSurface, trace: Trace) -> np.ndarray:
     """3D polyline of a trace on the embedded surface, (r cos phi, r sin phi, h)."""
+    _require_in_profile(surface, trace.u, "s", trace.u)
     r, h = (surface.profile.columns[name](trace.u, trace.v) for name in ("r", "h"))
     return np.column_stack([r * libm_map(math.cos, trace.v), r * libm_map(math.sin, trace.v), h])
 

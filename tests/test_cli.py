@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -234,11 +236,17 @@ def test_decompose_subcommand(tmp_path, capsys):
     assert "|remainder|_F    : 0.000000000000e+00" in out
 
 
-def test_decompose_rejects_bad_tensor(tmp_path, capsys):
+@pytest.mark.parametrize("payload", [
+    {"values": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+    # finite entries whose antisymmetrized values overflow, and a NaN entry
+    {"vector": [1e308, 1e308]},
+    {"vector": [math.nan, 1.0]}], ids=["not-antisymmetric", "overflow", "nan"])
+def test_decompose_rejects_bad_tensor(tmp_path, capsys, payload):
     tensor = tmp_path / "tensor.json"
-    tensor.write_text(json.dumps({"values": [[[1.0, 0.0], [0.0, 0.0]],
-                                             [[0.0, 0.0], [0.0, 0.0]]]}))
-    assert main(["decompose", str(tensor)]) == 2
+    tensor.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decompose", str(tensor)]) == 2
     capsys.readouterr()
 
 
@@ -316,6 +324,15 @@ def test_plot_embedded_surface(tmp_path, capsys):
                  "--embed-surface", "sphere", "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_text().startswith("<svg")
+
+
+def test_plot_embedding_of_a_trace_outside_the_profile_fails(tmp_path, capsys):
+    # the straight plane line runs over s in [-20, 20], past the sphere's (0, pi)
+    out = tmp_path / "sphere.svg"
+    assert main(["plot", "--scenario", "plane-straight", "--embed-surface", "sphere",
+                 "--out", str(out)]) == 2
+    assert "outside profile domain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_from_csv(tmp_path, capsys):

@@ -536,3 +536,15 @@ def test_adaptive_underflow_is_a_stop_reason():
                             settings(1.0))
     assert tr.stop_reason == "underflow"
     assert 1 < len(tr) and tr.u[-1] < 1.0
+
+
+@pytest.mark.parametrize("h, t1", [(10.0, 1e-9), (1e308, 1.0)])
+def test_rk4_steps_a_span_shorter_than_a_billionth_of_its_step(h, t1):
+    # such a remainder was dropped, leaving the launch sample alone
+    rt = build_runtime("plane-zero")
+    launch = GeodesicState(0.0, 0.0, 0.0, 1.0, 0.0)
+    for run in (integrate, integrate_adaptive):
+        tr = run(rt.chart, rt.field, launch, settings(t1, h=h))
+        assert tr.t.tolist() == [0.0, t1]
+        assert tr.u[-1] == pytest.approx(t1, rel=1e-12)
+        assert tr.stop_reason == "t1"

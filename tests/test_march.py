@@ -9,6 +9,7 @@ the Python step and where it runs the compiled C loop of that step's
 text (``native.rk4_kernel``), and fail exactly as the Python step does.
 """
 
+import ast
 import math
 import os
 import shutil
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torsiongeo import native
+from torsiongeo import native, plane
 from torsiongeo.conformal import conformal_metric
 from torsiongeo.errors import ConfigError, MetricDegeneracyError
 from torsiongeo.geometry import VectorFieldSpec
@@ -253,6 +254,34 @@ def test_only_texts_that_call_libm_as_math_does_compile(p, translates):
     assert (native.march_source(text) is not None) == translates
     assert assert_marches_agree(args) == STOP_TIME
     assert (loaded(args[0](RK4)) is not None) == (translates and HAVE_CC)
+
+
+@pytest.mark.parametrize("key", BUILT_IN)
+def test_the_unguarded_step_raises_nowhere_and_steps_in_box_launches_alike(key):
+    rt = build_runtime(key)
+    a, b, c, d = rt.chart.sample_box
+    for fu, fv, angle in ((0.5, 0.5, 0.3), (0.2, 0.7, -2.0), (0.8, 0.3, 1.7)):
+        state = (a + fu * (b - a), c + fv * (d - c), math.cos(angle), math.sin(angle))
+        step = march_args(rt, state, IntegratorSettings(h=1e-2))[0](RK4)
+        text = native.unguarded(step.__globals__["_source_rk4"])
+        assert not any(isinstance(node, ast.Raise) for node in ast.walk(ast.parse(text)))
+        namespace = dict(step.__globals__)
+        exec(text, namespace)
+        got = namespace["step"](*state, 1e-2, *step.__defaults__)
+        assert np.array(got).tobytes() == np.array(step(*state, 1e-2)).tobytes()
+
+
+@pytest.mark.parametrize("key", ["plane-shear", "sphere"])
+def test_a_text_that_reads_a_global_or_the_launch_speed_has_no_lane_loop(key):
+    # plane-shear reads its field's constant c0, and the sphere E2
+    step = march_args(build_runtime(key), (1.0, 0.5, 0.6, 0.8), IntegratorSettings(h=1e-2))[0](RK4)
+    assert native.lanes_source(step.__globals__["_source_rk4"]) is None
+
+
+def test_load_gives_none_without_a_source_or_a_function_of_that_name():
+    assert native.load(None, "lanes") is None
+    source = native.lanes_source(RK4.emit(plane._shear_stage))
+    assert native.load(source, "no_such_function") is None
 
 
 # ---------------------------------------------------------------------------

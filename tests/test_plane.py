@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from geometry_checks import constant_field
 from torsiongeo import native, plane
 from torsiongeo.geometry import euclidean_plane
-from torsiongeo.integrate import GeodesicState, IntegratorSettings, integrate, integrate_two_sided
+from torsiongeo.integrate import (RK4, GeodesicState, IntegratorSettings, integrate,
+                                  integrate_two_sided)
 from torsiongeo.plane import (arcsin_invariant, flat_invariant, plane_curvature,
                               shear_field, shooting_sweep, strip_bounds,
                               strip_quadrature, winding_field)
@@ -463,7 +464,7 @@ def test_sweep_falls_back_to_numpy_without_a_kernel(monkeypatch, broken):
     if broken == "no cc on the path":
         monkeypatch.setenv("PATH", "")
     else:
-        monkeypatch.setattr(plane, "_kernel_source", lambda: "not C\n")
+        monkeypatch.setattr(native, "lanes_source", lambda text: "not C\n")
     assert plane._sweep_kernel() is None
     fallback = shooting_sweep(origin=(0.3, -0.7), n_angles=9, t_max=1.0, h=1e-2)
     assert fallback.kernel == "numpy"
@@ -492,7 +493,7 @@ def test_compiled_sweep_equals_the_array_blocks_at_every_remainder(n_angles, bot
 
 
 def test_the_sweep_asks_for_512_bit_vectors_only_under_gcc_on_x86_64():
-    lines = plane._kernel_source().splitlines()
+    lines = native.lanes_source(RK4.emit(plane._shear_stage)).splitlines()
     wide = [i for i, line in enumerate(lines) if "prefer-vector-width" in line]
     assert len(wide) == 1
     i = wide[0]
@@ -500,7 +501,10 @@ def test_the_sweep_asks_for_512_bit_vectors_only_under_gcc_on_x86_64():
         "#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)",
         '__attribute__((target("prefer-vector-width=512")))',
         "#endif"]
-    assert lines[i + 2].startswith("void shear_sweep(")
+    assert lines[i + 2].startswith("void lanes(")
+    # a break or a volatile store in the lane loop would keep it scalar
+    assert not any("break" in line for line in lines)
+    assert not any("sink_" in line for line in lines)
 
 
 @given(st.floats(-4.0, 4.0), st.floats(-3.0, 3.0), st.integers(1, 64), st.floats(0.0, 5.0))
