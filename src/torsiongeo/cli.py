@@ -2,7 +2,8 @@
 
 Subcommands: integrate, compare-conformal, mercator, decompose, strip-bounds,
 plot, suite.  Exit codes: 0 all requested checks passed, 1 a report or
-criterion failed or the integration underflowed, 2 usage or config error.
+criterion failed, the integration underflowed, or ``strip-bounds --verify``
+stopped short of its span, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import algebra, suite
 from .errors import ConfigError
-from .integrate import Trace
+from .integrate import STOP_TIME, Trace
 from .plane import strip_bounds
 from .scenarios import (CATALOG, CATALOG_IDS, Scenario, ScenarioConfig, build_runtime,
                         run_config, run_scenario)
@@ -136,6 +137,8 @@ def _cmd_strip_bounds(args) -> int:
     speed = math.hypot(args.vx, args.vy)
     if speed == 0.0:
         raise ConfigError("velocity must be nonzero")
+    if not (math.isfinite(args.t_max) and args.t_max >= 0.0):
+        raise ConfigError(f"--t-max must be finite and >= 0, got {args.t_max!r}")
     sb = strip_bounds(args.y0, args.vy / speed, args.vx / speed)
     print(f"c = {sb.c:.12g}")
     print(f"strip = ({sb.lower:.12g}, {sb.upper:.12g})"
@@ -146,9 +149,13 @@ def _cmd_strip_bounds(args) -> int:
                                    span=(-args.t_max, args.t_max), h=2e-3))
         lo, hi = float(tr.v.min()), float(tr.v.max())
         ok = lo >= sb.lower - 1e-3 and hi <= sb.upper + 1e-3
-        print(f"integrated height range over |t| <= {args.t_max:g}: ({lo:.6g}, {hi:.6g})")
+        whole = set(tr.stop_reason.split("/")) == {STOP_TIME}
+        print(f"integrated height range over t in [{tr.t[0]:g}, {tr.t[-1]:g}] "
+              f"(stop: {tr.stop_reason}): ({lo:.6g}, {hi:.6g})")
         print(f"confinement: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else REPORT_FAILURE
+        if not whole:
+            print(f"span: stopped short of |t| <= {args.t_max:g}")
+        return 0 if ok and whole else REPORT_FAILURE
     return 0
 
 

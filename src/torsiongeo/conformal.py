@@ -106,7 +106,7 @@ def compare_point_sets(trace_a, trace_b) -> float:
     length = min(chordal_lengths(a)[-1], chordal_lengths(b)[-1])
     ra = resample_by_arclength(a, 512, length)
     rb = resample_by_arclength(b, 512, length)
-    d2 = ((ra[:, None, :] - rb[None, :, :]) ** 2).sum(axis=2)
+    d2 = (ra[:, None, 0] - rb[None, :, 0]) ** 2 + (ra[:, None, 1] - rb[None, :, 1]) ** 2
     forward = np.sqrt(d2.min(axis=1)).max()
     backward = np.sqrt(d2.min(axis=0)).max()
     return float(max(forward, backward))

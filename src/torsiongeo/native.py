@@ -8,7 +8,9 @@ statement by statement, so every step it takes is bitwise the Python
 step's; :func:`lanes_source` translates a step less its guards
 (:func:`unguarded`) into a loop over arrays of lanes.  Nothing is cached
 on disk and no option selects a kernel: where no kernel translates, builds
-or loads, the Python code runs instead.
+or loads, the Python code runs instead.  :func:`in_blocks` runs a loop over
+lanes in one contiguous block per CPU the process may use, each on its own
+thread.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import math
 import operator
 import os
+import threading
 
 import numpy as np
 
@@ -327,6 +330,80 @@ def lanes_source(text: str) -> str | None:
         "    }",
         "}",
         ""])
+
+
+#: Lanes per vector of a lane loop at 512 bits: every block of lanes but
+#: the last holds whole vectors.
+_VECTOR = 8
+
+
+def _affinity() -> list[int]:
+    """The CPUs the calling thread may run on; empty where the platform
+    does not say."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return []
+
+
+def _pin(cpus) -> None:
+    """Keep the calling thread (not the process: Linux sets affinity per
+    thread) on ``cpus``, where the platform allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
+def in_blocks(run, n: int) -> int:
+    """Split range(n) into up to one contiguous block [lo, hi) per CPU the
+    calling thread may run on (``os.cpu_count()`` where the platform does
+    not say), each of whole 8-lane vectors but for the last block's
+    remainder; call ``run(lo, hi)`` on each block, and return how many
+    blocks there were.
+
+    Block 0 runs on the calling thread and each other block on a thread of
+    its own, so the blocks overlap only where ``run`` releases the GIL, as
+    a ``ctypes`` call of a compiled loop does.  Block i is kept on the i-th
+    of those CPUs while it runs (Linux would otherwise start a new thread
+    on its creator's CPU and may leave it there); the calling thread gets
+    its CPUs back afterwards.  Every thread is joined before this returns,
+    also where a block raises; the lowest block's exception is then raised
+    here.
+    """
+    allowed = _affinity()
+    vectors = -(-n // _VECTOR)
+    count = max(1, min(len(allowed) or os.cpu_count() or 1, vectors))
+    bounds = [min(n, _VECTOR * (vectors * i // count)) for i in range(count + 1)]
+    pin = count > 1 and bool(allowed)
+    errors: list[BaseException | None] = [None] * count
+
+    def worker(i: int) -> None:
+        try:
+            if pin:
+                _pin({allowed[i]})
+            run(bounds[i], bounds[i + 1])
+        except BaseException as exc:  # raised below, on the calling thread
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, count):
+            thread = threading.Thread(target=worker, args=(i,))
+            thread.start()
+            started.append(thread)
+        if pin:
+            _pin({allowed[0]})
+        run(bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+        if pin:
+            _pin(allowed)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return count
 
 
 class Kernel:

@@ -9,9 +9,9 @@ velocity angle theta; its singular levels, where y' = 0, confine generic
 geodesics to horizontal strips.
 
 Pure computations throughout; the shooting sweep steps its launch angles
-as lanes of one loop that :mod:`native` compiles, or as numpy lane arrays
-where none builds, both from the one RK4 step text the tableau emits, less
-its box checks.
+as lanes of one loop that :mod:`native` compiles, one block of lanes per
+CPU, or as numpy lane arrays where none builds, both from the one RK4 step
+text the tableau emits, less its box checks.
 """
 
 from __future__ import annotations
@@ -227,13 +227,16 @@ def strip_quadrature(y0: float, y: float, strip: StripBounds) -> StripTime:
 
 @dataclass
 class SweepResult:
-    """Each angle's lowest and highest height, and the kernel that stepped
-    them: ``"c"`` for the compiled loop, ``"numpy"`` for the lane arrays."""
+    """Each angle's lowest and highest height, the kernel that stepped
+    them, ``"c"`` for the compiled loop or ``"numpy"`` for the lane arrays,
+    and how many blocks of lanes it stepped at once, each on its own
+    thread: 1 for the lane arrays or a process on one CPU."""
 
     angles: np.ndarray
     y_min: np.ndarray
     y_max: np.ndarray
     kernel: str
+    blocks: int
 
 
 def _shear_stage(s, x, y, dx, dy, ddx, ddy):
@@ -283,7 +286,13 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     the scalar step's statements less its box checks: in one compiled C loop
     where the system ``cc`` builds one (see :func:`native.lanes_source`),
     and on numpy lane arrays otherwise, with bitwise the same results;
-    ``SweepResult.kernel`` says which ran.  The flow is even in the
+    ``SweepResult.kernel`` says which ran.  The compiled loop steps one
+    contiguous block of lanes per CPU the process may use, each on private
+    copies of its lanes, on its own thread and CPU (see
+    :func:`native.in_blocks`);
+    lanes never meet, so no lane's bits depend on the split, and
+    ``SweepResult.blocks`` records it.  The numpy lane arrays step in one
+    block, as their Python holds the GIL.  The flow is even in the
     velocity, so the backward half of each geodesic is the forward run from
     the exactly negated launch velocity: with ``both_directions`` those
     launches join the same batch and the two halves' extremes are merged.
@@ -315,8 +324,17 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
     y_lo = y.copy()
     y_hi = y.copy()
     kernel = _sweep_kernel()
+    blocks = 1
     if kernel is not None:
-        kernel(len(y), steps, h, x, y, dx, dy, y_lo, y_hi)
+        arrays = (x, y, dx, dy, y_lo, y_hi)
+
+        def block(lo: int, hi: int) -> None:
+            # private copies, so no two threads write one cache line
+            own = [a[lo:hi].copy() for a in arrays]
+            kernel(hi - lo, steps, h, *own)
+            y_lo[lo:hi], y_hi[lo:hi] = own[4], own[5]
+
+        blocks = native.in_blocks(block, len(y))
     else:
         lanes = _lanes()
         for _ in range(steps):
@@ -327,4 +345,4 @@ def shooting_sweep(origin: tuple[float, float] = (1.0, 1.0), n_angles: int = 720
         y_lo = np.minimum(y_lo[:n_angles], y_lo[n_angles:])
         y_hi = np.maximum(y_hi[:n_angles], y_hi[n_angles:])
     return SweepResult(angles=angles, y_min=y_lo, y_max=y_hi,
-                       kernel="numpy" if kernel is None else "c")
+                       kernel="numpy" if kernel is None else "c", blocks=blocks)

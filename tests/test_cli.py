@@ -1,3 +1,5 @@
+import functools
+import importlib
 import json
 import math
 import os
@@ -268,6 +270,30 @@ def test_strip_bounds_verify_integrates_the_exact_launch(capsys):
     assert "strip = (-1.72712276586, 1.72712276586)" in out
     assert "confinement: PASS" in out
     assert code == 0
+
+
+def test_strip_bounds_verify_fails_a_span_it_did_not_integrate(monkeypatch, capsys):
+    # 1000 steps of h = 2e-3 reach |t| = 2 of the 5 asked for on each side
+    # (the package's ``integrate`` is the function, hence import_module)
+    integrate = importlib.import_module("torsiongeo.integrate")
+    monkeypatch.setattr(integrate, "IntegratorSettings",
+                        functools.partial(integrate.IntegratorSettings, max_steps=1000))
+    code = main(["strip-bounds", "--y0", "1", "--vx", "1", "--vy", "1", "--verify",
+                 "--t-max", "5"])
+    out = capsys.readouterr().out
+    assert "integrated height range over t in [-2, 2] (stop: max-steps/max-steps)" in out
+    assert "confinement: PASS" in out
+    assert "span: stopped short of |t| <= 5" in out
+    assert code == 1
+
+
+@pytest.mark.parametrize("t_max", ["-1", "-inf", "inf", "nan"])
+def test_strip_bounds_rejects_a_negative_or_non_finite_t_max(t_max, capsys):
+    assert main(["strip-bounds", "--y0", "1", "--vx", "1", "--vy", "1", "--verify",
+                 f"--t-max={t_max}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t-max must be finite and >= 0")
 
 
 @pytest.mark.parametrize("criterion", ["0", "11", "99"])

@@ -129,6 +129,32 @@ def test_compare_point_sets_identical_and_sensitivity(suite_ctx):
     assert control > 1e-2
 
 
+def _compare_point_sets_with_a_3d_temporary(a, b) -> float:
+    """compare_point_sets as it was with the (512, 512, 2) difference
+    array summed over its last axis, kept as the bitwise oracle."""
+    length = min(chordal_lengths(a)[-1], chordal_lengths(b)[-1])
+    ra = resample_by_arclength(a, 512, length)
+    rb = resample_by_arclength(b, 512, length)
+    d2 = ((ra[:, None, :] - rb[None, :, :]) ** 2).sum(axis=2)
+    forward = np.sqrt(d2.min(axis=1)).max()
+    backward = np.sqrt(d2.min(axis=0)).max()
+    return float(max(forward, backward))
+
+
+_COORDINATES = st.one_of(st.floats(-10.0, 10.0), st.floats())  # st.floats() includes inf and NaN
+
+
+@given(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=2, max_size=30),
+       st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=2, max_size=30))
+@hsettings(max_examples=200, deadline=None)
+def test_compare_point_sets_equals_the_3d_temporary_bitwise(a, b):
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    with np.errstate(all="ignore"):
+        got = compare_point_sets(a, b)
+        want = _compare_point_sets_with_a_3d_temporary(a, b)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_compare_point_sets_needs_two_samples():
     with pytest.raises(ValueError):
         compare_point_sets(np.zeros((1, 2)), np.zeros((4, 2)))

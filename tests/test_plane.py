@@ -1,6 +1,8 @@
 import functools
 import math
 import shutil
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -490,6 +492,122 @@ def test_compiled_sweep_equals_the_array_blocks_at_every_remainder(n_angles, bot
     assert compiled.kernel == ("c" if shutil.which("cc") else "numpy")
     assert fallback.kernel == "numpy"
     assert _sweep_bytes(compiled) == _sweep_bytes(fallback)
+
+
+def _on_cpus(count, pins=None):
+    """Patch the set of CPUs the process may use to ``count`` of them, and
+    record each thread's pin in ``pins`` in place of setting it."""
+    record = (pins if pins is not None else []).append
+    return mock.patch.multiple(
+        native.os, sched_getaffinity=lambda pid: set(range(count)),
+        sched_setaffinity=lambda pid, cpus: record((threading.get_ident(), set(cpus))))
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        _CountedThread.started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("n_angles", [1, 7, 8, 9, 15, 17, 33, 1440])
+@pytest.mark.parametrize("both_directions", [True, False])
+def test_split_sweep_equals_one_block_and_the_array_blocks(n_angles, both_directions):
+    # lanes never meet, so each lane's bits cannot depend on the split
+    kwargs = dict(origin=(0.3, -0.7), n_angles=n_angles, t_max=1.0, h=1e-2,
+                  both_directions=both_directions)
+    lanes = n_angles * (2 if both_directions else 1)
+    with _on_cpus(1):
+        one = shooting_sweep(**kwargs)
+    with mock.patch.object(plane, "_sweep_kernel", lambda: None):
+        fallback = shooting_sweep(**kwargs)
+    assert one.blocks == 1
+    assert fallback.blocks == 1
+    assert _sweep_bytes(one) == _sweep_bytes(fallback)
+    for cpus in (2, 3, 4):
+        _CountedThread.started = 0
+        with _on_cpus(cpus), mock.patch.object(native.threading, "Thread", _CountedThread):
+            split = shooting_sweep(**kwargs)
+        blocks = min(cpus, -(-lanes // 8)) if split.kernel == "c" else 1
+        assert split.blocks == blocks
+        assert _CountedThread.started == blocks - 1
+        assert _sweep_bytes(split) == _sweep_bytes(one)
+
+
+def test_more_blocks_than_cores_at_a_short_switch_interval_keep_the_bits():
+    kwargs = dict(origin=(0.3, -0.7), n_angles=720, t_max=0.5)
+    with _on_cpus(1):
+        one = shooting_sweep(**kwargs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _on_cpus(16):
+            split = shooting_sweep(**kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert split.blocks == (16 if split.kernel == "c" else 1)
+    assert _sweep_bytes(split) == _sweep_bytes(one)
+
+
+def test_one_cpu_starts_no_thread():
+    with _on_cpus(1), mock.patch.object(native.threading, "Thread",
+                                        side_effect=AssertionError("a thread started")):
+        sweep = shooting_sweep(n_angles=720, t_max=0.5)
+    assert sweep.blocks == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 31, 64, 1440])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 64])
+def test_lane_blocks_tile_the_lanes_in_whole_vectors(n, cpus):
+    calls = []
+    with _on_cpus(cpus):
+        count = native.in_blocks(lambda lo, hi: calls.append((lo, hi)), n)
+    calls.sort()
+    assert count == len(calls) == max(1, min(cpus, -(-n // 8)))
+    assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
+    assert calls[-1][1] == n
+    assert all(lo % 8 == 0 and (lo < hi or n == 0) for lo, hi in calls)
+
+
+def test_blocks_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(native.os, "sched_getaffinity")
+    monkeypatch.setattr(native.os, "cpu_count", lambda: 3)
+    assert native.in_blocks(lambda lo, hi: None, 1440) == 3
+    monkeypatch.setattr(native.os, "cpu_count", lambda: None)
+    assert native.in_blocks(lambda lo, hi: None, 1440) == 1
+
+
+def test_each_block_runs_on_its_own_cpu_and_the_caller_gets_its_cpus_back():
+    pins = []
+    with mock.patch.multiple(
+            native.os, sched_getaffinity=lambda pid: {9, 3, 5},
+            sched_setaffinity=lambda pid, cpus: pins.append((threading.get_ident(), set(cpus)))):
+        assert native.in_blocks(lambda lo, hi: None, 1440) == 3
+    caller = threading.get_ident()
+    assert [cpus for thread, cpus in pins if thread == caller] == [{3}, {3, 5, 9}]
+    assert sorted(cpus for thread, cpus in pins if thread != caller) == [{5}, {9}]
+    pins.clear()
+    with _on_cpus(1, pins):
+        assert native.in_blocks(lambda lo, hi: None, 1440) == 1
+    assert pins == []
+
+
+@pytest.mark.parametrize("raising", ["worker", "caller"])
+def test_a_raising_block_raises_from_the_sweep_and_leaves_no_thread(raising):
+    kernel = plane._sweep_kernel() or pytest.skip("no compiled kernel")
+
+    def flaky(n, *args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (raising == "caller"):
+            raise RuntimeError(f"{raising} block failed")
+        kernel(n, *args)
+
+    before = threading.active_count()
+    with _on_cpus(4), mock.patch.object(plane, "_sweep_kernel", lambda: flaky):
+        with pytest.raises(RuntimeError, match=f"{raising} block failed"):
+            shooting_sweep(n_angles=720, t_max=0.5)
+    assert threading.active_count() == before
 
 
 def test_the_sweep_asks_for_512_bit_vectors_only_under_gcc_on_x86_64():
