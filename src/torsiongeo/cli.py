@@ -9,6 +9,7 @@ stopped short of its span, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -20,8 +21,8 @@ from . import algebra, suite
 from .errors import ConfigError
 from .integrate import STOP_TIME, Trace
 from .plane import strip_bounds
-from .scenarios import (CATALOG, CATALOG_IDS, Scenario, ScenarioConfig, build_runtime,
-                        run_config, run_scenario)
+from .scenarios import (CATALOG, CATALOG_IDS, KNOWN_REPORTS, Scenario, ScenarioConfig,
+                        build_runtime, run_config, run_scenario)
 from .surfaces import CATALOG_BUILDERS, embed, mercator_map
 from .svgplot import plot_traces, project_orthographic, render_svg, trace_curves
 from .traceio import all_passed, read_trace_csv, write_reports_json, write_trace_csv
@@ -32,10 +33,19 @@ REPORT_FAILURE = 1
 FORMATS = {"csv", "json", "svg"}
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing to ``path`` as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
+
+
+def _out_dir(path: str) -> Path:
+    with _writing(path):
+        Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
 
 
 def _cmd_integrate(args) -> int:
@@ -45,6 +55,8 @@ def _cmd_integrate(args) -> int:
     if not formats <= FORMATS:
         raise ConfigError(f"unknown format {', '.join(sorted(formats - FORMATS))!r}; "
                           f"known: {', '.join(sorted(FORMATS))}")
+    if args.config and args.report:
+        raise ConfigError("--report is for --scenario runs; a config lists its own reports")
     if args.config:
         config = ScenarioConfig.from_file(args.config)
     else:
@@ -56,17 +68,18 @@ def _cmd_integrate(args) -> int:
                                 reports=list(args.report or []))
     trace, reports = run_config(config)
     sid = config.scenario.id
-    out = _out_dir(args)
+    out = _out_dir(args.out_dir)
     written = []
-    if "csv" in formats:
-        written.append(write_trace_csv(trace, out / f"{sid}.csv"))
-    if "json" in formats:
-        written.append(write_reports_json(reports, out / f"{sid}.report.json",
-                                          scenario_id=sid, trace=trace))
-    if "svg" in formats:
-        path = out / f"{sid}.svg"
-        path.write_text(plot_traces([trace]))
-        written.append(path)
+    with _writing(out):
+        if "csv" in formats:
+            written.append(write_trace_csv(trace, out / f"{sid}.csv"))
+        if "json" in formats:
+            written.append(write_reports_json(reports, out / f"{sid}.report.json",
+                                              scenario_id=sid, trace=trace))
+        if "svg" in formats:
+            path = out / f"{sid}.svg"
+            path.write_text(plot_traces([trace]))
+            written.append(path)
     for path in written:
         print(path)
     print(f"stop: {trace.stop_reason}")
@@ -100,7 +113,8 @@ def _cmd_mercator(args) -> int:
     lines = ["s,y"] + [f"{s:.17g},{y:.17g}" for s, y in zip(ss, ys)]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
         print(args.out)
     else:
         sys.stdout.write(text)
@@ -182,14 +196,15 @@ def _cmd_plot(args) -> int:
         svg = render_svg(curves)
     else:
         svg = plot_traces(traces)
-    Path(args.out).write_text(svg)
+    with _writing(args.out):
+        Path(args.out).write_text(svg)
     print(args.out)
     return 0
 
 
 def _cmd_suite(args) -> int:
-    indices = args.criteria or None
-    results = suite.run_all(seed=args.seed, indices=indices)
+    out = _out_dir(args.out_dir) if args.out_dir else None
+    results = suite.run_all(seed=args.seed, indices=args.criteria or None)
     failed = 0
     for res in results:
         print(res.summary())
@@ -198,16 +213,15 @@ def _cmd_suite(args) -> int:
                 print(line)
         if not res.passed:
             failed += 1
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         payload = [
             {"index": r.index, "title": r.title, "passed": r.passed,
              "checks": [{"label": c.label, "value": c.value, "bound": c.bound,
                          "op": c.op, "ok": c.ok} for c in r.checks]}
             for r in results
         ]
-        (out / "suite-summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+        with _writing(out):
+            (out / "suite-summary.json").write_text(json.dumps(payload, indent=2) + "\n")
         print(out / "suite-summary.json")
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 0 if failed == 0 else REPORT_FAILURE
@@ -224,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrate", help="run a scenario and write trace/report artifacts")
     p.add_argument("--config", help="scenario config JSON path")
     p.add_argument("--scenario", help="catalog scenario id")
-    p.add_argument("--report", action="append", help="extra report for --scenario runs")
+    p.add_argument("--report", action="append", choices=KNOWN_REPORTS,
+                   help="extra report for --scenario runs")
     p.add_argument("--out-dir", default=".", help="artifact directory")
     p.add_argument("--format", help="comma list of csv,json,svg (default csv,json)")
     p.set_defaults(fn=_cmd_integrate)

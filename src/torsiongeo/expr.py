@@ -38,8 +38,9 @@ _COORDS = {"x": "x", "y": "y", "u": "x", "v": "y"}
 _BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 _UNARY_OPS = (ast.UAdd, ast.USub)
 _INT_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-            ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
-            ast.UAdd: operator.pos, ast.USub: operator.neg}
+            ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+            ast.Pow: operator.pow, ast.UAdd: operator.pos, ast.USub: operator.neg,
+            **{name: _SAFE_NAMES[name] for name in ("abs", "log", "log2", "log10")}}
 
 def _quote(src: str) -> str:
     return repr(src if len(src) <= 60 else src[:57] + "...")
@@ -54,10 +55,8 @@ def _check_expr(src: str) -> ast.expr:
     """
     tree = ast.parse(src, mode="eval")
     stack = [tree.body]
-    order = []
     while stack:
         node = stack.pop()
-        order.append(node)
         kind = type(node)
         if kind is ast.BinOp and isinstance(node.op, _BINARY_OPS):
             stack += (node.left, node.right)
@@ -81,36 +80,7 @@ def _check_expr(src: str) -> ast.expr:
         else:
             what = type(getattr(node, "op", node)).__name__
             raise ConfigError(f"expression {_quote(src)}: {what} is not allowed")
-    _check_int_powers(src, order)
     return tree.body
-
-
-def _check_int_powers(src: str, order: list[ast.expr]) -> None:
-    """Reject an int-only ``**`` whose value exceeds the float range, such as
-    9**9**9, before Python computes it exactly.  Int-only subtrees are
-    evaluated children first (``order`` is a pre-order walk); a power is
-    bounded by its exponent times its base's bit length before it is computed.
-    """
-    ints: dict[ast.expr, int] = {}
-    for node in reversed(order):
-        kind = type(node)
-        if kind is ast.Constant and type(node.value) is int:
-            ints[node] = node.value
-        elif kind is ast.UnaryOp and node.operand in ints:
-            ints[node] = _INT_OPS[type(node.op)](ints[node.operand])
-        elif kind is ast.BinOp and node.left in ints and node.right in ints:
-            a, b, op = ints[node.left], ints[node.right], type(node.op)
-            if op is ast.Pow and b >= 0:
-                try:
-                    if (abs(a).bit_length() - 1) * b >= 1024:
-                        raise OverflowError
-                    ints[node] = a ** b
-                    float(ints[node])
-                except OverflowError:
-                    raise ConfigError(f"expression {_quote(src)}: an integer power "
-                                      f"exceeds the float range") from None
-            elif op in _INT_OPS and (b != 0 or op not in (ast.FloorDiv, ast.Mod)):
-                ints[node] = _INT_OPS[op](a, b)
 
 
 def compile_expr(src: str) -> Callable[[float, float], float]:
@@ -133,10 +103,11 @@ def compile_expr(src: str) -> Callable[[float, float], float]:
 # along x.  The piecewise rules: d|a| = sign(a) da with sign(0) = 0;
 # a // b is piecewise constant, so 0; a % b = a - (a // b) b gives
 # da - (a // b) db.  Where a rule has no value, such as d sqrt(a) at
-# a = 0, evaluating the partial fails.
+# a = 0, evaluating the partial fails.  _float checks a power, which may
+# be complex, and converts a comparison, an int: every partial is a float.
 _RULES = {
     ast.Add: "DA0 + DA1", ast.Sub: "DA0 - DA1", ast.Mult: "DA0 * A1 + A0 * DA1",
-    ast.Div: "(DA0 - F * DA1) / A1", ast.FloorDiv: "0", ast.Mod: "DA0 - (A0 // A1) * DA1",
+    ast.Div: "(DA0 - F * DA1) / A1", ast.FloorDiv: "0.0", ast.Mod: "DA0 - (A0 // A1) * DA1",
     ast.UAdd: "DA0", ast.USub: "-DA0",
     "sin": "cos(A0) * DA0", "cos": "-sin(A0) * DA0", "tan": "(1.0 + F * F) * DA0",
     "asin": "DA0 / sqrt(1.0 - A0 * A0)", "acos": "-DA0 / sqrt(1.0 - A0 * A0)",
@@ -146,17 +117,18 @@ _RULES = {
     "atanh": "DA0 / (1.0 - A0 * A0)", "exp": "F * DA0",
     "log": ("DA0 / A0", "(DA0 / A0 - F * DA1 / A1) / log(A1)"),
     "log2": f"DA0 / (A0 * {math.log(2.0)!r})", "log10": f"DA0 / (A0 * {math.log(10.0)!r})",
-    "sqrt": "0.5 * DA0 / F", "abs": "((A0 > 0) - (A0 < 0)) * DA0",
+    "sqrt": "0.5 * DA0 / F", "abs": "_float((A0 > 0.0) - (A0 < 0.0)) * DA0",
     # one term of the sum over the arguments, each added by its own statement
     "hypot": "A0 / F * DA0",
 }
 # a ** b by which of a and b vary along the axis
-_POW_RULES = {(True, False): "A1 * A0 ** (A1 - 1) * DA0", (False, True): "F * log(A0) * DA1",
+_POW_RULES = {(True, False): "A1 * _float(A0 ** (A1 - 1.0)) * DA0",
+              (False, True): "F * log(A0) * DA1",
               (True, True): "F * (DA1 * log(A0) + A1 * DA0 / A0)"}
 _SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.FloorDiv: "//",
             ast.Mod: "%", ast.Pow: "**", ast.UAdd: "+", ast.USub: "-", ast.Gt: ">", ast.Lt: "<"}
-# an operand is Python source: a name, a number, or a parenthesized expression
-_ZEROS, _ONES = ("0", "0.0"), ("1", "1.0")
+# an operand is Python source: a name, a float, or a parenthesized expression
+_ZERO, _ONE = "0.0", "1.0"
 
 
 def _rule(kind, n_args: int, varies: tuple[bool, ...]) -> ast.expr | None:
@@ -191,63 +163,26 @@ def _fold(node: ast.expr, env: dict[str, str]) -> str:
         a = _fold(node.operand, env)
         if type(node.op) is ast.Not:
             return {"True": "False", "False": "True"}.get(a, f"(not {a})")
-        return a if a in _ZEROS else f"(-{a})"
+        return a if a == _ZERO else f"(-{a})"
     if kind is ast.BinOp:
         a, b, op = _fold(node.left, env), _fold(node.right, env), type(node.op)
-        if (op is ast.Mult and (a in _ZEROS or b in _ZEROS)) or (op is ast.Div and a in _ZEROS):
-            return "0.0"
-        if (op is ast.Mult and a in _ONES) or (op is ast.Add and a in _ZEROS):
+        if (op is ast.Mult and _ZERO in (a, b)) or (op is ast.Div and a == _ZERO):
+            return _ZERO
+        if (op is ast.Mult and a == _ONE) or (op is ast.Add and a == _ZERO):
             return b
-        if (op in (ast.Mult, ast.Div) and b in _ONES) or (op in (ast.Add, ast.Sub)
-                                                          and b in _ZEROS):
+        if (op in (ast.Mult, ast.Div) and b == _ONE) or (op in (ast.Add, ast.Sub) and b == _ZERO):
             return a
-        if op is ast.Sub and a in _ZEROS:
+        if op is ast.Sub and a == _ZERO:
             return f"(-{b})"
         return f"({a} {_SYMBOLS[op]} {b})"
     if kind is ast.Compare:
         a, b, op = _fold(node.left, env), _fold(node.comparators[0], env), type(node.ops[0])
-        if a in _ZEROS + _ONES and b in _ZEROS + _ONES:  # a check of a constant metric
+        if a in (_ZERO, _ONE) and b in (_ZERO, _ONE):  # a check of a constant metric
             return repr(float(a) > float(b) if op is ast.Gt else float(a) < float(b))
         return f"({a} {_SYMBOLS[op]} {b})"
     if kind is ast.Tuple:
         return f"({', '.join(_fold(e, env) for e in node.elts)})"
     return f"{node.func.id}({', '.join(_fold(a, env) for a in node.args)})"
-
-
-# the tokens of a statement's right side that decide whether it is a float
-_TOKENS = re.compile(r"\*\*|//|[<>/]|[A-Za-z_]\w*|[\d.]+(?:e[-+]?\d+)?")
-
-
-@lru_cache(maxsize=4096)
-def _tokens(text: str) -> tuple[str, ...]:
-    """The tokens of a statement's right side; configs of one shape repeat them."""
-    return tuple(_TOKENS.findall(text))
-
-
-def _is_float(text: str, kinds: dict[str, bool]) -> bool | None:
-    """True where source surely evaluates to a float and False where to an
-    int or a float, given ``kinds``: True for the names that hold floats,
-    False for those that hold ints.  None where it may be complex or a bool:
-    it reads ``**``, a comparison or another name.  Any arithmetic with a
-    float, a true division and a call other than abs give a float."""
-    tokens = _tokens(text)
-    if any(t in ("**", "<", ">") or ((t[0].isalpha() or t[0] == "_") and t not in kinds
-                                     and t not in _CALLABLE_NAMES) for t in tokens):
-        return None
-    return any(kinds.get(t) or t == "/" or (t in _CALLABLE_NAMES and t != "abs")
-               or (t[0] in "0123456789." and ("." in t or "e" in t)) for t in tokens)
-
-
-def _bind(name: str, operand: str, env: dict[str, str], kinds: dict[str, bool]) -> list[str]:
-    """The statement binding ``name`` to an operand as a float, or none where
-    ``env`` substitutes the operand: an exact 0 or 1, or a sure float."""
-    if operand in _ZEROS or operand in _ONES:  # most partials of a metric are 0
-        env[name] = repr(float(operand))
-    elif _is_float(operand, kinds):
-        env[name] = operand
-    else:
-        return [f"{name} = _float({operand})"]
-    return []
 
 
 def _emit_tail(tail: str, env: dict[str, str], read: set[str]) -> list[str]:
@@ -257,7 +192,7 @@ def _emit_tail(tail: str, env: dict[str, str], read: set[str]) -> list[str]:
     dropped: on a flat metric, the Christoffel symbols fold to a constant
     tuple."""
     text = _folded_tail(tail, tuple(sorted((name, operand) for name, operand in env.items()
-                                           if operand in ("0.0", "1.0") and name in read)))
+                                           if operand in (_ZERO, _ONE) and name in read)))
     return re.sub(r"\bv\d+[xy]?\b", lambda m: env.get(m.group(), m.group()), text).splitlines()
 
 
@@ -272,8 +207,8 @@ def _folded_tail(tail: str, constants: tuple[tuple[str, str], ...]) -> str:
             text = _fold(value, env)
             if type(value) is ast.BinOp and type(value.op) is ast.Div and (
                     _fold(value.left, env) == _fold(value.right, env)):
-                text = "1.0"  # det / det, after the check that det > 0
-            if text in _ZEROS or text in _ONES or text.isidentifier():
+                text = _ONE  # det / det, after the check that det > 0
+            if text in (_ZERO, _ONE) or text.isidentifier():
                 env[name] = text
             else:
                 env[name] = name
@@ -287,8 +222,7 @@ def _folded_tail(tail: str, constants: tuple[tuple[str, str], ...]) -> str:
     return "\n".join(lines)
 
 
-def _straight_line(body: ast.expr, axes: str, memo: dict[str, str],
-                   kinds: dict[str, bool]) -> tuple[list[str], str, dict]:
+def _straight_line(body: ast.expr, axes: str, memo: dict) -> tuple[list[str], str, dict]:
     """A checked tree as straight-line source, one statement per operation,
     with its partials along ``axes`` derived operation by operation.
 
@@ -297,64 +231,90 @@ def _straight_line(body: ast.expr, axes: str, memo: dict[str, str],
     each distinct operation once, across all the trees compiled together,
     so a repeated subexpression repeats its statement verbatim, and names
     each float literal but 0.0 and 1.0, which fold, as a global c0, c1, ...
-    ``kinds`` collects the names that surely hold floats or ints (see
-    ``_is_float``).  The walk keeps its own stack, so a deep tree cannot
-    exhaust Python's.
+    under the key ("c", its repr), which no statement's text can equal.
+    An operation on ints alone, or abs, log, log2 or log10 of them, is
+    computed here with the function eval calls and enters as the float
+    literal of its value, so every literal is a float; a power is bounded
+    by its exponent times its base's bit length before it is computed, and
+    it and any other int past the float range raise OverflowError.  A
+    power is complex where its base is negative and its exponent no
+    integer.  eval passes such a value on to abs, which gives a float, and
+    fails with it anywhere else, so each power outside abs's argument is
+    computed as _float(a ** b), and every name outside that argument holds
+    a float.  The walk keeps its own stack, so
+    a deep tree cannot exhaust Python's.
     """
-    values, partials, out = [], {axis: [] for axis in axes}, {}
-    stack = [(body, False)]
+    values, partials, out, ints = [], {axis: [] for axis in axes}, {}, {}
+
+    def literal(value: float) -> tuple[str, dict]:
+        text = repr(value)
+        if text not in (_ZERO, _ONE):
+            text = memo.setdefault(("c", text), f"c{len(memo)}")  # a global; see _compile
+        return text, dict.fromkeys(axes, _ZERO)
+
+    stack = [(body, False, False)]
     while stack:
-        node, ready = stack.pop()
+        node, ready, in_abs = stack.pop()
         kind = type(node)
+        if kind is ast.Constant and type(node.value) is int:
+            ints[node] = node.value
+            continue
         if kind is ast.Name or kind is ast.Constant:
-            leaf = node.id if kind is ast.Name else repr(node.value)
-            if kind is ast.Constant and type(node.value) is float and node.value not in (0.0, 1.0):
-                leaf = memo.setdefault(leaf, f"c{len(memo)}")  # a global; see _compile
-                kinds[leaf] = True
-            out[node] = leaf, {axis: "1.0" if leaf == axis else "0.0" for axis in axes}
+            out[node] = (literal(node.value) if kind is ast.Constant else
+                         (node.id, {axis: _ONE if node.id == axis else _ZERO for axis in axes}))
             continue
         args = ((node.left, node.right) if kind is ast.BinOp else
                 (node.operand,) if kind is ast.UnaryOp else node.args)
         if not ready:
-            stack.append((node, True))
-            stack.extend((a, False) for a in reversed(args))
+            stack.append((node, True, in_abs))
+            in_abs = in_abs or (kind is ast.Call and node.func.id == "abs")
+            stack.extend((a, False, in_abs) for a in reversed(args))
             continue
-        ops = [out.pop(a) for a in args]
+        op = node.func.id if kind is ast.Call else type(node.op)
+        if op in _INT_OPS and all(a in ints for a in args):
+            n = [ints[a] for a in args]
+            if op is ast.Pow and (abs(n[0]).bit_length() - 1) * n[1] >= 1024:
+                raise OverflowError  # 9**9**9, bounded before Python computes it
+            try:
+                value = _INT_OPS[op](*n)
+            except (ArithmeticError, TypeError, ValueError):  # a // 0, log(0): fail where run
+                value = None
+            if type(value) is int:  # abs keeps an int an int: -abs(0) is 0, not -0.0
+                ints[node] = value
+                continue
+            if value is not None:  # a quotient, or a power with a negative exponent
+                out[node] = literal(value)
+                continue
+        ops = [out.pop(a) if a in out else literal(float(ints.pop(a))) for a in args]
         vals = [v for v, _ in ops]
-        value = (f"{vals[0]} {_SYMBOLS[type(node.op)]} {vals[1]}" if kind is ast.BinOp else
-                 f"{_SYMBOLS[type(node.op)]}{vals[0]}" if kind is ast.UnaryOp else
-                 f"{node.func.id}({', '.join(vals)})")
+        value = (f"{vals[0]} {_SYMBOLS[op]} {vals[1]}" if kind is ast.BinOp else
+                 f"{_SYMBOLS[op]}{vals[0]}" if kind is ast.UnaryOp else f"{op}({', '.join(vals)})")
+        if op is ast.Pow and not in_abs:
+            value = f"_float({value})"
         name = memo.setdefault(value, f"t{len(memo)}")
         values.append(f"{name} = {value}")
-        if (typed := _is_float(value, kinds)) is not None:
-            kinds[name] = typed
-        rule_kind = node.func.id if kind is ast.Call else type(node.op)
         d = {}
         for axis in axes:
             das = [ds[axis] for _, ds in ops]
-            varies = tuple(da not in _ZEROS for da in das)
-            rule = _rule(rule_kind, len(args), varies) if any(varies) else None
-            text, lines = "0.0", partials[axis]
-            if rule is not None and rule_kind == "hypot":  # one statement per term
+            varies = tuple(da != _ZERO for da in das)
+            rule = _rule(op, len(args), varies) if any(varies) else None
+            text, lines = _ZERO, partials[axis]
+            if rule is not None and op == "hypot":  # one statement per term
                 terms = (_fold(rule, {"F": name, "A0": a, "DA0": da})
                          for a, da, var in zip(vals, das, varies) if var)
                 for k, term in enumerate(terms):
                     term = f"{text} + {term}" if k else term
                     text = f"{name}{axis}{k}"
                     lines.append(f"{text} = {term}")
-                    if (typed := _is_float(term, kinds)) is not None:
-                        kinds[text] = typed
             elif rule is not None:
                 text = _fold(rule, {"F": name, **{f"A{k}": a for k, a in enumerate(vals)},
                                     **{f"DA{k}": da for k, da in enumerate(das)}})
-            if text not in _ZEROS and text not in _ONES and not text.isidentifier():
+            if text not in (_ZERO, _ONE) and not text.isidentifier():
                 lines.append(f"{name}{axis} = {text}")
-                if (typed := _is_float(text, kinds)) is not None:
-                    kinds[f"{name}{axis}"] = typed
                 text = f"{name}{axis}"
             d[axis] = text
         out[node] = name, d
-    value, d = out[body]
+    value, d = out[body] if body in out else literal(float(ints[body]))
     return values, value, {axis: (partials[axis], d[axis]) for axis in axes}
 
 
@@ -405,14 +365,18 @@ def _compile(srcs: tuple, *tails: str, **names) -> Module:
     value or its partial failed, and the point.
     """
     reads = [_words(tail) for tail in tails]
-    memo, env, kinds = {}, {}, dict.fromkeys(("x", "y", "pi", "e", "tau"), True)
+    memo, env = {}, {}  # env: vi, vix, viy -> its operand
     blocks = {}  # vi, vix, viy -> (statements that bind it, (i, whether a partial))
     for i, src in enumerate(srcs):
-        values, value, partials = _straight_line(_checked(src), "".join(
-            axis for axis in "xy" if any(f"v{i}{axis}" in read for read in reads)), memo, kinds)
-        blocks[f"v{i}"] = [*values, *_bind(f"v{i}", value, env, kinds)], (i, False)
+        axes = "".join(axis for axis in "xy" if any(f"v{i}{axis}" in read for read in reads))
+        try:
+            values, value, partials = _straight_line(_checked(src), axes, memo)
+        except OverflowError:
+            raise ConfigError(f"expression {_quote(src)}: an integer exceeds "
+                              f"the float range") from None
+        blocks[f"v{i}"], env[f"v{i}"] = (values, (i, False)), value
         for axis, (lines, operand) in partials.items():
-            blocks[f"v{i}{axis}"] = [*lines, *_bind(f"v{i}{axis}", operand, env, kinds)], (i, True)
+            blocks[f"v{i}{axis}"], env[f"v{i}{axis}"] = (lines, (i, True)), operand
 
     source, owners, fused, columns = [], {}, {}, {}
     for k, (tail, read) in enumerate(zip(tails, reads)):
@@ -442,7 +406,7 @@ def _compile(srcs: tuple, *tails: str, **names) -> Module:
     namespace = {"__builtins__": {}, "__name__": "expr", **_SAFE_NAMES, "_float": float,
                  "_fail": partial(_failure, srcs, owners),
                  "_ERRORS": (ArithmeticError, TypeError, ValueError), **names,
-                 **{name: float(text) for text, name in memo.items() if name[0] == "c"}}
+                 **{name: float(key[1]) for key, name in memo.items() if type(key) is tuple}}
     exec(_code("\n".join(source), namespace["__name__"]), namespace)
     return Module((FusedRHS(namespace[f"f{k}"], srcs, *fused[k]) if k in fused
                    else namespace[f"f{k}"] for k in range(len(tails))),

@@ -107,9 +107,9 @@ def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
     Each assignment becomes a ``const double``, fully parenthesized as
     Python grouped it, and each ``if ...: raise`` a ``break``; a ``try``
     keeps its body and drops its handler, since a failing operation raises
-    a C exception flag instead.  A subexpression of literals, and a name
-    bound to one, is folded with Python's own arithmetic, ints included, so
-    ``1 / 2`` is 0.5 and a large int product keeps its exact rounding.  A
+    a C exception flag instead.  A subexpression of float literals, and a
+    name bound to one, is folded with Python's own arithmetic; one that is
+    not finite, or fails, and an int literal keep the Python march.  A
     statement that no other reads, which Python keeps as a domain guard,
     is stored to a volatile sink so that C computes it as well.
     """
@@ -120,7 +120,7 @@ def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
 
     def const(node):
         kind = type(node)
-        if kind is ast.Constant and type(node.value) in (int, float):
+        if kind is ast.Constant and type(node.value) is float:
             return node.value
         if kind is ast.Name:
             return consts.get(node.id)
@@ -140,10 +140,6 @@ def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
     def expr(node) -> str:
         value = const(node)
         if value is not None:
-            try:
-                value = float(value)
-            except OverflowError:
-                raise _Untranslatable from None
             if not math.isfinite(value):
                 raise _Untranslatable
             return f"({value!r})"
@@ -174,7 +170,7 @@ def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
         if name in assigned or name in _PARAMS or name.endswith("_"):
             raise _Untranslatable
         assigned.add(name)
-        text = expr(value)  # raises where a literal does not fit a double
+        text = expr(value)  # raises where a folded literal is not finite
         folded = const(value)
         if folded is None:
             lines.append((name, f"const double {name} = {text};"))

@@ -200,23 +200,18 @@ def strip_quadrature(y0: float, y: float, strip: StripBounds) -> StripTime:
     target_level = upper if y > y0 else lower
     gap = abs(target_level - y)
     width = abs(y - y0)
-    total = 0.0
+    pieces, g = [y0], 0.5 * width
     if gap < 0.25 * width:
-        pieces = [y0]
-        g = 0.5 * width
         while g > gap * 1.0001:
             pieces.append(target_level - math.copysign(g, target_level - y0))
             g *= 0.5
-        pieces.append(y)
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            part, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
-            total += part
-            if abs(total) >= cap:
-                return StripTime(math.copysign(cap, total), True)
-    else:
-        total, _ = quad(integrand, y0, y, epsabs=1e-13, epsrel=1e-10, limit=300)
-    if abs(total) >= cap:
-        return StripTime(math.copysign(cap, total), True)
+    pieces.append(y)
+    total = 0.0
+    for a, b in zip(pieces[:-1], pieces[1:]):
+        part, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
+        total += part
+        if abs(total) >= cap:
+            return StripTime(math.copysign(cap, total), True)
     return StripTime(total, False)
 
 

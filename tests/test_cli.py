@@ -313,6 +313,40 @@ def test_plot_of_a_missing_csv_exits_2(tmp_path, capsys):
     assert not (tmp_path / "fig.svg").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--scenario", "plane-straight", "--out-dir", "{file}"],
+    # an artifact's path is a directory
+    ["integrate", "--scenario", "plane-straight", "--out-dir", "{dirs}"],
+    ["suite", "--criteria", "6", "--out-dir", "{file}"],
+    ["plot", "--scenario", "plane-straight", "--out", "{missing}/fig.svg"],
+    ["mercator", "--surface", "sphere", "-n", "10", "--out", "{missing}/merc.csv"],
+])
+def test_an_output_path_that_cannot_be_written_exits_2(argv, tmp_path, capsys):
+    file = tmp_path / "a-file"
+    file.write_text("")
+    (tmp_path / "dirs" / "plane-straight.csv").mkdir(parents=True)
+    argv = [a.format(file=file, missing=tmp_path / "missing", dirs=tmp_path / "dirs")
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    # nothing is printed: the suite checks its directory before it runs a criterion
+    assert captured.out == ""
+
+
+def test_integrate_report_is_checked_before_it_runs(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(config_path), "--report", "speed",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --report is for --scenario runs")
+    assert main(["integrate", "--scenario", "plane-straight", "--report", "bogus",
+                 "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "invalid choice" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("formats", ["xyz", "csv,xyz", "csv,,json"])
 def test_integrate_rejects_an_unknown_format_before_it_runs(formats, tmp_path, capsys):
     out = tmp_path / "out"

@@ -240,11 +240,12 @@ def test_the_sample_launches_leave_the_box():
 
 @pytest.mark.parametrize("p, translates", [
     ("sin(x) * cos(y) + exp(-y) * log(2 + x*x) + sqrt(1 + y*y)", True),
-    # literals keep Python's arithmetic: 1/2 is 0.5, and the int product is
-    # exact before it meets a float, where doubles would round it twice
+    # int literals keep Python's arithmetic: 1/2 is 0.5, and the int product
+    # is exact before it meets a float, where doubles would round it twice
     ("x * (1/2) + x * y * (3*5) + 100000001 * 100000003 * 100000005 * x * 1e-24", True),
-    # an int partial, 3, is bound as _float(3)
-    ("x + y * 3", False), ("x**3", False), ("x // 2 + y", False), ("x % 2 + y", False),
+    # the int partial 3 enters as a float literal, so its C march must give
+    # the Python march's bits
+    ("x + y * 3", True), ("x**3", False), ("x // 2 + y", False), ("x % 2 + y", False),
     ("hypot(x, y)", False), ("atan2(y, x)", False), ("abs(x) * y", False),
     ("log(x*x + 1, 2)", False), ("tanh(x) * y", False)])
 def test_only_texts_that_call_libm_as_math_does_compile(p, translates):

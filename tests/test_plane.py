@@ -353,13 +353,23 @@ def test_two_sided_sweep_matches_two_sided_integration():
 
 
 def _hand_written_sweep(origin, n_angles, t_max, h, both_directions):
-    """The sweep's former batched RK4 loop, kept as the bitwise oracle."""
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    dx = np.cos(angles)
-    dy = np.sin(angles)
+    """The sweep's former batched RK4 loop, kept as the bitwise oracle.  Its
+    lanes never meet, so a forward-only sweep is the first ``n_angles``
+    lanes of the sweep in both directions, before the halves merge."""
+    y_lo, y_hi = _hand_written_lanes(tuple(origin), n_angles, t_max, h)
     if both_directions:
-        dx = np.concatenate([dx, -dx])
-        dy = np.concatenate([dy, -dy])
+        return (np.minimum(y_lo[:n_angles], y_lo[n_angles:]),
+                np.maximum(y_hi[:n_angles], y_hi[n_angles:]))
+    return y_lo[:n_angles], y_hi[:n_angles]
+
+
+@functools.cache
+def _hand_written_lanes(origin, n_angles, t_max, h):
+    """The extreme heights of each lane of the loop, the forward lanes then
+    the backward ones; cached, as a sweep's two directions share them."""
+    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    dx = np.concatenate([np.cos(angles), -np.cos(angles)])
+    dy = np.concatenate([np.sin(angles), -np.sin(angles)])
     x = np.full(len(dx), float(origin[0]))
     y = np.full(len(dx), float(origin[1]))
     y_lo = y.copy()
@@ -385,9 +395,6 @@ def _hand_written_sweep(origin, n_angles, t_max, h, both_directions):
         dy = dy + h * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
         np.minimum(y_lo, y, out=y_lo)
         np.maximum(y_hi, y, out=y_hi)
-    if both_directions:
-        y_lo = np.minimum(y_lo[:n_angles], y_lo[n_angles:])
-        y_hi = np.maximum(y_hi[:n_angles], y_hi[n_angles:])
     return y_lo, y_hi
 
 

@@ -7,13 +7,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from torsiongeo import geometry
+from torsiongeo import expr, geometry
 from torsiongeo.audit import uniform_step
 from torsiongeo.errors import ConfigError, MetricDegeneracyError
-from torsiongeo.geometry import ChartGeometry, norm
+from torsiongeo.geometry import ChartGeometry, ChartSource, FieldSource, compile_runtime, norm
 from torsiongeo.expr import _SAFE_NAMES, _compile
+from torsiongeo.integrate import FEHLBERG, RK4, _make_step
 from torsiongeo.scenarios import (CATALOG, CATALOG_IDS, ScenarioConfig, build_runtime,
                                   compile_expr, run_config, run_scenario)
 
@@ -146,6 +147,25 @@ def _grow(children):
 @settings(max_examples=300)
 @given(src=st.recursive(_LEAVES, _grow, max_leaves=8),
        a=st.floats(allow_nan=False), b=st.floats(-10.0, 10.0))
+# int-only subexpressions are computed exactly at compile time: the sign of
+# an int zero, a difference of ints past 2**53, an int rounded once where
+# it meets a float, a correctly rounded int quotient, an exact int product
+@example(src="-0", a=0.5, b=1.0)
+@example(src="(10**17+1)-10**17", a=0.5, b=1.0)
+@example(src="x*(2**53+1)", a=0.1, b=1.0)
+@example(src="(2**60+1)/3 + x", a=0.1, b=1.0)
+@example(src="100000001*100000003*100000005*x", a=0.1, b=1.0)
+@example(src="-(2**63)*x", a=0.1, b=1.0)
+# abs of a complex power is a float, as in eval, and -abs(0) is 0, not -0.0
+@example(src="abs((y - 1)**0.5)", a=0.0, b=-3.0)
+@example(src="-abs(0)", a=0.0, b=0.0)
+# a folded negative literal and a negation statement of the same text
+@example(src="x*(-1) + -1.0", a=0.5, b=1.0)
+@example(src="-1.0 + x*(-1)", a=0.5, b=1.0)
+@example(src="0/(-1) + x + -0.0", a=0.5, b=1.0)
+# log takes an int of any size, as in eval
+@example(src="log(10**300*10**300) + x", a=0.5, b=1.0)
+@example(src=f"log10({10**400}) + log(3, {10**310}) * x", a=0.5, b=1.0)
 def test_compiled_expr_matches_eval_bitwise(src, a, b):
     fn = compile_expr(src)
     try:
@@ -155,6 +175,45 @@ def test_compiled_expr_matches_eval_bitwise(src, a, b):
             fn(a, b)
         return
     assert struct.pack("<d", fn(a, b)) == struct.pack("<d", want)
+
+
+def test_an_int_past_the_float_range_fails_at_compile_time():
+    # eval fails only where such an int meets a float, at the first call
+    for src in ("10**300*10**300 + x", f"{10**400} + x", f"sqrt({10**400})"):
+        with pytest.raises(ConfigError, match="float range"):
+            compile_expr(src)
+
+
+def test_literal_globals_and_statements_do_not_share_names():
+    # the literal -1.0 of one tree and the statement -1.0 of another
+    fns = _compile(("-1.0 + y", "x*(-1)"), "return v0", "return v1")
+    assert fns[0](0.5, 3.0) == 2.0 and fns[1](0.5, 3.0) == -0.5
+
+
+def test_generated_sources_hold_only_float_literals(monkeypatch):
+    # every literal of a module or a step is a float, and _float wraps only
+    # what may not give one: a power (complex) or a comparison (an int)
+    sources, code = [], expr._code
+    monkeypatch.setattr(expr, "_code", lambda source, name: (
+        sources.append(source) or code(source, name)))
+    chart, field = compile_runtime(
+        ChartSource("ints", ("2 + x**2 % 3 + abs(y - 1)", "(2**60 + 1) // 3 * 0",
+                             "1 + (y // 2)**2 + hypot(x, 2) + 7/2"),
+                    sample_box=(-1.0, 1.0, -1.0, 1.0)),
+        FieldSource("ints", "sigma", ("-(2**63)*x*1e-19 + 3*y - 100000001*100000003*x*1e-16",)))
+    for tableau in (RK4, FEHLBERG):
+        _make_step(chart, field, 1.0, tableau)(0.1, 0.2, 0.6, 0.8, 1e-3)
+    assert len(sources) == 3
+    for source in sources:
+        tree = ast.parse(source)
+        assert [n.value for n in ast.walk(tree)
+                if type(n) is ast.Constant and type(n.value) is int] == []
+        wrapped = [n.args[0] for n in ast.walk(tree) if type(n) is ast.Call
+                   and getattr(n.func, "id", None) == "_float"]
+        assert wrapped
+        for arg in wrapped:
+            assert any(type(n) is ast.Compare or type(getattr(n, "op", None)) is ast.Pow
+                       for n in ast.walk(arg)), ast.unparse(arg)
 
 
 def _partials(src: str):
