@@ -5,8 +5,9 @@ coordinates, int and float constants and a whitelist of ``math``
 functions.  ``_compile`` turns a tuple of them into one module of
 straight-line functions with their exact partial derivatives, and gives
 each function a column form that evaluates arrays of samples bitwise as the
-function does (``Column``); an input outside the grammar, or an evaluation
-that fails, raises ``ConfigError``.
+function does (``Column``): a C loop built with the module's RK4 march
+(see :mod:`native`) where that march is built, else numpy; an input
+outside the grammar, or an evaluation that fails, raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import itertools
 import math
 import operator
 import re
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from types import FunctionType
 from typing import Callable
 
 import numpy as np
 
+from . import native
 from .errors import ConfigError
 
 _SAFE_NAMES: dict[str, object] = {
@@ -390,6 +392,7 @@ def _compile(srcs: tuple, *tails: str, **names) -> Module:
         keep = _live((*body, *tail_lines))
         tail_lines = list(itertools.compress(tail_lines, keep[len(body):]))
         body = dict(itertools.compress(body.items(), keep))
+        start = len(source)
         source.append(f"def f{k}(x, y, du, dv, E2=None):" if "E2" in read else
                       f"def f{k}(x, y=0.0):")
         if body:
@@ -402,10 +405,11 @@ def _compile(srcs: tuple, *tails: str, **names) -> Module:
         if "E2" in read:
             fused[k] = tuple(body.items()), tuple(tail_lines)
         else:
-            columns[k] = tuple(body), tuple(tail_lines)
+            columns[k] = tuple(body), tuple(tail_lines), "\n".join(source[start:])
     namespace = {"__builtins__": {}, "__name__": "expr", **_SAFE_NAMES, "_float": float,
                  "_fail": partial(_failure, srcs, owners),
-                 "_ERRORS": (ArithmeticError, TypeError, ValueError), **names,
+                 "_ERRORS": (ArithmeticError, TypeError, ValueError),
+                 "_columns": tuple(text for _, _, text in columns.values()), **names,
                  **{name: float(key[1]) for key, name in memo.items() if type(key) is tuple}}
     exec(_code("\n".join(source), namespace["__name__"]), namespace)
     return Module((FusedRHS(namespace[f"f{k}"], srcs, *fused[k]) if k in fused
@@ -542,25 +546,40 @@ class Column:
     (x, y) of equal length, it returns what the function returns with an
     array of every sample's value in place of each float.
 
-    It is compiled into the function's own module on its first call, from
-    the function's statements (see ``_column_source``), so every value is
-    the scalar function's, bit for bit.  On a floating-point error or an
-    exception it evaluates the scalar function sample by sample instead,
-    which returns the same values or raises the same ConfigError at the
-    first sample that fails.
+    Where the module's RK4 march is built, the library holds a C loop of
+    the function (see :func:`native.column_source`), and a call runs it
+    over every sample; it returns one array of the return's shape by the
+    number of samples.  Otherwise, and where a sample is NaN, fails a
+    check or raises a floating-point flag in C, a numpy form runs, compiled
+    into the function's own module on its first call from the function's
+    statements (see ``_column_source``).  On a floating-point error or an
+    exception that form evaluates the scalar function sample by sample
+    instead, which returns the same values or raises the same ConfigError
+    at the first sample that fails.  Every value is the scalar function's,
+    bit for bit.
     """
 
-    def __init__(self, namespace: dict, k: int, body: tuple[str, ...], tail: tuple[str, ...]):
+    def __init__(self, namespace: dict, k: int, body: tuple[str, ...], tail: tuple[str, ...],
+                 text: str):
         self.namespace, self.scalar, self.body, self.tail = namespace, namespace[f"f{k}"], body, tail
-        self.fn = None
+        self.text, self.loop = text, None
+
+    @cached_property
+    def fn(self) -> Callable:
+        """The numpy form, compiled into the module on first use."""
+        namespace, scope = self.namespace, {}
+        namespace.update(_COLUMN_NAMES)
+        exec(_code(_column_source(self.body, self.tail), f"{namespace['__name__']} column"),
+             namespace, scope)
+        return scope["column"]
 
     def __call__(self, x: np.ndarray, y: np.ndarray):
-        if self.fn is None:
-            namespace, scope = self.namespace, {}
-            namespace.update(_COLUMN_NAMES)
-            exec(_code(_column_source(self.body, self.tail), f"{namespace['__name__']} column"),
-                 namespace, scope)
-            self.fn = scope["column"]
+        if self.loop is None:  # until the module's march is tried
+            self.loop = native.column_loop(self.namespace, self.text)
+        if self.loop:
+            out = self.loop(x, y)
+            if out is not None:
+                return out
         try:
             with np.errstate(all="raise", under="ignore"):  # Python floats underflow silently
                 return self.fn(x, y)

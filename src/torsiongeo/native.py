@@ -5,12 +5,15 @@ its functions, once per process and source text.  :func:`rk4_kernel`
 translates the RK4 step a runtime's module compiled
 (:meth:`expr.FusedRHS.step`) into one C function that runs a whole march,
 statement by statement, so every step it takes is bitwise the Python
-step's; :func:`lanes_source` translates a step less its guards
-(:func:`unguarded`) into a loop over arrays of lanes.  Nothing is cached
-on disk and no option selects a kernel: where no kernel translates, builds
-or loads, the Python code runs instead.  :func:`in_blocks` runs a loop over
-lanes in one contiguous block per CPU the process may use, each on its own
-thread.
+step's, and builds into the same library, in the same ``cc`` run, a loop
+over arrays of samples (:func:`column_source`) for each column function
+of the module that translates, which :class:`expr.Column` finds with
+:func:`column_loop`; :func:`lanes_source` translates a step less its
+guards (:func:`unguarded`) into a loop over arrays of lanes.  Nothing is
+cached on disk and no option selects a kernel: where no kernel
+translates, builds or loads, the Python or numpy code runs instead.
+:func:`in_blocks` runs a loop over lanes in one contiguous block per CPU
+the process may use, each on its own thread.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ def load(source: str | None, name: str, *argtypes, restype=None):
     """The function ``name`` of the library :func:`build` makes from
     ``source``, taking ``argtypes`` and returning ``restype``: ``int`` for
     int64_t, ``float`` for double, ``np.ndarray`` for a C-contiguous array of
-    doubles, None for void.  None where ``source`` is None or no library
-    with ``name`` builds and loads."""
+    doubles, ``"double *"`` for a pointer to doubles, such as
+    ``ctypes.c_double.from_buffer`` of an array (which checks less than an
+    array argument, and so costs less per call), None for void.  None
+    where ``source`` is None or no library with ``name`` builds and loads."""
     library = None if source is None else build(source)
     fn = getattr(library, name, None)
     if fn is None:
@@ -71,7 +76,8 @@ def load(source: str | None, name: str, *argtypes, restype=None):
     import ctypes
 
     kinds = {int: ctypes.c_int64, float: ctypes.c_double, None: None,
-             np.ndarray: np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")}
+             np.ndarray: np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+             "double *": ctypes.POINTER(ctypes.c_double)}
     fn.argtypes = [kinds[kind] for kind in argtypes]
     fn.restype = kinds[restype]
     return fn
@@ -100,21 +106,24 @@ class _Untranslatable(Exception):
     """A step text holds something the C loop cannot do bitwise."""
 
 
-def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
-    """The C statements of an emitted step's body, the names it reads and
-    does not assign, and the four values it returns.
+def _translate(text: str, params: tuple[str, ...]) -> tuple[list[str], set[str], list[str],
+                                                          tuple[int, ...]]:
+    """The C statements of the body of an emitted function of ``params``,
+    the names it reads and does not assign, the values it returns, and the
+    shape of its return: () for one value, (m,) for a tuple of m, (a, m)
+    for a tuple of a tuples of m each, and so on.
 
     Each assignment becomes a ``const double``, fully parenthesized as
     Python grouped it, and each ``if ...: raise`` a ``break``; a ``try``
     keeps its body and drops its handler, since a failing operation raises
     a C exception flag instead.  A subexpression of float literals, and a
     name bound to one, is folded with Python's own arithmetic; one that is
-    not finite, or fails, and an int literal keep the Python march.  A
+    not finite, or fails, and an int literal keep the Python code.  A
     statement that no other reads, which Python keeps as a domain guard,
     is stored to a volatile sink so that C computes it as well.
     """
     fn = ast.parse(text).body[0]
-    if [a.arg for a in fn.args.args] != list(_PARAMS):
+    if [a.arg for a in fn.args.args] != list(params):
         raise _Untranslatable
     consts, assigned, read, lines, returned = {}, set(), set(), [], None
 
@@ -166,8 +175,17 @@ def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
             return f"{node.func.id}({expr(node.args[0])})"
         raise _Untranslatable
 
+    def values(node) -> tuple[list[str], tuple[int, ...]]:
+        if type(node) is not ast.Tuple:
+            return [expr(node)], ()
+        parts = [values(e) for e in node.elts]
+        shapes = {shape for _, shape in parts}
+        if len(shapes) != 1:  # ragged, or empty
+            raise _Untranslatable
+        return [v for part, _ in parts for v in part], (len(parts), *shapes.pop())
+
     def assign(name: str, value) -> None:
-        if name in assigned or name in _PARAMS or name.endswith("_"):
+        if name in assigned or name in params or name.endswith("_"):
             raise _Untranslatable
         assigned.add(name)
         text = expr(value)  # raises where a folded literal is not finite
@@ -196,9 +214,8 @@ def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
                     raise _Untranslatable
             elif kind is ast.If and not stmt.orelse and [type(s) for s in stmt.body] == [ast.Raise]:
                 lines.append((None, f"if ({expr(stmt.test)}) break;"))
-            elif (kind is ast.Return and type(stmt.value) is ast.Tuple
-                  and len(stmt.value.elts) == 4 and stmt is body[-1] and body is fn.body):
-                returned = tuple(map(expr, stmt.value.elts))
+            elif kind is ast.Return and stmt.value is not None and stmt is fn.body[-1]:
+                returned = values(stmt.value)
             else:
                 raise _Untranslatable
 
@@ -210,7 +227,7 @@ def _translate(text: str) -> tuple[list[str], set[str], tuple[str, ...]]:
         out.append(line)
         if name is not None and name not in read:
             out.append(f"sink_ = {name};")
-    return out, read - assigned, returned
+    return out, read - assigned, *returned
 
 
 def march_source(text: str) -> tuple[str, tuple[str, ...]] | None:
@@ -232,8 +249,10 @@ def march_source(text: str) -> tuple[str, tuple[str, ...]] | None:
     of the span the test covers.  The caller's flags are restored.
     """
     try:
-        body, reads, returned = _translate(text)
+        body, reads, returned, shape = _translate(text, _PARAMS)
     except (_Untranslatable, SyntaxError, RecursionError):
+        return None
+    if shape != (4,):
         return None
     globals_ = tuple(sorted(reads - set(_PARAMS)))
     loads = [f"    const double {name} = g_[{i}];" for i, name in enumerate(globals_)]
@@ -270,6 +289,60 @@ def march_source(text: str) -> tuple[str, tuple[str, ...]] | None:
         ""]), globals_
 
 
+#: The parameters of a column function, the chart coordinates.
+_COLUMN_PARAMS = ("x", "y")
+
+
+def column_source(text: str, name: str) -> tuple[str, tuple[str, ...], tuple[int, ...]] | None:
+    """The C function ``name`` that runs the column function ``text``, a
+    function of (x, y) a module compiled (:class:`expr.Column`), over
+    arrays of samples, with the globals it reads and the shape of what the
+    function returns; None where the text does not translate (see
+    :func:`_translate`).  The function has no headers: it is built into its
+    module's march (see :func:`rk4_kernel`).
+
+    ``name(n_, g_, x_, y_, out_)`` reads the globals from g_, runs the n_
+    samples (x_[i], y_[i]), and writes value j of sample i at
+    ``out_[j * n_ + i]``, so out_ is an array of the return's shape by n_.
+    It returns n_ where every sample ran clean; where a sample is NaN (two
+    NaNs of opposite signs may meet in an operation C commutes, where
+    Python keeps the first) or fails a check it stops there, and where any
+    sample raises an invalid, divide-by-zero or overflow flag it returns
+    -1, so the caller computes the column some other way.  The flags are
+    cleared before any input is loaded and tested once after the last
+    sample; the caller's flags are restored.
+    """
+    try:
+        body, reads, returned, shape = _translate(text, _COLUMN_PARAMS)
+    except (_Untranslatable, SyntaxError, RecursionError):
+        return None
+    globals_ = tuple(sorted(reads - set(_COLUMN_PARAMS)))
+    loads = [f"    const double {g} = g_[{i}];" for i, g in enumerate(globals_)]
+    return "\n".join([
+        f"int64_t {name}(int64_t n_, const double *g_, const double *x_, const double *y_,",
+        "                double *out_)",
+        "{",
+        "    int64_t i_ = 0;",
+        "    fexcept_t saved_;",
+        "    volatile double sink_;",
+        f"    fegetexceptflag(&saved_, {_FLAGS});",
+        f"    feclearexcept({_FLAGS});",
+        *loads,
+        "    for (; i_ < n_; i_++) {",
+        "        const double x = x_[i_], y = y_[i_];",
+        "        if (isnan(x) || isnan(y))",
+        "            break;",
+        *(f"        {line}" for line in body),
+        *(f"        out_[{j} * n_ + i_] = {value};" for j, value in enumerate(returned)),
+        "    }",
+        f"    if (fetestexcept({_FLAGS}))",
+        "        i_ = -1;",
+        f"    fesetexceptflag(&saved_, {_FLAGS});",
+        "    return i_;",
+        "}",
+        ""]), globals_, shape
+
+
 def unguarded(text: str) -> str:
     """The step ``text`` less its guards: each ``if ...: raise`` dropped
     and each ``try`` replaced by its body, so that a step that would raise
@@ -300,10 +373,10 @@ def lanes_source(text: str) -> str | None:
     statement no other reads is dropped, as the loop tests no flags.
     """
     try:
-        body, reads, returned = _translate(unguarded(text))
+        body, reads, returned, shape = _translate(unguarded(text), _PARAMS)
     except (_Untranslatable, SyntaxError, RecursionError):
         return None
-    if reads - set(_PARAMS[:5]):
+    if shape != (4,) or reads - set(_PARAMS[:5]):
         return None
     v = returned[1]
     arrays = ", ".join(f"double *restrict {name}_" for name in (*_PARAMS[:4], "lo", "hi"))
@@ -403,10 +476,11 @@ def in_blocks(run, n: int) -> int:
 
 
 class Kernel:
-    """One step text's compiled march and the globals it reads."""
+    """One step text's compiled march and the globals it reads, with the
+    sample loops built with it, by the text of their column functions."""
 
-    def __init__(self, fn, globals_: tuple[str, ...]):
-        self.fn, self.globals = fn, globals_
+    def __init__(self, fn, globals_: tuple[str, ...], columns: dict[str, ColumnLoop]):
+        self.fn, self.globals, self.columns = fn, globals_, columns
 
     def march(self, step, y: tuple, n: int, n_full: int, h: float, rem: float):
         """Run ``step``, an RK4 step of this kernel's text, from state ``y``
@@ -470,11 +544,78 @@ def rk4_kernel(step, n: int, min_steps: int) -> Kernel | None:
             _STEPPED[text] = stepped + n
             return None
         _STEPPED.pop(text, None)
-        _KERNELS[text] = _load(text)
+        _KERNELS[text] = _load(text, step.__globals__.get("_columns", ()))
     return _KERNELS[text]
 
 
-def _load(text: str) -> Kernel | None:
+def _load(text: str, columns: tuple[str, ...]) -> Kernel | None:
+    """The march of the step ``text``, built in one library with the sample
+    loops of those of its module's column functions ``columns`` that
+    translate; None where the march does not translate or build."""
     source, globals_ = march_source(text) or (None, ())
+    loops = {}  # a column function's text: its C function's name, globals and shape
+    for i, column in enumerate(columns if source is not None else ()):
+        made = column_source(column, f"col_{i}")
+        if made is not None:
+            source += made[0]
+            loops[column] = (f"col_{i}", *made[1:])
     fn = load(source, "rk4_march", int, int, int, *[np.ndarray] * 4, restype=int)
-    return None if fn is None else Kernel(fn, globals_)
+    if fn is None:
+        return None
+    return Kernel(fn, globals_, {
+        column: ColumnLoop(load(source, name, int, *["double *"] * 4, restype=int), reads, shape)
+        for column, (name, reads, shape) in loops.items()})
+
+
+class ColumnLoop:
+    """One column function's compiled sample loop (see
+    :func:`column_source`), the globals it reads and the shape of what the
+    function returns."""
+
+    def __init__(self, fn, globals_: tuple[str, ...], shape: tuple[int, ...]):
+        self.fn, self.globals, self.shape = fn, globals_, shape
+
+    def bind(self, namespace: dict):
+        """The loop with the globals of the module ``namespace``:
+        ``loop(x, y)`` gives an array of the return's shape by len(x),
+        whose [..., i] is what the function returns at (x[i], y[i]), for
+        non-empty, writable 1-d float arrays x and y of one length (each
+        copied first where it is not contiguous); None for other arrays,
+        and where the loop does not run every sample clean.  None where a
+        global is not a finite float."""
+        import ctypes
+
+        values = [namespace.get(name) for name in self.globals]
+        if not all(type(x) is float and math.isfinite(x) for x in values):
+            return None
+        address, fn, shape = ctypes.c_double.from_buffer, self.fn, self.shape
+        g = address(np.array(values)) if values else None  # keeps its array alive
+
+        def loop(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+            n = len(x)
+            if not (n and x.dtype == y.dtype == np.float64 and x.shape == y.shape == (n,)):
+                return None
+            out = np.empty((*shape, n))
+            try:
+                done = fn(n, g, address(np.ascontiguousarray(x)),
+                          address(np.ascontiguousarray(y)), address(out))
+            except TypeError:  # a read-only array
+                return None
+            return out if done == n else None
+
+        return loop
+
+
+def column_loop(namespace: dict, text: str):
+    """The compiled sample loop of the column function ``text`` of the
+    module ``namespace``, bound to its globals (see :meth:`ColumnLoop.bind`):
+    the one built with the march of the module's RK4 step, where that march
+    is loaded and was built from a module with a column function of the same
+    text.  None where that march has not been tried yet, so a later call
+    may find one; False where it never will."""
+    step = namespace.get("_source_rk4")
+    if step not in _KERNELS:
+        return None
+    kernel = _KERNELS[step]
+    loop = kernel and kernel.columns.get(text)
+    return (loop and loop.bind(namespace)) or False

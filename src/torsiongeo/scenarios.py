@@ -260,10 +260,14 @@ def _resolve_runtime(raw: dict) -> Runtime:
             srcs = (comp["g11"], comp.get("g12", "0"), comp["g22"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"inline metric needs g11 and g22: {exc}") from exc
+        bounds = _numbers(chart_sel.get("bounds", (-math.inf, math.inf, -math.inf, math.inf)),
+                          4, "bounds", finite=False)
+        for i in (0, 2):  # an empty box, or a NaN bound, would fail only at run time
+            if not bounds[i] < bounds[i + 1]:
+                raise ConfigError(f"bounds[{i}] must be below bounds[{i + 1}], "
+                                  f"got {bounds[i]!r} and {bounds[i + 1]!r}")
         chart = ChartSource(
-            name=chart_sel.get("name", "inline"), metric=srcs,
-            bounds=_numbers(chart_sel.get("bounds", (-math.inf, math.inf, -math.inf, math.inf)),
-                            4, "bounds", finite=False),
+            name=chart_sel.get("name", "inline"), metric=srcs, bounds=bounds,
             sample_box=(_numbers(chart_sel["sample_box"], 4, "sample_box")
                         if "sample_box" in chart_sel else None))
     elif isinstance(chart_sel, str):
@@ -281,14 +285,24 @@ def _resolve_runtime(raw: dict) -> Runtime:
     return Runtime(chart=chart, field=field, surface=surface)
 
 
+#: The inline field kinds: a field's name, kind and the selector keys of its sources.
+_FIELD_KINDS = (("config-sigma", "sigma", ("sigma",)), ("config-p", "p", ("p",)),
+                ("config-inline", "fg", ("f", "g")))
+
+
 def _field_source(sel) -> FieldSource:
     if isinstance(sel, str) and sel in _FIELD_SOURCES:
         return _FIELD_SOURCES[sel]
     if sel == "catalog":
         raise ConfigError("field 'catalog' needs a surface chart")
     if isinstance(sel, dict):
-        for name, kind, keys in (("config-sigma", "sigma", ("sigma",)),
-                                 ("config-p", "p", ("p",)), ("config-inline", "fg", ("f", "g"))):
+        kinds = [(name, kind, keys) for name, kind, keys in _FIELD_KINDS
+                 if any(key in sel for key in keys)]
+        if len(kinds) > 1:
+            named = ", ".join(repr(key) for _, _, keys in kinds for key in keys if key in sel)
+            raise ConfigError(f"field selector names {named}: give the keys of one of "
+                              f"'sigma', 'p' or 'f' and 'g'")
+        for name, kind, keys in kinds:
             if all(key in sel for key in keys):
                 return FieldSource(name, kind, tuple(sel[key] for key in keys))
     raise ConfigError(f"cannot resolve field selector {sel!r}")

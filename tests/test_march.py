@@ -479,6 +479,38 @@ def test_a_repeated_short_march_builds_once_its_python_steps_reach_the_threshold
     assert len({line.rsplit(" ", 1)[1] for line in out}) == 1
 
 
+def test_a_warm_run_starts_no_compiler_and_runs_its_diagnostics_columns_in_c():
+    # the third run of sphere-loxodrome-45 builds its march, and with it the
+    # column loops of the sphere's module; the fourth builds nothing and its
+    # diagnostics (the metric and the field components, on each half) run
+    # in C, with the bits of the runs whose columns ran in numpy
+    out = fresh_process(
+        "import hashlib",
+        "from torsiongeo import native",
+        "from torsiongeo.integrate import COLUMNS",
+        "from torsiongeo.scenarios import CATALOG, run_scenario",
+        "ran, bind = [], native.ColumnLoop.bind",
+        "def spy(self, namespace):",
+        "    loop = bind(self, namespace)",
+        "    def counted(x, y):",
+        "        out = loop(x, y)",
+        "        ran.append(out is not None)",
+        "        return out",
+        "    return loop and counted",
+        "native.ColumnLoop.bind = spy",
+        "for _ in range(4):",
+        "    ran.clear()",
+        "    tr = run_scenario(CATALOG['sphere-loxodrome-45'])",
+        "    digest = hashlib.sha256(b''.join(getattr(tr, c).tobytes() for c in COLUMNS))",
+        "    print(len(calls), ran, digest.hexdigest())")
+    runs = [line.rsplit(" ", 1)[0] for line in out]
+    if HAVE_CC:
+        assert runs == ["0 []", "0 []", "1 [True, True]", "1 [True, True, True, True]"]
+    else:
+        assert runs == ["0 []"] * 4
+    assert len({line.rsplit(" ", 1)[1] for line in out}) == 1
+
+
 def test_criterion_2_builds_its_conformal_kernels_in_later_rounds():
     # c2's Levi-Civita marches plan 5 000-9 000 steps each, on four
     # ~conformal charts; the base traces c2 reads are computed first, so

@@ -678,3 +678,36 @@ def test_unhashable_or_non_string_sources_raise_config_error(chart, field, messa
            "initial": {"position": [0.5, 1.0], "velocity": [1, 0]}}
     with pytest.raises(ConfigError, match=re.escape(message)):
         ScenarioConfig.from_dict(raw)
+
+
+AMBIGUOUS = [
+    ("plane", {"p": "x", "sigma": "y"}, "field selector names 'sigma', 'p'"),
+    ("plane", {"sigma": "x", "f": "1", "g": "0"}, "field selector names 'sigma', 'f', 'g'"),
+    ("plane", {"p": "x", "f": "1"}, "field selector names 'p', 'f'"),
+    ({"metric": {"g11": "1", "g22": "1"}, "bounds": [1, 0, 0, 1]}, "zero",
+     "bounds[0] must be below bounds[1], got 1.0 and 0.0"),
+    ({"metric": {"g11": "1", "g22": "1"}, "bounds": [0, 1, 2, 2]}, "zero",
+     "bounds[2] must be below bounds[3], got 2.0 and 2.0"),
+    ({"metric": {"g11": "1", "g22": "1"}, "bounds": [0, math.nan, 0, 1]}, "zero",
+     "bounds[0] must be below bounds[1], got 0.0 and nan"),
+    ({"metric": {"g11": "1", "g22": "1"}, "bounds": [0, 1, -math.inf, -math.inf]}, "zero",
+     "bounds[2] must be below bounds[3], got -inf and -inf"),
+]
+
+
+@pytest.mark.parametrize("chart, field, message", AMBIGUOUS)
+def test_ambiguous_fields_and_empty_or_nan_bounds_fail_at_parse_time(chart, field, message,
+                                                                     tmp_path, capsys):
+    # the field used to take the first kind that matched, and an empty box
+    # or a NaN bound parsed and then failed at the launch
+    from torsiongeo.cli import main
+
+    raw = {"version": 1, "id": "x", "chart": chart, "field": field,
+           "initial": {"position": [0.5, 0.5], "velocity": [1, 0]}}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ScenarioConfig.from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["integrate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
